@@ -201,19 +201,28 @@ func Optimal(k core.Kind, c core.Costs, r core.Rates) (Plan, error) {
 	}
 	// Robustness net: a nested convex integer search. For well-posed
 	// inputs it lands on the same (n, m); in degenerate regimes (e.g.
-	// λf = 0 driving n̄* to infinity) it supplies a finite answer.
+	// λf = 0 driving n̄* to infinity) it supplies a finite answer. n
+	// keeps a ternary search. m descends from the rounded m̄*: with
+	// x = (m-2)r+2, oef = α + βx and orw = γ + δ/x, so the product is
+	// βγ·x + αδ/x + const with β, γ, δ ≥ 0 — strictly convex in m when
+	// αδ > 0, non-decreasing otherwise — and the descent lands on the
+	// ternary search's argmin.
+	mStart := MaxSplit
+	if mbar < MaxSplit {
+		mStart = int(math.Round(mbar))
+	}
+	mAt := func(n int) (int, float64) {
+		return xmath.MinimizeConvexIntFrom(func(m int) float64 { return product(k, c, r, n, m) }, 1, MaxSplit, mStart)
+	}
 	nGrid, mGrid := 1, 1
 	if k.MultiSegment() && k.MultiChunk() {
-		var mAt = func(n int) (int, float64) {
-			return xmath.MinimizeConvexInt(func(m int) float64 { return product(k, c, r, n, m) }, 1, MaxSplit)
-		}
 		n2, _ := xmath.MinimizeConvexInt(func(n int) float64 { _, f := mAt(n); return f }, 1, MaxSplit)
 		m2, _ := mAt(n2)
 		nGrid, mGrid = n2, m2
 	} else if k.MultiSegment() {
 		nGrid, _ = xmath.MinimizeConvexInt(func(n int) float64 { return product(k, c, r, n, 1) }, 1, MaxSplit)
 	} else if k.MultiChunk() {
-		mGrid, _ = xmath.MinimizeConvexInt(func(m int) float64 { return product(k, c, r, 1, m) }, 1, MaxSplit)
+		mGrid, _ = mAt(1)
 	}
 	if f := product(k, c, r, nGrid, mGrid); f < bestF {
 		bestN, bestM, bestF = nGrid, mGrid, f

@@ -16,10 +16,10 @@ import (
 //     box too large to enumerate (degenerate near-zero-rate regimes) —
 //     ternary search is logarithmic in the caps where enumeration is
 //     linear;
-//   - wrapped by optimizeReference, it is the golden-parity oracle:
-//     the pruned parallel Plan must return a bit-identical Plan on the
-//     Table 2 grid, which pins the overhaul to the pre-optimization
-//     planner's outputs.
+//   - wrapped by optimizeReference (a test helper), it is the
+//     golden-parity oracle: the pruned parallel Plan must return a
+//     bit-identical Plan on the Table 2 grid, which pins the overhaul
+//     to the pre-optimization planner's outputs.
 //
 // Leaves run through the same optimizeW as the parallel path, so the
 // two searches share every floating-point operation and differ only in
@@ -87,30 +87,4 @@ func optimizeNested(ctx context.Context, ev *Evaluator, maxM int, caps []int, st
 	stats.Leaves += len(memo)
 	stats.Evaluated += len(memo)
 	return Plan{Spec: UniformSpec(best.w, branch, m), Overhead: best.h}, nil
-}
-
-// optimizeReference reproduces the pre-overhaul Optimize end to end
-// (first-order seed, caps, nested convex search; no pruning, no
-// parallelism). Production code never calls it — it exists so the
-// parity tests can assert the overhauled planner returns bit-identical
-// plans.
-func optimizeReference(ev *Evaluator) (Plan, error) {
-	p := ev.Params()
-	if p.Rates.Total() == 0 {
-		return Plan{}, fmt.Errorf("multilevel: both error rates are zero; no finite optimal pattern")
-	}
-	L := len(p.Levels)
-	seed := make([]int, L-1)
-	counts := make([]int, L)
-	seedM := firstOrderSeed(p, seed, counts)
-	caps := make([]int, L-1)
-	for d := range caps {
-		caps[d] = min(3*seed[d]+4, MaxBranch)
-	}
-	maxM := min(3*seedM+4, MaxBranch)
-	if p.Rates.Silent == 0 {
-		maxM = 1
-	}
-	var stats SearchStats
-	return optimizeNested(context.Background(), ev, maxM, caps, &stats)
 }

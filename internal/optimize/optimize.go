@@ -79,8 +79,8 @@ func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float
 }
 
 // Exact finds the exact-model optimal plan of family k by searching the
-// integer (n, m) space (convex ternary search seeded by the first-order
-// optimum) with the inner W optimised by OptimizeW.
+// integer (n, m) space (a ternary search over n, a descent over m from
+// the first-order optimum) with the inner W optimised by OptimizeW.
 func Exact(k core.Kind, c core.Costs, r core.Rates) (ExactPlan, error) {
 	first, err := analytic.Optimal(k, c, r)
 	if err != nil {
@@ -149,14 +149,17 @@ func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan)
 		memo[key] = e
 		return e
 	}
+	// m descends from the first-order m* (the exact argmin near the
+	// optimal n is a step or two away); n keeps the ternary search,
+	// since its m-minimised overhead need not be unimodal.
 	bestM := func(n int) (int, eval) {
-		m, _ := xmath.MinimizeConvexInt(func(m int) float64 {
+		m, _ := xmath.MinimizeConvexIntFrom(func(m int) float64 {
 			e := at(n, m)
 			if e.err != nil {
 				return math.Inf(1)
 			}
 			return e.h
-		}, 1, maxM)
+		}, 1, maxM, first.M)
 		return m, at(n, m)
 	}
 	n, _ := xmath.MinimizeConvexInt(func(n int) float64 {

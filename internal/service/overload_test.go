@@ -111,16 +111,18 @@ func TestGetOrComputeTimerDeadline(t *testing.T) {
 }
 
 // TestLongSearchInterrupted pins deadline enforcement against a real
-// CPU-bound search, no injection: a 50ms budget must interrupt the
-// multi-second L=4 multilevel search within the scheduler's
-// best-effort window (see DESIGN.md §2.8), far short of running it to
-// completion.
+// CPU-bound search, no injection: a 50ms budget must interrupt a
+// multi-second multilevel search within the scheduler's best-effort
+// window (see DESIGN.md §2.8), far short of running it to completion.
+// Hera at L=3 with λf scaled by 1e-4 stretches the first-order caps to
+// a 17,500-candidate box, which takes ~7s to search uncancelled on a
+// 2-vCPU VM.
 func TestLongSearchInterrupted(t *testing.T) {
 	pl, err := platform.ByName("Hera")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := multilevel.FromPlatform(pl, 4)
+	p3, err := multilevel.FromPlatform(pl.ScaleRates(1e-4, 1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestLongSearchInterrupted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, perr := s.PlanMultilevelCtx(ctx, p4)
+	_, perr := s.PlanMultilevelCtx(ctx, p3)
 	elapsed := time.Since(start)
 	if !errors.Is(perr, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v (after %v)", perr, elapsed)

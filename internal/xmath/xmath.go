@@ -139,6 +139,51 @@ func MinimizeConvexInt(f func(int) float64, lo, hi int) (int, float64) {
 	return best, fbest
 }
 
+// MinimizeConvexIntFrom minimises a convex function f over the
+// integers in [lo, hi] by unit-step descent from start (clamped into
+// the range). It costs at most |argmin - start| + 3 evaluations, so a
+// good seed (e.g. the rounded rational optimum of Theorems 2-4) makes
+// it far cheaper than MinimizeConvexInt's ~2·log_{3/2}(hi-lo) probes.
+// On ties it walks left, returning the smallest argmin, as
+// MinimizeConvexInt does for unimodal f. If the descent lands on a
+// non-finite value (a diverging regime, where f need not be unimodal)
+// it falls back to MinimizeConvexInt over the whole range, so
+// degenerate inputs are searched exactly as there.
+func MinimizeConvexIntFrom(f func(int) float64, lo, hi, start int) (int, float64) {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	k := min(max(start, lo), hi)
+	fk := f(k)
+	if isFinite(fk) {
+		// Walk left while not worse (ties go left), else right while
+		// strictly better.
+		left := false
+		for k > lo {
+			fl := f(k - 1)
+			if !(fl <= fk) {
+				break
+			}
+			k, fk, left = k-1, fl, true
+		}
+		if !left {
+			for k < hi {
+				fr := f(k + 1)
+				if !(fr < fk) {
+					break
+				}
+				k, fk = k+1, fr
+			}
+		}
+		if isFinite(fk) {
+			return k, fk
+		}
+	}
+	return MinimizeConvexInt(f, lo, hi)
+}
+
+func isFinite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
 // IntNeighborhood returns the candidate integer values around the
 // rational optimum x, clamped to be at least 1: max(1, floor(x)) and
 // ceil(x). This is the rounding rule of Theorems 2-4.

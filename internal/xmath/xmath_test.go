@@ -137,6 +137,121 @@ func TestMinimizeConvexIntTinyRange(t *testing.T) {
 	}
 }
 
+// convexCases are integer functions on which MinimizeConvexIntFrom
+// must agree with MinimizeConvexInt from every start: random strictly
+// convex quadratics, and plateau-bottomed piecewise-linear functions
+// whose ties must resolve to the smallest argmin.
+func convexCases(rng *rand.Rand) []func(int) float64 {
+	var fs []func(int) float64
+	for i := 0; i < 40; i++ {
+		c, a, b := rng.Float64()*140-20, rng.Float64()*5+0.01, rng.Float64()*10-5
+		fs = append(fs, func(k int) float64 { d := float64(k) - c; return a*d*d + b })
+		lo, w := rng.IntN(120)-10, rng.IntN(8)
+		slopeL, slopeR := rng.Float64()+0.1, rng.Float64()+0.1
+		fs = append(fs, func(k int) float64 {
+			switch {
+			case k < lo:
+				return slopeL * float64(lo-k)
+			case k > lo+w:
+				return slopeR * float64(k-lo-w)
+			}
+			return 0
+		})
+	}
+	return fs
+}
+
+func TestMinimizeConvexIntFromMatchesTernary(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const lo, hi = 1, 100
+	for i, f := range convexCases(rng) {
+		want, fwant := MinimizeConvexInt(f, lo, hi)
+		for start := lo - 5; start <= hi+5; start++ {
+			calls := 0
+			counted := func(k int) float64 { calls++; return f(k) }
+			got, fgot := MinimizeConvexIntFrom(counted, lo, hi, start)
+			if got != want || fgot != fwant {
+				t.Fatalf("case %d start %d: (%d, %v), ternary (%d, %v)", i, start, got, fgot, want, fwant)
+			}
+			s := min(max(start, lo), hi)
+			if d := max(got-s, s-got); calls > d+3 {
+				t.Fatalf("case %d start %d: %d evaluations for a distance of %d", i, start, calls, d)
+			}
+		}
+	}
+}
+
+func TestMinimizeConvexIntFromEdges(t *testing.T) {
+	f := func(k int) float64 { d := float64(k) - 17.3; return d * d }
+	if k, _ := MinimizeConvexIntFrom(f, 5, 5, 40); k != 5 {
+		t.Errorf("lo == hi: argmin = %d, want 5", k)
+	}
+	if k, _ := MinimizeConvexIntFrom(f, 30, 1, 2); k != 17 {
+		t.Errorf("reversed bounds: argmin = %d, want 17", k)
+	}
+	if k, _ := MinimizeConvexIntFrom(f, 1, 1000, -50); k != 17 {
+		t.Errorf("start below lo: argmin = %d, want 17", k)
+	}
+	if k, _ := MinimizeConvexIntFrom(f, 1, 10, 5000); k != 10 {
+		t.Errorf("start above hi, argmin at the bound: %d, want 10", k)
+	}
+}
+
+// TestMinimizeConvexIntFromNonFinite: a descent that lands on a
+// non-finite value falls back to the full ternary search, so diverging
+// regimes get exactly MinimizeConvexInt's answer.
+func TestMinimizeConvexIntFromNonFinite(t *testing.T) {
+	cases := []struct {
+		name   string
+		f      func(int) float64
+		starts []int // starts whose descent lands on a non-finite value
+	}{
+		{"inf tail", func(k int) float64 {
+			if k > 40 {
+				return math.Inf(1)
+			}
+			d := float64(k) - 12
+			return d * d
+		}, []int{41, 50, 64, 99}},
+		{"nan tail", func(k int) float64 {
+			if k > 40 {
+				return math.NaN()
+			}
+			return float64(k)
+		}, []int{41, 64}},
+		{"all inf", func(int) float64 { return math.Inf(1) }, []int{1, 30, 64}},
+		{"-inf dip", func(k int) float64 {
+			if k == 3 {
+				return math.Inf(-1)
+			}
+			return float64(k)
+		}, []int{3, 4, 20}},
+		// Two -Inf dips: a descent from above lands on the upper one,
+		// which the ternary search does not return.
+		{"-inf dips", func(k int) float64 {
+			if k == 3 || k == 50 {
+				return math.Inf(-1)
+			}
+			return math.Abs(float64(k) - 30)
+		}, []int{50, 51, 64}},
+	}
+	for _, c := range cases {
+		ternaryCalls := 0
+		want, fwant := MinimizeConvexInt(func(k int) float64 { ternaryCalls++; return c.f(k) }, 1, 64)
+		for _, start := range c.starts {
+			calls := 0
+			got, fgot := MinimizeConvexIntFrom(func(k int) float64 { calls++; return c.f(k) }, 1, 64, start)
+			if got != want || math.Float64bits(fgot) != math.Float64bits(fwant) {
+				t.Errorf("%s start %d: (%d, %v), ternary (%d, %v)", c.name, start, got, fgot, want, fwant)
+			}
+			// A non-finite start falls back at once, without walking.
+			if !isFinite(c.f(min(start, 64))) && calls > ternaryCalls+1 {
+				t.Errorf("%s start %d: %d evaluations, ternary search alone takes %d", c.name, start, calls, ternaryCalls)
+			}
+		}
+	}
+}
+
 func TestIntNeighborhood(t *testing.T) {
 	cases := []struct {
 		x    float64
