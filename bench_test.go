@@ -8,9 +8,13 @@
 package respat_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -470,6 +474,73 @@ func BenchmarkServicePlanHot(b *testing.B) {
 		tr.Finish(200, "hit")
 	}
 }
+
+// BenchmarkServiceHTTPPlanHit measures a cache hit through the HTTP
+// handler — body decode, canonical key, cache lookup, response write —
+// the rung between BenchmarkServicePlanHot (no HTTP, no decode) and
+// the latency a client observes. Each sub-benchmark replays one
+// perfbench-shaped body of its endpoint; the tracer samples as in
+// BenchmarkServicePlanHot.
+func BenchmarkServiceHTTPPlanHit(b *testing.B) {
+	hera := mustPlatform(b, "Hera")
+	params, err := multilevel.FromPlatform(hera, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := service.New(service.Config{
+		Tracer: obs.New(obs.Config{SampleEvery: 1 << 20}),
+	})
+	h := svc.Handler()
+	for _, c := range []struct {
+		name, path string
+		body       any
+	}{
+		{"exact", "/v1/plan/exact", service.PlanRequest{Kind: core.PDMV.String(), Costs: &hera.Costs, Rates: &hera.Rates}},
+		{"multilevel", "/v1/plan/multilevel", service.MultilevelPlanRequest{Params: &params}},
+	} {
+		raw, err := json.Marshal(c.body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := &replayBody{}
+		req := httptest.NewRequest(http.MethodPost, c.path, nil)
+		w := &discardWriter{header: http.Header{}}
+		serve := func() {
+			body.Reset(raw)
+			req.Body = body
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				b.Fatalf("%s: status %d", c.path, w.status)
+			}
+		}
+		serve() // the cold plan; every timed request hits
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				serve()
+			}
+		})
+	}
+}
+
+// replayBody is a request body that rewinds, so one request serves
+// every iteration.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// discardWriter is an http.ResponseWriter that keeps only the status,
+// so the benchmark times the handler rather than a recorder.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkTraceRecord measures the sampled path: one full trace
 // lifecycle with three recorded spans, a ring push and the Server-

@@ -454,9 +454,9 @@ func (s *Service) batchItem(ctx context.Context, item BatchItem) json.RawMessage
 	return body
 }
 
-// decodePlanRequest parses and resolves the shared plan request body.
-// It also returns the raw body bytes, which the cluster forwarding
-// path replays to the owning peer unmodified.
+// decodePlanRequest reads, decodes and resolves the shared plan request
+// body under the decode span. It also returns the raw body bytes, which
+// the cluster forwarding path replays to the owning peer unmodified.
 func decodePlanRequest(r *http.Request) (raw []byte, kind core.Kind, costs core.Costs, rates core.Rates, err error) {
 	tm := obs.FromContext(r.Context()).Begin(obs.StageDecode)
 	defer func() { tm.End(errOutcome(err)) }()
@@ -464,19 +464,36 @@ func decodePlanRequest(r *http.Request) (raw []byte, kind core.Kind, costs core.
 	if err != nil {
 		return nil, 0, core.Costs{}, core.Rates{}, fmt.Errorf("bad request body: %w", err)
 	}
-	var req PlanRequest
-	if err := decodeJSON(raw, &req); err != nil {
-		return nil, 0, core.Costs{}, core.Rates{}, err
-	}
-	kind, err = core.ParseKind(req.Kind)
-	if err != nil {
-		return nil, 0, core.Costs{}, core.Rates{}, err
-	}
-	costs, rates, err = resolveConfig(req.Platform, req.Costs, req.Rates)
+	kind, costs, rates, err = parsePlanRequest(raw)
 	if err != nil {
 		return nil, 0, core.Costs{}, core.Rates{}, err
 	}
 	return raw, kind, costs, rates, nil
+}
+
+// parsePlanRequest decodes and resolves a plan request body.
+func parsePlanRequest(raw []byte) (core.Kind, core.Costs, core.Rates, error) {
+	var b planBody
+	if err := decodePlanBody(raw, &b); err != nil {
+		return 0, core.Costs{}, core.Rates{}, err
+	}
+	kind, err := core.ParseKind(b.kind)
+	if err != nil {
+		return 0, core.Costs{}, core.Rates{}, err
+	}
+	var costs *core.Costs
+	if b.hasCosts {
+		costs = &b.costs
+	}
+	var rates *core.Rates
+	if b.hasRates {
+		rates = &b.rates
+	}
+	c, r, err := resolveConfig(b.platform, costs, rates)
+	if err != nil {
+		return 0, core.Costs{}, core.Rates{}, err
+	}
+	return kind, c, r, nil
 }
 
 // errOutcome labels a span by whether its stage failed.
@@ -500,14 +517,16 @@ func decodeBody(r *http.Request, v any) (err error) {
 	return decodeJSON(raw, v)
 }
 
-// decodeJSON is decodeBody over already-read bytes.
+// decodeJSON is decodeBody over already-read bytes. Only whitespace may
+// follow the value: Decoder.More reports false before a stray '}' or
+// ']', so it cannot be the trailing-data check.
 func decodeJSON(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(raw[dec.InputOffset():], " \t\r\n")) != 0 {
 		return errors.New("bad request body: trailing data")
 	}
 	return nil

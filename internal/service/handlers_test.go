@@ -176,9 +176,32 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	h := New(Config{}).Handler()
+	hera, _ := platform.ByName("Hera")
+	plan, err := analytic.Optimal(core.PDMV, hera.Costs, hera.Rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := json.Marshal(plan.Pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluate := fmt.Sprintf(`{"pattern":%s,"platform":"Hera"}`, pat)
+	if w := postJSON(t, h, "/v1/evaluate", evaluate); w.Code != http.StatusOK {
+		t.Fatalf("valid evaluate body: status %d: %s", w.Code, w.Body)
+	}
 	cases := []struct {
 		name, path, body string
 	}{
+		{"trailing brace", "/v1/plan", `{"kind":"PD","platform":"Hera"}}`},
+		{"trailing bracket", "/v1/plan", `{"kind":"PD","platform":"Hera"}]`},
+		{"trailing bracket and junk", "/v1/plan", `{"kind":"PD","platform":"Hera"}] x`},
+		{"evaluate trailing brace", "/v1/evaluate", evaluate + `}`},
+		{"evaluate trailing bracket", "/v1/evaluate", evaluate + `]`},
+		{"evaluate trailing bracket and junk", "/v1/evaluate", evaluate + `] x`},
+		{"duplicate folded name", "/v1/plan", `{"kind":"PD","KIND":"PDV","platform":"Hera"}`},
+		{"duplicate costs", "/v1/plan/exact", `{"kind":"PD",` +
+			`"costs":{"DiskCkpt":300,"MemCkpt":15,"DiskRec":300,"MemRec":15,"GuarVer":15,"PartVer":0.15,"Recall":0.8},` +
+			`"costs":{"DiskCkpt":600},"rates":{"FailStop":1e-6,"Silent":1e-6}}`},
 		{"bad json", "/v1/plan", `{`},
 		{"unknown field", "/v1/plan", `{"kind":"PD","platform":"Hera","zzz":1}`},
 		{"unknown kind", "/v1/plan", `{"kind":"PDQ","platform":"Hera"}`},

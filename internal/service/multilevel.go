@@ -143,20 +143,8 @@ func (s *Service) handlePlanMultilevel(r *http.Request, d *disposition) ([]byte,
 		dec.End("error")
 		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
-	var req MultilevelPlanRequest
-	if err := decodeJSON(raw, &req); err != nil {
-		dec.End("error")
-		return nil, http.StatusBadRequest, err
-	}
-	params, err := resolveMultilevelConfig(req)
+	params, err := parseMultilevelRequest(raw)
 	if err != nil {
-		dec.End("error")
-		return nil, http.StatusBadRequest, err
-	}
-	// EncodeMultilevelKey requires validated params (the level vector
-	// must fit the fixed-width key); PlanMultilevelCtx re-validates,
-	// which is cheap.
-	if err := params.Validate(); err != nil {
 		dec.End("error")
 		return nil, http.StatusBadRequest, err
 	}
@@ -189,27 +177,50 @@ func (s *Service) handlePlanMultilevel(r *http.Request, d *disposition) ([]byte,
 	return body, http.StatusOK, nil
 }
 
+// parseMultilevelRequest decodes, resolves and validates a multilevel
+// plan request body. EncodeMultilevelKey requires validated params (the
+// level vector must fit the fixed-width key); PlanMultilevelCtx
+// re-validates, which is cheap.
+func parseMultilevelRequest(raw []byte) (multilevel.Params, error) {
+	var b multilevelBody
+	if err := decodeMultilevelBody(raw, &b); err != nil {
+		return multilevel.Params{}, err
+	}
+	var params *multilevel.Params
+	if b.hasParams {
+		params = &b.params
+	}
+	p, err := resolveMultilevelConfig(b.platform, b.levels, params)
+	if err != nil {
+		return multilevel.Params{}, err
+	}
+	if err := p.Validate(); err != nil {
+		return multilevel.Params{}, err
+	}
+	return p, nil
+}
+
 // resolveMultilevelConfig turns the (platform+levels | params) request
 // into a concrete configuration.
-func resolveMultilevelConfig(req MultilevelPlanRequest) (multilevel.Params, error) {
-	if req.Platform != "" {
-		if req.Params != nil {
+func resolveMultilevelConfig(platName string, levels int, params *multilevel.Params) (multilevel.Params, error) {
+	if platName != "" {
+		if params != nil {
 			return multilevel.Params{}, errors.New("give either platform+levels or params, not both")
 		}
-		if req.Levels == 0 {
+		if levels == 0 {
 			return multilevel.Params{}, errors.New("platform form needs levels (the hierarchy depth)")
 		}
-		pl, err := platform.ByName(req.Platform)
+		pl, err := platform.ByName(platName)
 		if err != nil {
 			return multilevel.Params{}, err
 		}
-		return multilevel.FromPlatform(pl, req.Levels)
+		return multilevel.FromPlatform(pl, levels)
 	}
-	if req.Params == nil {
+	if params == nil {
 		return multilevel.Params{}, errors.New("need a platform name plus levels, or explicit params")
 	}
-	if req.Levels != 0 {
+	if levels != 0 {
 		return multilevel.Params{}, errors.New("levels only applies to the platform form")
 	}
-	return *req.Params, nil
+	return *params, nil
 }

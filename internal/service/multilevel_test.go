@@ -207,14 +207,20 @@ func TestMultilevelEndpoint(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		`{"platform":"Hera"}`,                      // missing levels
-		`{"levels":2}`,                             // missing configuration
-		`{"platform":"Hera","levels":9}`,           // beyond MaxLevels
-		`{"platform":"Hera","levels":2,"x":1}`,     // unknown field
-		`{"params":{"Levels":[]},"levels":1}`,      // levels with params
-		`{"platform":"Nowhere","levels":2}`,        // unknown platform
-		`{"params":{"Levels":[],"Recall":0.5}}`,    // invalid params
-		`{"platform":"Hera","levels":2}{"x": "y"}`, // trailing data
+		`{"platform":"Hera"}`,                       // missing levels
+		`{"levels":2}`,                              // missing configuration
+		`{"platform":"Hera","levels":9}`,            // beyond MaxLevels
+		`{"platform":"Hera","levels":2,"x":1}`,      // unknown field
+		`{"params":{"Levels":[]},"levels":1}`,       // levels with params
+		`{"platform":"Nowhere","levels":2}`,         // unknown platform
+		`{"params":{"Levels":[],"Recall":0.5}}`,     // invalid params
+		`{"platform":"Hera","levels":2}{"x": "y"}`,  // trailing data
+		`{"platform":"Hera","levels":2}}`,           // trailing brace
+		`{"platform":"Hera","levels":2}]`,           // trailing bracket
+		`{"platform":"Hera","levels":2}] x`,         // trailing bracket and junk
+		`{"platform":"Hera","levels":2,"LEVELS":3}`, // duplicate folded name
+		`{"params":{"Levels":[{"Ckpt":1,"Rec":1,"Share":1}],"Recall":0.5,"Recall":0.8,` +
+			`"Rates":{"FailStop":1e-6,"Silent":1e-6}}}`, // duplicate Recall inside params
 	} {
 		if w := postJSON(t, h, "/v1/plan/multilevel", bad); w.Code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", bad, w.Code)
