@@ -424,6 +424,36 @@ func BenchmarkSimulatePattern(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateMultilevel runs a multilevel Monte-Carlo campaign
+// on one worker: Hera's 3-level hierarchy under its first-order plan,
+// 100 pattern instances x 40 runs per iteration — the multilevel
+// simulator rung beside BenchmarkSimulatePattern.
+func BenchmarkSimulateMultilevel(b *testing.B) {
+	hera := mustPlatform(b, "Hera")
+	params, err := multilevel.FromPlatform(hera, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := multilevel.FirstOrderPlan(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var overhead float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := respat.SimulateMultilevel(respat.MultilevelSimConfig{
+			Params: params, Spec: plan.Spec,
+			Patterns: 100, Runs: 40, Seed: uint64(i), Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		overhead = res.Overhead.Mean()
+	}
+	b.ReportMetric(100*overhead, "H-%")
+}
+
 // BenchmarkFleetSmall runs a whole 500-job fleet campaign per
 // iteration — plan, parallel per-job fault injection, FIFO/backfill
 // dispatch, reduction (DESIGN.md §2.7) — and reports the cluster

@@ -387,7 +387,11 @@ type Action struct {
 // by partial verifications, then the guaranteed verification and the
 // memory checkpoint; the final action is the disk checkpoint.
 func (p Pattern) Schedule() []Action {
-	var out []Action
+	n := 1 // the disk checkpoint
+	for i := range p.Beta {
+		n += 2*len(p.Beta[i]) + 1 // chunks, verifications, memory checkpoint
+	}
+	out := make([]Action, 0, n)
 	interior := OpPartVer
 	if p.InteriorGuaranteed {
 		interior = OpGuarVer

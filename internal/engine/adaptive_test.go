@@ -172,3 +172,30 @@ func TestReportExposesErrorClockExposure(t *testing.T) {
 		t.Fatalf("silent exposure %v below useful work %v", rep.SilentExposure, rep.Work)
 	}
 }
+
+// TestExecutorReuseAfterSwaps: a Reset executor replays a run exactly,
+// Boundary swaps of the previous run included.
+func TestExecutorReuseAfterSwaps(t *testing.T) {
+	first := mustUniform(t, 100, 1, 1)
+	second := mustUniform(t, 50, 2, 1)
+	ex, err := NewExecutor(Config{
+		App:     WorkFunc(func(float64) error { return nil }),
+		Pattern: first, Costs: boundaryCosts(),
+		Boundary: func(int, Report) (*core.Pattern, error) { return &second, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []Report
+	for i := 0; i < 2; i++ {
+		ex.Reset(faults.NewTrace([]float64{30, 260}), faults.NewTrace([]float64{120}))
+		rep, err := ex.Run(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	if reps[0] != reps[1] || reps[0].PlanSwaps != 4 {
+		t.Fatalf("reused executor diverged: %+v vs %+v", reps[0], reps[1])
+	}
+}

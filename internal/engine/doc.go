@@ -2,15 +2,16 @@
 // application under a computational pattern (Section 2 protocol),
 // managing two-level checkpoints (in-memory and disk), guaranteed and
 // partial verifications, and recovery from injected fail-stop and
-// silent errors. The Monte-Carlo simulator (internal/sim) predicts the
-// performance of a pattern; the engine actually runs one, on real
-// state, with real snapshot/restore and real (or oracle) detectors.
+// silent errors, on real state, with real snapshot/restore and real
+// (or oracle) detectors.
 //
 // Time is virtual: operations advance a clock by their configured
-// costs, and error arrivals are driven by exposure clocks exactly as
-// in internal/sim, so an engine run and a simulator run fed the same
-// arrival traces produce identical timelines — a property the tests
-// assert.
+// costs, and error arrivals are driven by exposure clocks
+// (faults.Clock). The protocol lives in Executor, which Run builds,
+// re-arms and runs once. The Monte-Carlo simulator (internal/sim) is
+// the same Executor run with no application: no snapshots or storage,
+// the oracles deciding every detection, one executor per worker
+// reseeded in place for every run.
 //
 // The engine is also the actuation point of the adaptive re-planning
 // loop (internal/adapt): Config.Boundary is called at every pattern

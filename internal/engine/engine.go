@@ -132,7 +132,7 @@ type Config struct {
 	// Storage backs the two checkpoint levels; nil selects MemStorage.
 	Storage Storage
 	// FailStop and Silent supply error arrivals on exposure clocks
-	// (see internal/sim); nil means no errors of that type.
+	// (see faults.Clock); nil means no errors of that type.
 	FailStop faults.Source
 	Silent   faults.Source
 	// Corrupt applies one silent corruption to the application. It is
@@ -173,6 +173,43 @@ type Config struct {
 	Boundary func(done int, rep Report) (*core.Pattern, error)
 }
 
+// Counters tallies the protocol events of a run (or, summed, of a
+// simulation campaign). MemRecs counts only standalone memory
+// recoveries triggered by a verification alarm; the memory restore
+// bundled with every disk recovery is part of DiskRecs, matching the
+// paper's Figure 6e accounting.
+type Counters struct {
+	FailStop     int64 // fail-stop errors injected
+	Silent       int64 // silent errors injected
+	SilentMasked int64 // corruptions wiped by a fail-stop before detection
+	DiskCkpts    int64 // completed disk checkpoints
+	MemCkpts     int64 // completed memory checkpoints
+	PartVerifs   int64 // completed partial verifications
+	GuarVerifs   int64 // completed guaranteed verifications
+	DiskRecs     int64 // disk recoveries (each includes a memory restore)
+	MemRecs      int64 // standalone memory recoveries
+	DetectByPart int64 // corruptions caught by a partial verification
+	DetectByGuar int64 // corruptions caught by a guaranteed verification
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.FailStop += o.FailStop
+	c.Silent += o.Silent
+	c.SilentMasked += o.SilentMasked
+	c.DiskCkpts += o.DiskCkpts
+	c.MemCkpts += o.MemCkpts
+	c.PartVerifs += o.PartVerifs
+	c.GuarVerifs += o.GuarVerifs
+	c.DiskRecs += o.DiskRecs
+	c.MemRecs += o.MemRecs
+	c.DetectByPart += o.DetectByPart
+	c.DetectByGuar += o.DetectByGuar
+}
+
+// Verifs returns partial plus guaranteed verifications.
+func (c Counters) Verifs() int64 { return c.PartVerifs + c.GuarVerifs }
+
 // Report summarises an engine run.
 type Report struct {
 	// Time is the total virtual wall-clock in seconds.
@@ -183,17 +220,8 @@ type Report struct {
 	Work float64
 	// Overhead is (Time - Work) / Work.
 	Overhead float64
-	// Event counters, with the same semantics as sim.Counters.
-	FailStop     int64
-	Silent       int64
-	DiskCkpts    int64
-	MemCkpts     int64
-	PartVerifs   int64
-	GuarVerifs   int64
-	DiskRecs     int64
-	MemRecs      int64
-	DetectByPart int64
-	DetectByGuar int64
+	// Counters are the run's event counters.
+	Counters
 	// PlanSwaps counts the pattern swaps performed by the Boundary
 	// hook.
 	PlanSwaps int64
@@ -218,9 +246,6 @@ func Run(cfg Config) (Report, error) {
 	if cfg.App == nil {
 		return Report{}, errors.New("engine: nil App")
 	}
-	if err := cfg.Costs.Validate(); err != nil {
-		return Report{}, err
-	}
 	if cfg.Patterns <= 0 && cfg.TargetWork <= 0 {
 		return Report{}, fmt.Errorf("engine: need Patterns > 0 or TargetWork > 0 (got %d, %v)",
 			cfg.Patterns, cfg.TargetWork)
@@ -228,82 +253,173 @@ func Run(cfg Config) (Report, error) {
 	if math.IsNaN(cfg.TargetWork) || math.IsInf(cfg.TargetWork, 0) {
 		return Report{}, fmt.Errorf("engine: TargetWork = %v, need finite", cfg.TargetWork)
 	}
-	e := &exec{cfg: cfg}
-	if e.cfg.Storage == nil {
-		e.cfg.Storage = &MemStorage{}
-	}
-	if e.cfg.FailStop == nil {
-		e.cfg.FailStop = faults.Never{}
-	}
-	if e.cfg.Silent == nil {
-		e.cfg.Silent = faults.Never{}
-	}
-	if e.cfg.Detect == nil {
-		e.cfg.Detect = faults.NewBernoulli(0x5eed, 0xdee7)
-	}
-	e.fail = newClock(e.cfg.FailStop)
-	e.silent = newClock(e.cfg.Silent)
-	if err := e.setPattern(cfg.Pattern); err != nil {
+	e, err := NewExecutor(cfg)
+	if err != nil {
 		return Report{}, err
 	}
-	if err := e.initialCheckpoint(); err != nil {
-		return Report{}, err
+	e.Reset(cfg.FailStop, cfg.Silent)
+	return e.Run(cfg.Patterns)
+}
+
+// Executor runs the Section 2 protocol for one configuration. It is
+// built once (NewExecutor), re-armed per run with new arrival sources
+// (Reset) and run (Run). With no App it is the Monte-Carlo simulator
+// (internal/sim): no Snapshot, Restore or Storage calls, and nil
+// verifiers are the oracles. An Executor is not safe for concurrent
+// use.
+type Executor struct {
+	// Hot protocol state first.
+	fail, silent faults.Clock
+	now          float64
+	sched        []core.Action
+	segStart     []int // schedule index of each segment's first action
+	// Ground-truth corruption tracking. The executor injects the
+	// corruptions, so it knows which snapshots are tainted; protocol
+	// decisions still come only from the verifiers.
+	corrupted   bool
+	memTainted  bool
+	diskTainted bool
+	cnt         Counters
+	rec         func(Event) // timeline recorder (Record), or nil
+	curSeg      int         // segment of the action in flight, for rec
+	patIdx      int         // pattern instance in flight, for rec
+	err         error       // first application, storage or verifier error
+	pat         core.Pattern
+	swaps       int64
+	cfg         Config
+}
+
+// NewExecutor validates the costs and the pattern and flattens the
+// pattern. It reads neither FailStop, Silent nor Patterns: Reset
+// supplies the sources and Run the instance count. A nil Detect seeds
+// a fresh deterministic stream; with an App, a nil Storage selects a
+// MemStorage.
+func NewExecutor(cfg Config) (*Executor, error) {
+	if err := cfg.Costs.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Pattern.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Detect == nil {
+		cfg.Detect = faults.NewBernoulli(0x5eed, 0xdee7)
+	}
+	if cfg.App != nil && cfg.Storage == nil {
+		cfg.Storage = &MemStorage{}
+	}
+	e := &Executor{cfg: cfg}
+	e.setPattern(cfg.Pattern)
+	return e, nil
+}
+
+// Reset re-arms the executor for a new run on the given arrival
+// sources (nil means no errors of that type): time, counters and
+// corruption state start from zero, and a pattern swapped in by the
+// previous run's Boundary hook is swapped back out. Without such a
+// swap it does not allocate.
+func (e *Executor) Reset(failStop, silent faults.Source) {
+	if failStop == nil {
+		failStop = faults.Never{}
+	}
+	if silent == nil {
+		silent = faults.Never{}
+	}
+	e.fail = faults.NewClock(failStop)
+	e.silent = faults.NewClock(silent)
+	e.now = 0
+	e.corrupted, e.memTainted, e.diskTainted = false, false, false
+	e.cnt = Counters{}
+	e.curSeg, e.patIdx = 0, 0
+	e.err = nil
+	if e.swaps != 0 {
+		e.setPattern(e.cfg.Pattern)
+		e.swaps = 0
+	}
+}
+
+// Record installs a recorder that receives every timeline event of the
+// following runs; nil removes it.
+func (e *Executor) Record(rec func(Event)) { e.rec = rec }
+
+// Run executes pattern instances from the state Reset left until the
+// stopping rule is met — patterns instances (when positive) and the
+// configured TargetWork (when positive) — and returns the report. Call
+// Reset before every Run.
+func (e *Executor) Run(patterns int) (Report, error) {
+	if e.cfg.App != nil {
+		e.initialCheckpoint()
 	}
 	var work float64
-	for done := 0; e.more(done, work); done++ {
-		if err := e.runPattern(); err != nil {
-			return Report{}, err
+	for done := 0; e.err == nil && e.more(patterns, done, work); done++ {
+		e.patIdx = done
+		e.runPattern()
+		if e.err != nil {
+			break
 		}
 		work += e.pat.W
-		if e.cfg.Boundary == nil {
-			continue
+		e.emit(EvPatternDone, core.OpDisk)
+		if e.cfg.Boundary != nil {
+			e.boundary(patterns, done+1, work)
 		}
-		e.syncReport(work)
-		next, err := e.cfg.Boundary(done+1, e.rep)
-		if err != nil {
-			return Report{}, err
-		}
-		if next == nil {
-			continue
-		}
-		if err := next.Validate(); err != nil {
-			// Surface a broken swap pattern no matter where the run
-			// ends — the final boundary must not mask a controller bug
-			// that every earlier boundary would abort on.
-			return Report{}, err
-		}
-		if !e.more(done+1, work) {
-			// The stopping rule fires before another pattern runs: a swap
-			// decided at the final boundary would never execute, so don't
-			// install or count it (the observation was still fed above).
-			continue
-		}
-		if err := e.setPattern(*next); err != nil {
-			return Report{}, err
-		}
-		e.rep.PlanSwaps++
 	}
-	e.syncReport(work)
-	e.rep.Overhead = (e.rep.Time - e.rep.Work) / e.rep.Work
-	e.rep.FinalTainted = e.corrupted
-	return e.rep, nil
+	if e.err != nil {
+		return Report{}, e.err
+	}
+	rep := e.report(work)
+	rep.Overhead = (rep.Time - rep.Work) / rep.Work
+	rep.FinalTainted = e.corrupted
+	return rep, nil
 }
 
 // more is the stopping rule: run until the instance count (when set)
 // and the work target (when set) are both met.
-func (e *exec) more(done int, work float64) bool {
-	if e.cfg.Patterns > 0 && done < e.cfg.Patterns {
+func (e *Executor) more(patterns, done int, work float64) bool {
+	if patterns > 0 && done < patterns {
 		return true
 	}
 	return e.cfg.TargetWork > 0 && work < e.cfg.TargetWork
 }
 
-// setPattern validates p and installs its flattened schedule; the next
-// runPattern executes p. Called once at startup and at Boundary swaps.
-func (e *exec) setPattern(p core.Pattern) error {
-	if err := p.Validate(); err != nil {
-		return err
+// boundary calls the Boundary hook after done instances and installs
+// the pattern it returns.
+func (e *Executor) boundary(patterns, done int, work float64) {
+	next, err := e.cfg.Boundary(done, e.report(work))
+	if err != nil {
+		e.err = err
+		return
 	}
+	if next == nil {
+		return
+	}
+	if err := next.Validate(); err != nil {
+		// Surface a broken swap pattern no matter where the run ends —
+		// the final boundary must not mask a controller bug that every
+		// earlier boundary would abort on.
+		e.err = err
+		return
+	}
+	if !e.more(patterns, done, work) {
+		// The stopping rule fires before another pattern runs: a swap
+		// decided at the final boundary would never execute, so don't
+		// install or count it (the observation was still fed above).
+		return
+	}
+	e.setPattern(*next)
+	e.swaps++
+}
+
+// report snapshots the running report: total time, work, counters and
+// exposure clocks, so Boundary observers see a consistent state.
+func (e *Executor) report(work float64) Report {
+	return Report{
+		Time: e.now, Work: work, Counters: e.cnt, PlanSwaps: e.swaps,
+		FailStopExposure: e.fail.Exposure(), SilentExposure: e.silent.Exposure(),
+	}
+}
+
+// setPattern installs p's flattened schedule; the next runPattern
+// executes p. p must be valid.
+func (e *Executor) setPattern(p core.Pattern) {
 	e.pat = p
 	e.sched = p.Schedule()
 	e.segStart = make([]int, p.N())
@@ -314,311 +430,298 @@ func (e *exec) setPattern(p core.Pattern) error {
 			seen++
 		}
 	}
-	return nil
 }
 
-// syncReport refreshes the report fields derived from executor state
-// (total time, work, exposure clocks), so Boundary observers see a
-// consistent snapshot.
-func (e *exec) syncReport(work float64) {
-	e.rep.Work = work
-	e.rep.Time = e.now
-	e.rep.FailStopExposure = e.fail.exposure
-	e.rep.SilentExposure = e.silent.exposure
-}
-
-// clock drives one error source on an exposure clock (see sim).
-type clock struct {
-	src      faults.Source
-	exposure float64
-	next     float64
-}
-
-func newClock(src faults.Source) clock {
-	return clock{src: src, next: src.Next(0)}
-}
-
-func (c *clock) within(d float64) (float64, bool) {
-	dt := c.next - c.exposure
-	return dt, dt <= d
-}
-
-func (c *clock) advance(d float64) { c.exposure += d }
-
-func (c *clock) consume() {
-	c.exposure = c.next
-	c.next = c.src.Next(c.exposure)
-}
-
-type exec struct {
-	cfg      Config
-	pat      core.Pattern // pattern currently executing (swappable at boundaries)
-	sched    []core.Action
-	segStart []int
-	fail     clock
-	silent   clock
-	now      float64
-	rep      Report
-	// Ground-truth corruption tracking. The engine injects the
-	// corruptions, so it knows which snapshots are tainted; protocol
-	// decisions still come only from the verifiers.
-	corrupted   bool
-	memTainted  bool
-	diskTainted bool
-}
-
-// initialCheckpoint persists the pristine initial state at both levels
-// (the "initial data" the first pattern recovers to, Section 2.2).
-func (e *exec) initialCheckpoint() error {
-	snap, err := e.cfg.App.Snapshot()
-	if err != nil {
-		return err
+// emit records a timeline event when a recorder is installed.
+func (e *Executor) emit(k EventKind, op core.Op) {
+	if e.rec != nil {
+		e.rec(Event{Time: e.now, Kind: k, Op: op, Segment: e.curSeg, Pattern: e.patIdx})
 	}
-	if err := e.cfg.Storage.Save(Memory, snap); err != nil {
-		return err
-	}
-	return e.cfg.Storage.Save(Disk, snap)
 }
 
-type stepResult int
-
-const (
-	stepOK stepResult = iota
-	stepFailStop
-	stepDetected
-)
-
-func (e *exec) runPattern() error {
+// runPattern executes one pattern instance to completion, restarting
+// from the disk checkpoint on fail-stop errors and from the enclosing
+// segment's memory checkpoint on detected silent errors.
+func (e *Executor) runPattern() {
+	c := &e.cfg.Costs
 	i := 0
 	for i < len(e.sched) {
-		a := e.sched[i]
-		var res stepResult
-		var err error
+		a := &e.sched[i]
+		e.curSeg = a.Segment
 		switch a.Op {
 		case core.OpChunk:
-			res, err = e.chunk(a.Work)
+			if !e.chunk(a.Work) {
+				e.diskRecovery()
+				i = 0
+				continue
+			}
+			e.emit(EvOpDone, core.OpChunk)
 		case core.OpPartVer:
-			res, err = e.verify(true)
-		case core.OpGuarVer:
-			res, err = e.verify(false)
-		case core.OpMemCkpt:
-			res, err = e.memCkpt()
-		case core.OpDisk:
-			res, err = e.diskCkpt()
-		}
-		if err != nil {
-			return err
-		}
-		switch res {
-		case stepOK:
-			i++
-		case stepFailStop:
-			if err := e.diskRecovery(); err != nil {
-				return err
+			if !e.op(c.PartVer) {
+				e.diskRecovery()
+				i = 0
+				continue
 			}
-			i = 0
-		case stepDetected:
-			ok, err := e.memRecovery()
-			if err != nil {
-				return err
-			}
-			if ok {
-				i = e.segStart[a.Segment]
+			e.cnt.PartVerifs++
+			e.emit(EvOpDone, core.OpPartVer)
+			var alarm bool
+			if e.cfg.Partial == nil {
+				alarm = e.corrupted && e.cfg.Detect.Hit(c.Recall)
 			} else {
-				i = 0 // escalated to disk recovery
+				alarm = e.check(e.cfg.Partial)
 			}
+			if alarm {
+				e.cnt.DetectByPart++
+				i = e.alarm(core.OpPartVer, a.Segment)
+				continue
+			}
+		case core.OpGuarVer:
+			if !e.op(c.GuarVer) {
+				e.diskRecovery()
+				i = 0
+				continue
+			}
+			e.cnt.GuarVerifs++
+			e.emit(EvOpDone, core.OpGuarVer)
+			alarm := e.corrupted
+			if e.cfg.Guaranteed != nil {
+				alarm = e.check(e.cfg.Guaranteed)
+			}
+			if alarm {
+				e.cnt.DetectByGuar++
+				i = e.alarm(core.OpGuarVer, a.Segment)
+				continue
+			}
+		case core.OpMemCkpt:
+			if !e.op(c.MemCkpt) {
+				e.diskRecovery()
+				i = 0
+				continue
+			}
+			if e.cfg.App != nil {
+				e.saveMemory()
+			}
+			e.memTainted = e.corrupted
+			e.cnt.MemCkpts++
+			e.emit(EvOpDone, core.OpMemCkpt)
+		case core.OpDisk:
+			if !e.op(c.DiskCkpt) {
+				e.diskRecovery()
+				i = 0
+				continue
+			}
+			if e.cfg.App != nil {
+				e.saveDisk()
+			}
+			e.diskTainted = e.memTainted
+			e.cnt.DiskCkpts++
+			e.emit(EvOpDone, core.OpDisk)
 		}
+		i++
 	}
-	return nil
 }
 
-// chunk advances the application by w seconds of computation, applying
-// silent corruptions at their arrival offsets and stopping at a
-// fail-stop arrival.
-func (e *exec) chunk(w float64) (stepResult, error) {
+// chunk executes w seconds of computation, exposed to both error
+// processes. A silent error corrupts the state and computing goes on;
+// a fail-stop error interrupts the chunk (chunk reports false), and
+// its partial progress dies with the memory, so the application never
+// performs it.
+func (e *Executor) chunk(w float64) bool {
 	remaining := w
 	for remaining > 0 {
-		fdt, fHit := e.fail.within(remaining)
-		sdt, sHit := e.silent.within(remaining)
+		fdt, fHit := e.fail.Within(remaining)
+		sdt, sHit := e.silent.Within(remaining)
 		if sHit && (!fHit || sdt <= fdt) {
-			if err := e.cfg.App.Advance(sdt); err != nil {
-				return 0, err
+			if e.cfg.App != nil {
+				e.corrupt(sdt)
 			}
-			e.silent.consume()
-			e.fail.advance(sdt)
+			e.silent.Consume()
+			e.fail.Advance(sdt)
 			e.now += sdt
 			remaining -= sdt
 			e.corrupted = true
-			e.rep.Silent++
-			if e.cfg.Corrupt != nil {
-				if err := e.cfg.Corrupt(e.cfg.App); err != nil {
-					return 0, err
-				}
-			}
+			e.cnt.Silent++
+			e.emit(EvSilent, core.OpChunk)
 			continue
 		}
 		if fHit {
-			// The machine dies mid-chunk; partial progress is lost with
-			// the memory, so Advance is not called for it.
-			e.fail.consume()
-			e.silent.advance(fdt)
+			e.fail.Consume()
+			e.silent.Advance(fdt)
 			e.now += fdt
-			e.rep.FailStop++
-			return stepFailStop, nil
+			e.cnt.FailStop++
+			e.emit(EvFailStop, core.OpChunk)
+			return false
 		}
-		if err := e.cfg.App.Advance(remaining); err != nil {
-			return 0, err
+		if e.cfg.App != nil {
+			e.advance(remaining)
 		}
-		e.fail.advance(remaining)
-		e.silent.advance(remaining)
+		e.fail.Advance(remaining)
+		e.silent.Advance(remaining)
 		e.now += remaining
 		remaining = 0
 	}
-	return stepOK, nil
+	return true
 }
 
-// protectedOp spends cost seconds on a non-computation operation,
-// exposed to fail-stop errors only when ErrorsInOps is set.
-func (e *exec) protectedOp(cost float64) stepResult {
+// op spends cost seconds on a verification, checkpoint or recovery.
+// Silent errors never strike it; fail-stop errors do when ErrorsInOps,
+// and op then reports false.
+func (e *Executor) op(cost float64) bool {
 	if cost <= 0 {
-		return stepOK
+		return true
 	}
 	if !e.cfg.ErrorsInOps {
 		e.now += cost
-		return stepOK
+		return true
 	}
-	if fdt, hit := e.fail.within(cost); hit {
-		e.fail.consume()
+	if fdt, hit := e.fail.Within(cost); hit {
+		e.fail.Consume()
 		e.now += fdt
-		e.rep.FailStop++
-		return stepFailStop
+		e.cnt.FailStop++
+		e.emit(EvFailStop, core.OpChunk)
+		return false
 	}
-	e.fail.advance(cost)
+	e.fail.Advance(cost)
 	e.now += cost
-	return stepOK
+	return true
 }
 
-// verify runs a partial or guaranteed verification.
-func (e *exec) verify(partial bool) (stepResult, error) {
-	cost := e.cfg.Costs.GuarVer
-	if partial {
-		cost = e.cfg.Costs.PartVer
+// alarm handles a verification alarm raised by op in segment seg: it
+// restores the segment's memory checkpoint and returns the step to
+// resume from — the segment's first chunk, or the pattern's first if
+// the restore escalated to a disk recovery.
+func (e *Executor) alarm(op core.Op, seg int) int {
+	e.emit(EvDetect, op)
+	if e.memRecovery() {
+		return e.segStart[seg]
 	}
-	if e.protectedOp(cost) == stepFailStop {
-		return stepFailStop, nil
-	}
-	var clean bool
-	var err error
-	switch {
-	case partial && e.cfg.Partial != nil:
-		clean, err = e.cfg.Partial.Check(e.cfg.App)
-	case partial:
-		clean = !(e.corrupted && e.cfg.Detect.Hit(e.cfg.Costs.Recall))
-	case e.cfg.Guaranteed != nil:
-		clean, err = e.cfg.Guaranteed.Check(e.cfg.App)
-	default:
-		clean = !e.corrupted
-	}
-	if err != nil {
-		return 0, err
-	}
-	if partial {
-		e.rep.PartVerifs++
-	} else {
-		e.rep.GuarVerifs++
-	}
-	if !clean {
-		if partial {
-			e.rep.DetectByPart++
-		} else {
-			e.rep.DetectByGuar++
-		}
-		return stepDetected, nil
-	}
-	return stepOK, nil
+	return 0
 }
 
-// memCkpt snapshots the application to the memory level.
-func (e *exec) memCkpt() (stepResult, error) {
-	if e.protectedOp(e.cfg.Costs.MemCkpt) == stepFailStop {
-		return stepFailStop, nil
-	}
-	snap, err := e.cfg.App.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	if err := e.cfg.Storage.Save(Memory, snap); err != nil {
-		return 0, err
-	}
-	e.memTainted = e.corrupted
-	e.rep.MemCkpts++
-	return stepOK, nil
-}
-
-// diskCkpt copies the (just-taken) memory checkpoint to disk.
-func (e *exec) diskCkpt() (stepResult, error) {
-	if e.protectedOp(e.cfg.Costs.DiskCkpt) == stepFailStop {
-		return stepFailStop, nil
-	}
-	snap, err := e.cfg.Storage.Load(Memory)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.cfg.Storage.Save(Disk, snap); err != nil {
-		return 0, err
-	}
-	e.diskTainted = e.memTainted
-	e.rep.DiskCkpts++
-	return stepOK, nil
-}
-
-// diskRecovery restores the last disk checkpoint and re-establishes
-// the memory copy, retrying through further fail-stop strikes.
-func (e *exec) diskRecovery() error {
+// diskRecovery restores the last disk checkpoint (RD) and the memory
+// state (RM), retrying per the Section 5 semantics: a fail-stop during
+// either restore resumes from the disk read.
+func (e *Executor) diskRecovery() {
 	for {
-		if e.protectedOp(e.cfg.Costs.DiskRec) == stepFailStop {
+		if !e.op(e.cfg.Costs.DiskRec) {
 			continue
 		}
-		if e.protectedOp(e.cfg.Costs.MemRec) == stepFailStop {
+		if !e.op(e.cfg.Costs.MemRec) {
 			continue
 		}
 		break
 	}
-	snap, err := e.cfg.Storage.Load(Disk)
-	if err != nil {
-		return err
+	e.cnt.DiskRecs++
+	e.emit(EvDiskRec, core.OpChunk)
+	if e.corrupted && !e.diskTainted {
+		e.cnt.SilentMasked++
 	}
-	if err := e.cfg.App.Restore(snap); err != nil {
-		return err
+	e.corrupted, e.memTainted = e.diskTainted, e.diskTainted
+	if e.cfg.App != nil {
+		e.restore(Disk)
 	}
-	if err := e.cfg.Storage.Save(Memory, snap); err != nil {
-		return err
-	}
-	e.corrupted = e.diskTainted
-	e.memTainted = e.diskTainted
-	e.rep.DiskRecs++
-	return nil
 }
 
-// memRecovery restores the segment's memory checkpoint; a fail-stop
-// during the restore escalates to a disk recovery (ok=false).
-func (e *exec) memRecovery() (ok bool, err error) {
-	if e.protectedOp(e.cfg.Costs.MemRec) == stepFailStop {
-		if err := e.diskRecovery(); err != nil {
-			return false, err
-		}
-		return false, nil
+// memRecovery restores the segment's memory checkpoint after a
+// verification alarm. A fail-stop during the restore escalates to a
+// full disk recovery (the memory content is lost), and memRecovery then
+// reports false so the caller restarts the whole pattern.
+func (e *Executor) memRecovery() bool {
+	if !e.op(e.cfg.Costs.MemRec) {
+		e.diskRecovery()
+		return false
+	}
+	e.cnt.MemRecs++
+	e.emit(EvMemRec, core.OpChunk)
+	e.corrupted = e.memTainted
+	if e.cfg.App != nil {
+		e.restore(Memory)
+	}
+	return true
+}
+
+// The application-facing helpers below record the first error in
+// e.err and do nothing once it is set: the instance in flight then
+// completes as a run with no application would, and Run returns the
+// error at its end.
+
+// initialCheckpoint persists the pristine initial state at both levels
+// (the "initial data" the first pattern recovers to, Section 2.2).
+func (e *Executor) initialCheckpoint() {
+	snap, err := e.cfg.App.Snapshot()
+	if err == nil {
+		err = e.cfg.Storage.Save(Memory, snap)
+	}
+	if err == nil {
+		err = e.cfg.Storage.Save(Disk, snap)
+	}
+	e.err = err
+}
+
+// advance performs w seconds of computation on the application.
+func (e *Executor) advance(w float64) {
+	if e.err == nil {
+		e.err = e.cfg.App.Advance(w)
+	}
+}
+
+// corrupt performs the w seconds of computation preceding a silent
+// error, then applies the corruption.
+func (e *Executor) corrupt(w float64) {
+	e.advance(w)
+	if e.err == nil && e.cfg.Corrupt != nil {
+		e.err = e.cfg.Corrupt(e.cfg.App)
+	}
+}
+
+// check runs a user verifier and reports an alarm.
+func (e *Executor) check(v Verifier) bool {
+	if e.err != nil {
+		return false
+	}
+	clean, err := v.Check(e.cfg.App)
+	e.err = err
+	return err == nil && !clean
+}
+
+// saveMemory snapshots the application to the memory level.
+func (e *Executor) saveMemory() {
+	if e.err != nil {
+		return
+	}
+	snap, err := e.cfg.App.Snapshot()
+	if err == nil {
+		err = e.cfg.Storage.Save(Memory, snap)
+	}
+	e.err = err
+}
+
+// saveDisk copies the (just-taken) memory checkpoint to disk.
+func (e *Executor) saveDisk() {
+	if e.err != nil {
+		return
 	}
 	snap, err := e.cfg.Storage.Load(Memory)
-	if err != nil {
-		return false, err
+	if err == nil {
+		err = e.cfg.Storage.Save(Disk, snap)
 	}
-	if err := e.cfg.App.Restore(snap); err != nil {
-		return false, err
+	e.err = err
+}
+
+// restore reloads the application from the checkpoint at level; after
+// a disk read it also re-establishes the memory copy.
+func (e *Executor) restore(level Level) {
+	if e.err != nil {
+		return
 	}
-	e.corrupted = e.memTainted
-	e.rep.MemRecs++
-	return true, nil
+	snap, err := e.cfg.Storage.Load(level)
+	if err == nil {
+		err = e.cfg.App.Restore(snap)
+	}
+	if err == nil && level == Disk {
+		err = e.cfg.Storage.Save(Memory, snap)
+	}
+	e.err = err
 }
 
 // WorkFunc adapts a plain function to the Application interface with

@@ -9,7 +9,6 @@ import (
 
 	"respat/internal/core"
 	"respat/internal/faults"
-	"respat/internal/sim"
 	"respat/internal/xmath"
 )
 
@@ -296,93 +295,6 @@ func TestOverheadHelper(t *testing.T) {
 	}
 	if !math.IsInf(Overhead(1, 0), 1) {
 		t.Error("zero work should give +Inf")
-	}
-}
-
-// TestEngineMatchesSimulatorOnIdenticalTraces is the cross-validation
-// between the two executors: fed identical arrival traces and the same
-// detection stream, the engine (acting on real state) and the
-// simulator (pure accounting) must produce identical timelines and
-// counters.
-func TestEngineMatchesSimulatorOnIdenticalTraces(t *testing.T) {
-	c := testCosts()
-	rng := rand.New(rand.NewPCG(99, 77))
-	for trial := 0; trial < 25; trial++ {
-		kind := core.Kinds()[trial%6]
-		p := layout(t, kind, 500+rng.Float64()*2000, 1+rng.IntN(3), 1+rng.IntN(4), c.Recall)
-		patterns := 1 + rng.IntN(4)
-		seed := rng.Uint64()
-
-		// Build identical finite arrival traces for both executors.
-		mkTrace := func(rate float64, s1, s2 uint64) []float64 {
-			src, err := faults.NewExponential(rate, s1, s2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ts []float64
-			now := 0.0
-			for i := 0; i < 300; i++ {
-				now = src.Next(now)
-				ts = append(ts, now)
-			}
-			return ts
-		}
-		failTimes := mkTrace(1e-4, seed, 1)
-		silentTimes := mkTrace(3e-4, seed, 2)
-		errorsInOps := trial%2 == 0
-
-		simRes, err := sim.Run(sim.Config{
-			Pattern: p, Costs: c, Patterns: patterns, Runs: 1, Seed: seed,
-			ErrorsInOps:  errorsInOps,
-			FailSource:   func(int) faults.Source { return faults.NewTrace(failTimes) },
-			SilentSource: func(int) faults.Source { return faults.NewTrace(silentTimes) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d1, d2 := faults.SplitSeed(seed, 2) // sim's detect stream for run 0
-		app := &counterApp{}
-		rep, err := Run(Config{
-			App: app, Pattern: p, Costs: c, Patterns: patterns,
-			ErrorsInOps: errorsInOps,
-			FailStop:    faults.NewTrace(failTimes),
-			Silent:      faults.NewTrace(silentTimes),
-			Corrupt:     corruptCounter,
-			Detect:      faults.NewBernoulli(d1, d2),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !xmath.Close(rep.Time, simRes.WallTime.Mean(), 1e-9) {
-			t.Fatalf("trial %d (%v): engine time %v vs sim %v", trial, kind, rep.Time, simRes.WallTime.Mean())
-		}
-		tot := simRes.Total
-		pairs := []struct {
-			name     string
-			eng, sim int64
-		}{
-			{"FailStop", rep.FailStop, tot.FailStop},
-			{"Silent", rep.Silent, tot.Silent},
-			{"DiskCkpts", rep.DiskCkpts, tot.DiskCkpts},
-			{"MemCkpts", rep.MemCkpts, tot.MemCkpts},
-			{"PartVerifs", rep.PartVerifs, tot.PartVerifs},
-			{"GuarVerifs", rep.GuarVerifs, tot.GuarVerifs},
-			{"DiskRecs", rep.DiskRecs, tot.DiskRecs},
-			{"MemRecs", rep.MemRecs, tot.MemRecs},
-			{"DetectByPart", rep.DetectByPart, tot.DetectByPart},
-			{"DetectByGuar", rep.DetectByGuar, tot.DetectByGuar},
-		}
-		for _, pr := range pairs {
-			if pr.eng != pr.sim {
-				t.Fatalf("trial %d (%v): %s engine %d vs sim %d", trial, kind, pr.name, pr.eng, pr.sim)
-			}
-		}
-		// And the protocol correctness property: the final state equals
-		// the fault-free result regardless of the injection plan.
-		want := p.W * float64(patterns)
-		if math.Abs(app.value-want)/want > 1e-9 || app.garbage != 0 {
-			t.Fatalf("trial %d: final state %v (+%v garbage), want %v", trial, app.value, app.garbage, want)
-		}
 	}
 }
 

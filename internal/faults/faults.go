@@ -31,6 +31,38 @@ type Source interface {
 	Rate() float64
 }
 
+// Clock drives a Source on an exposure clock: it accumulates exposure
+// only while an activity the source can strike is running, which
+// realises "errors strike computations" for arbitrary renewal
+// processes, not just the memoryless exponential.
+type Clock struct {
+	src      Source
+	exposure float64 // accumulated exposure seconds
+	next     float64 // next arrival on the exposure clock
+}
+
+// NewClock starts a clock for src at zero exposure.
+func NewClock(src Source) Clock { return Clock{src: src, next: src.Next(0)} }
+
+// Within reports the exposure distance to the next arrival and whether
+// it falls inside the next d units of exposure.
+func (c *Clock) Within(d float64) (float64, bool) {
+	dt := c.next - c.exposure
+	return dt, dt <= d
+}
+
+// Advance consumes d units of exposure known to contain no arrival.
+func (c *Clock) Advance(d float64) { c.exposure += d }
+
+// Consume advances to the pending arrival and schedules the next one.
+func (c *Clock) Consume() {
+	c.exposure = c.next
+	c.next = c.src.Next(c.exposure)
+}
+
+// Exposure returns the accumulated exposure seconds.
+func (c *Clock) Exposure() float64 { return c.exposure }
+
 // Never is a Source that never produces an arrival.
 type Never struct{}
 

@@ -366,12 +366,12 @@ func (p Params) Layout(s Spec) (Layout, error) {
 
 // BoundaryLevel returns the highest checkpoint level written at the
 // boundary closing level-1 interval t (0-based, 1-based level).
-func (l Layout) BoundaryLevel(t int) int { return boundaryLevel(l.Strides, t) }
+func (l *Layout) BoundaryLevel(t int) int { return boundaryLevel(l.Strides, t) }
 
 // RollbackTo returns the level-1 interval index execution resumes from
 // after a level-`level` fail-stop error during interval t: the most
 // recent level-≥level boundary.
-func (l Layout) RollbackTo(level, t int) int {
+func (l *Layout) RollbackTo(level, t int) int {
 	stride := l.Strides[level-1]
 	return t - t%stride
 }

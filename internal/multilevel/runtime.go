@@ -5,28 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"respat/internal/engine"
 	"respat/internal/faults"
 )
-
-// Application is the computation protected by the multilevel runtime.
-// It is structurally identical to engine.Application (the package is
-// deliberately engine-free so internal/sim can depend on it), so any
-// application written for the single-level engine — including
-// engine.WorkFunc — satisfies it unchanged.
-type Application interface {
-	// Advance performs `work` seconds of computation at unit speed.
-	Advance(work float64) error
-	// Snapshot serialises the complete application state.
-	Snapshot() ([]byte, error)
-	// Restore replaces the application state from a snapshot.
-	Restore(data []byte) error
-}
-
-// Verifier checks the application for silent data corruption; Check
-// returns clean=false when corruption is detected.
-type Verifier interface {
-	Check(app Application) (clean bool, err error)
-}
 
 // Storage persists checkpoints across the hierarchy; levels are
 // 1-based, cheapest first, mirroring Params.Levels.
@@ -69,11 +50,11 @@ func (s *MemStorage) Load(level int) ([]byte, error) {
 }
 
 // EngineConfig assembles a multilevel runtime run, the hierarchy
-// analogue of engine.Config: it protects a real Application with
-// per-level checkpoints, verified silent-error detection and
+// analogue of engine.Config: it protects a real engine.Application
+// with per-level checkpoints, verified silent-error detection and
 // level-aware rollback.
 type EngineConfig struct {
-	App    Application
+	App    engine.Application
 	Params Params
 	Spec   Spec
 	// Patterns is the number of pattern instances to execute.
@@ -94,13 +75,13 @@ type EngineConfig struct {
 	// Corrupt applies one silent corruption to the application; nil
 	// leaves state untouched (the corruption is still tracked for
 	// oracle detection).
-	Corrupt func(app Application) error
+	Corrupt func(app engine.Application) error
 	// Guaranteed verifies at level-1 interval ends; nil selects the
 	// oracle flagging exactly the injected corruptions.
-	Guaranteed Verifier
+	Guaranteed engine.Verifier
 	// Partial verifies at interior chunk boundaries; nil selects an
 	// oracle detecting injected corruptions with the interior recall.
-	Partial Verifier
+	Partial engine.Verifier
 	// Detect drives oracle partial detection; nil seeds a fresh
 	// deterministic stream.
 	Detect *faults.Bernoulli
@@ -114,6 +95,41 @@ type EngineConfig struct {
 	Boundary func(done int, rep Report) (*Spec, error)
 }
 
+// Counters tallies the events of a multilevel run (or, summed, of a
+// simulation campaign).
+type Counters struct {
+	FailStop   int64 // fail-stop errors injected
+	Silent     int64 // silent errors injected
+	PartVerifs int64 // completed interior verifications
+	GuarVerifs int64 // completed guaranteed verifications
+	// DetectByPart and DetectByGuar split detected corruptions by the
+	// verification class that caught them.
+	DetectByPart int64
+	DetectByGuar int64
+	// SilentRecs counts rollbacks to the level-1 checkpoint after a
+	// verification alarm.
+	SilentRecs int64
+	// Ckpts[l] counts committed level-(l+1) checkpoints; Recs[l] counts
+	// recoveries from a level-(l+1) fail-stop error.
+	Ckpts [MaxLevels]int64
+	Recs  [MaxLevels]int64
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.FailStop += o.FailStop
+	c.Silent += o.Silent
+	c.PartVerifs += o.PartVerifs
+	c.GuarVerifs += o.GuarVerifs
+	c.DetectByPart += o.DetectByPart
+	c.DetectByGuar += o.DetectByGuar
+	c.SilentRecs += o.SilentRecs
+	for l := range c.Ckpts {
+		c.Ckpts[l] += o.Ckpts[l]
+		c.Recs[l] += o.Recs[l]
+	}
+}
+
 // Report summarises a multilevel runtime run.
 type Report struct {
 	// Time is the total virtual wall-clock in seconds; Work the useful
@@ -121,18 +137,8 @@ type Report struct {
 	Time     float64
 	Work     float64
 	Overhead float64
-	// Event counters.
-	FailStop     int64
-	Silent       int64
-	PartVerifs   int64
-	GuarVerifs   int64
-	DetectByPart int64
-	DetectByGuar int64
-	SilentRecs   int64
-	// Ckpts[l] and Recs[l] count level-(l+1) checkpoints and
-	// fail-stop recoveries.
-	Ckpts [MaxLevels]int64
-	Recs  [MaxLevels]int64
+	// Counters are the run's event counters.
+	Counters
 	// PlanSwaps counts the spec swaps performed by the Boundary hook.
 	PlanSwaps int64
 	// FailStopExposure and SilentExposure are the exposure seconds of
@@ -156,10 +162,6 @@ func RunEngine(cfg EngineConfig) (Report, error) {
 	if cfg.App == nil {
 		return Report{}, errors.New("multilevel: nil App")
 	}
-	layout, err := cfg.Params.Layout(cfg.Spec)
-	if err != nil {
-		return Report{}, err
-	}
 	if cfg.Patterns <= 0 && cfg.TargetWork <= 0 {
 		return Report{}, fmt.Errorf("multilevel: need Patterns > 0 or TargetWork > 0 (got %d, %v)",
 			cfg.Patterns, cfg.TargetWork)
@@ -167,321 +169,360 @@ func RunEngine(cfg EngineConfig) (Report, error) {
 	if math.IsNaN(cfg.TargetWork) || math.IsInf(cfg.TargetWork, 0) {
 		return Report{}, fmt.Errorf("multilevel: TargetWork = %v, need finite", cfg.TargetWork)
 	}
-	e := &mlExec{cfg: cfg, layout: layout}
-	if e.cfg.Storage == nil {
-		e.cfg.Storage = NewMemStorage(len(cfg.Params.Levels))
-	}
-	if e.cfg.FailStop == nil {
-		e.cfg.FailStop = faults.Never{}
-	}
-	if e.cfg.Silent == nil {
-		e.cfg.Silent = faults.Never{}
-	}
-	if e.cfg.Detect == nil {
-		e.cfg.Detect = faults.NewBernoulli(0x5eed, 0xdee7)
-	}
-	if e.cfg.LevelDraw == nil {
-		e.cfg.LevelDraw = faults.NewBernoulli(0x1e7e1, 0xd4a3)
-	}
-	e.fail = newClock(e.cfg.FailStop)
-	e.silent = newClock(e.cfg.Silent)
-	e.tainted = make([]bool, len(cfg.Params.Levels))
-	if err := e.initialCheckpoint(); err != nil {
+	e, err := NewExecutor(cfg)
+	if err != nil {
 		return Report{}, err
 	}
+	e.Reset(cfg.FailStop, cfg.Silent)
+	return e.Run(cfg.Patterns)
+}
+
+// Executor runs the multilevel protocol for one configuration, the
+// hierarchy analogue of engine.Executor: built once (NewExecutor),
+// re-armed per run with new arrival sources (Reset) and run (Run).
+// With no App it is the multilevel Monte-Carlo simulator
+// (internal/sim): no Snapshot, Restore or Storage calls, and nil
+// verifiers are the oracles. An Executor is not safe for concurrent
+// use.
+type Executor struct {
+	// Hot protocol state first.
+	fail, silent faults.Clock
+	now          float64
+	layout       Layout
+	// Ground-truth corruption tracking, as in engine.Executor: the
+	// executor injects the corruptions, so it knows which snapshots are
+	// tainted; protocol decisions still come only from the verifiers.
+	corrupted bool
+	tainted   [MaxLevels]bool // per storage level
+	cnt       Counters
+	err       error // first application, storage or verifier error
+	swaps     int64
+	home      Layout // the configured spec's layout
+	cfg       EngineConfig
+}
+
+// NewExecutor validates the parameters and the spec and flattens the
+// spec into its boundary layout. It reads neither FailStop, Silent nor
+// Patterns: Reset supplies the sources and Run the instance count. Nil
+// LevelDraw and Detect streams are seeded fresh; with an App, a nil
+// Storage selects a MemStorage.
+func NewExecutor(cfg EngineConfig) (*Executor, error) {
+	layout, err := cfg.Params.Layout(cfg.Spec)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Detect == nil {
+		cfg.Detect = faults.NewBernoulli(0x5eed, 0xdee7)
+	}
+	if cfg.LevelDraw == nil {
+		cfg.LevelDraw = faults.NewBernoulli(0x1e7e1, 0xd4a3)
+	}
+	if cfg.App != nil && cfg.Storage == nil {
+		cfg.Storage = NewMemStorage(len(cfg.Params.Levels))
+	}
+	return &Executor{layout: layout, home: layout, cfg: cfg}, nil
+}
+
+// Reset re-arms the executor for a new run on the given arrival
+// sources (nil means no errors of that type): time, counters and
+// corruption state start from zero, and a spec swapped in by the
+// previous run's Boundary hook is swapped back out. It does not
+// allocate.
+func (e *Executor) Reset(failStop, silent faults.Source) {
+	if failStop == nil {
+		failStop = faults.Never{}
+	}
+	if silent == nil {
+		silent = faults.Never{}
+	}
+	e.fail = faults.NewClock(failStop)
+	e.silent = faults.NewClock(silent)
+	e.now = 0
+	e.corrupted = false
+	e.tainted = [MaxLevels]bool{}
+	e.cnt = Counters{}
+	e.err = nil
+	e.layout = e.home
+	e.swaps = 0
+}
+
+// Run executes pattern instances from the state Reset left until the
+// stopping rule is met — patterns instances (when positive) and the
+// configured TargetWork (when positive) — and returns the report. Call
+// Reset before every Run.
+func (e *Executor) Run(patterns int) (Report, error) {
+	if e.cfg.App != nil {
+		e.initialCheckpoint()
+	}
 	var work float64
-	for done := 0; e.more(done, work); done++ {
-		if err := e.runPattern(); err != nil {
-			return Report{}, err
+	for done := 0; e.err == nil && e.more(patterns, done, work); done++ {
+		e.runPattern()
+		if e.err != nil {
+			break
 		}
 		work += e.layout.Spec.W
-		if e.cfg.Boundary == nil {
-			continue
+		if e.cfg.Boundary != nil {
+			e.boundary(patterns, done+1, work)
 		}
-		e.syncReport(work)
-		next, err := e.cfg.Boundary(done+1, e.rep)
-		if err != nil {
-			return Report{}, err
-		}
-		if next == nil {
-			continue
-		}
-		nextLayout, err := e.cfg.Params.Layout(*next)
-		if err != nil {
-			// Surface a broken swap spec no matter where the run ends,
-			// matching engine.Run's final-boundary contract.
-			return Report{}, err
-		}
-		if !e.more(done+1, work) {
-			continue
-		}
-		e.layout = nextLayout
-		e.rep.PlanSwaps++
 	}
-	e.syncReport(work)
-	e.rep.Overhead = (e.rep.Time - e.rep.Work) / e.rep.Work
-	e.rep.FinalTainted = e.corrupted
-	return e.rep, nil
+	if e.err != nil {
+		return Report{}, e.err
+	}
+	rep := e.report(work)
+	rep.Overhead = (rep.Time - rep.Work) / rep.Work
+	rep.FinalTainted = e.corrupted
+	return rep, nil
 }
 
-// mlExec is the multilevel runtime executor.
-type mlExec struct {
-	cfg    EngineConfig
-	layout Layout
-	fail   clock
-	silent clock
-	now    float64
-	rep    Report
-	// Ground-truth corruption tracking, as in engine.exec: the runtime
-	// injects the corruptions, so it knows which snapshots are tainted;
-	// protocol decisions still come only from the verifiers.
-	corrupted bool
-	tainted   []bool // per storage level
-}
-
-// clock drives one error source on an exposure clock (see engine).
-type clock struct {
-	src      faults.Source
-	exposure float64
-	next     float64
-}
-
-func newClock(src faults.Source) clock {
-	return clock{src: src, next: src.Next(0)}
-}
-
-func (c *clock) within(d float64) (float64, bool) {
-	dt := c.next - c.exposure
-	return dt, dt <= d
-}
-
-func (c *clock) advance(d float64) { c.exposure += d }
-
-func (c *clock) consume() {
-	c.exposure = c.next
-	c.next = c.src.Next(c.exposure)
-}
-
-func (e *mlExec) more(done int, work float64) bool {
-	if e.cfg.Patterns > 0 && done < e.cfg.Patterns {
+func (e *Executor) more(patterns, done int, work float64) bool {
+	if patterns > 0 && done < patterns {
 		return true
 	}
 	return e.cfg.TargetWork > 0 && work < e.cfg.TargetWork
 }
 
-func (e *mlExec) syncReport(work float64) {
-	e.rep.Work = work
-	e.rep.Time = e.now
-	e.rep.FailStopExposure = e.fail.exposure
-	e.rep.SilentExposure = e.silent.exposure
-}
-
-// initialCheckpoint persists the pristine initial state at every level.
-func (e *mlExec) initialCheckpoint() error {
-	snap, err := e.cfg.App.Snapshot()
+// boundary calls the Boundary hook after done instances and installs
+// the spec it returns.
+func (e *Executor) boundary(patterns, done int, work float64) {
+	next, err := e.cfg.Boundary(done, e.report(work))
 	if err != nil {
-		return err
+		e.err = err
+		return
 	}
-	for l := 1; l <= len(e.cfg.Params.Levels); l++ {
-		if err := e.cfg.Storage.Save(l, snap); err != nil {
-			return err
-		}
+	if next == nil {
+		return
 	}
-	return nil
+	layout, err := e.cfg.Params.Layout(*next)
+	if err != nil {
+		// Surface a broken swap spec no matter where the run ends,
+		// matching engine.Run's final-boundary contract.
+		e.err = err
+		return
+	}
+	if !e.more(patterns, done, work) {
+		return
+	}
+	e.layout = layout
+	e.swaps++
 }
 
-// runPattern executes one pattern instance with level-aware rollback.
-func (e *mlExec) runPattern() error {
+func (e *Executor) report(work float64) Report {
+	return Report{
+		Time: e.now, Work: work, Counters: e.cnt, PlanSwaps: e.swaps,
+		FailStopExposure: e.fail.Exposure(), SilentExposure: e.silent.Exposure(),
+	}
+}
+
+// runPattern executes one pattern instance: n_1 level-1 intervals,
+// each of m chunks, with level-aware rollback.
+func (e *Executor) runPattern() {
+	p := &e.cfg.Params
 	n1 := e.layout.Spec.Counts[0]
 	t := 0
 	for t < n1 {
-		ok, lvl, err := e.runInterval()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if err := e.recover(lvl); err != nil {
-				return err
-			}
+		if lvl, ok := e.runInterval(); !ok {
+			// Fail-stop of level lvl: recover and resume from the most
+			// recent level-≥lvl boundary.
+			e.recover(lvl)
 			t = e.layout.RollbackTo(lvl, t)
 			continue
 		}
-		if err := e.commitBoundary(t); err != nil {
-			return err
+		// Clean guaranteed verification: commit the boundary's
+		// checkpoint stack.
+		var snap []byte
+		if e.cfg.App != nil {
+			snap = e.snapshot()
+		}
+		for l, top := 1, e.layout.BoundaryLevel(t); l <= top; l++ {
+			e.now += p.Levels[l-1].Ckpt
+			e.cnt.Ckpts[l-1]++
+			e.tainted[l-1] = e.corrupted
+			if e.cfg.App != nil {
+				e.save(l, snap)
+			}
 		}
 		t++
 	}
-	return nil
 }
 
-// commitBoundary writes the checkpoint stack of the boundary closing
-// interval t.
-func (e *mlExec) commitBoundary(t int) error {
-	snap, err := e.cfg.App.Snapshot()
-	if err != nil {
-		return err
-	}
-	for l := 1; l <= e.layout.BoundaryLevel(t); l++ {
-		e.now += e.cfg.Params.Levels[l-1].Ckpt
-		if err := e.cfg.Storage.Save(l, snap); err != nil {
-			return err
-		}
-		e.tainted[l-1] = e.corrupted
-		e.rep.Ckpts[l-1]++
-	}
-	return nil
-}
-
-// recover restores the level-lvl checkpoint after a fail-stop error of
-// that level.
-func (e *mlExec) recover(lvl int) error {
+// recover pays the recovery of a level-lvl fail-stop error and restores
+// that level's checkpoint. Recovering at level lvl re-establishes the
+// levels below it from the same state (R_lvl includes that cost by
+// definition).
+func (e *Executor) recover(lvl int) {
 	e.now += e.cfg.Params.Levels[lvl-1].Rec
-	snap, err := e.cfg.Storage.Load(lvl)
-	if err != nil {
-		return err
-	}
-	if err := e.cfg.App.Restore(snap); err != nil {
-		return err
-	}
-	// Recovering at level lvl re-establishes the levels below it from
-	// the same state (R_lvl includes that cost by definition).
+	e.cnt.Recs[lvl-1]++
 	for l := 1; l < lvl; l++ {
-		if err := e.cfg.Storage.Save(l, snap); err != nil {
-			return err
-		}
 		e.tainted[l-1] = e.tainted[lvl-1]
 	}
 	e.corrupted = e.tainted[lvl-1]
-	e.rep.Recs[lvl-1]++
-	return nil
+	if e.cfg.App != nil {
+		e.restore(lvl)
+	}
 }
 
-// silentRollback restores the level-1 checkpoint after a verification
-// alarm.
-func (e *mlExec) silentRollback() error {
-	e.now += e.cfg.Params.Levels[0].Rec
-	snap, err := e.cfg.Storage.Load(1)
-	if err != nil {
-		return err
-	}
-	if err := e.cfg.App.Restore(snap); err != nil {
-		return err
-	}
-	e.corrupted = e.tainted[0]
-	e.rep.SilentRecs++
-	return nil
-}
-
-// runInterval executes one level-1 interval until its closing
-// guaranteed verification passes; ok=false reports a fail-stop of
-// level lvl.
-func (e *mlExec) runInterval() (ok bool, lvl int, err error) {
+// runInterval executes one level-1 interval until it passes its
+// closing guaranteed verification. It returns ok=false with the error
+// level when a fail-stop interrupts it; detected silent errors are
+// handled internally (level-1 rollback and retry).
+func (e *Executor) runInterval() (level int, ok bool) {
+	p := &e.cfg.Params
 	m := len(e.layout.Chunks)
 	for {
 		j := 0
 		for j < m {
-			done, err := e.chunk(e.layout.Chunks[j])
-			if err != nil {
-				return false, 0, err
-			}
-			if !done {
-				return false, e.cfg.Params.PickLevel(e.cfg.LevelDraw.Rng.Float64()), nil
+			if !e.chunk(e.layout.Chunks[j]) {
+				return p.PickLevel(e.cfg.LevelDraw.Rng.Float64()), false
 			}
 			if j < m-1 {
+				// Interior verification.
 				e.now += e.layout.InteriorCost
-				e.rep.PartVerifs++
-				detected, err := e.check(true)
-				if err != nil {
-					return false, 0, err
+				e.cnt.PartVerifs++
+				var alarm bool
+				if e.cfg.Partial == nil {
+					alarm = e.corrupted && e.cfg.Detect.Hit(e.layout.InteriorRecall)
+				} else {
+					alarm = e.check(e.cfg.Partial)
 				}
-				if detected {
-					e.rep.DetectByPart++
-					if err := e.silentRollback(); err != nil {
-						return false, 0, err
-					}
+				if alarm {
+					e.cnt.DetectByPart++
+					e.silentRollback()
 					j = 0
 					continue
 				}
 			}
 			j++
 		}
-		e.now += e.cfg.Params.GuarVer
-		e.rep.GuarVerifs++
-		detected, err := e.check(false)
-		if err != nil {
-			return false, 0, err
+		// Closing guaranteed verification.
+		e.now += p.GuarVer
+		e.cnt.GuarVerifs++
+		alarm := e.corrupted
+		if e.cfg.Guaranteed != nil {
+			alarm = e.check(e.cfg.Guaranteed)
 		}
-		if !detected {
-			return true, 0, nil
+		if !alarm {
+			return 0, true
 		}
-		e.rep.DetectByGuar++
-		if err := e.silentRollback(); err != nil {
-			return false, 0, err
-		}
+		e.cnt.DetectByGuar++
+		e.silentRollback()
 	}
 }
 
-// check runs a partial or guaranteed verification decision (the time
-// was already spent by the caller) and reports a detection.
-func (e *mlExec) check(partial bool) (bool, error) {
-	var clean bool
-	var err error
-	switch {
-	case partial && e.cfg.Partial != nil:
-		clean, err = e.cfg.Partial.Check(e.cfg.App)
-	case partial:
-		clean = !(e.corrupted && e.cfg.Detect.Hit(e.layout.InteriorRecall))
-	case e.cfg.Guaranteed != nil:
-		clean, err = e.cfg.Guaranteed.Check(e.cfg.App)
-	default:
-		clean = !e.corrupted
+// silentRollback restores the level-1 checkpoint after a verification
+// alarm.
+func (e *Executor) silentRollback() {
+	e.now += e.cfg.Params.Levels[0].Rec
+	e.cnt.SilentRecs++
+	e.corrupted = e.tainted[0]
+	if e.cfg.App != nil {
+		e.restore(1)
 	}
-	if err != nil {
-		return false, err
-	}
-	return !clean, nil
 }
 
-// chunk advances the application by w seconds, applying silent
-// corruptions at their arrival offsets and stopping at a fail-stop
-// arrival (partial progress dies with the machine, so Advance is not
-// called for it).
-func (e *mlExec) chunk(w float64) (bool, error) {
+// chunk executes w seconds of computation exposed to both error
+// processes; it reports false when a fail-stop interrupts it (partial
+// progress dies with the machine, so the application never performs
+// it).
+func (e *Executor) chunk(w float64) bool {
 	remaining := w
 	for remaining > 0 {
-		fdt, fHit := e.fail.within(remaining)
-		sdt, sHit := e.silent.within(remaining)
+		fdt, fHit := e.fail.Within(remaining)
+		sdt, sHit := e.silent.Within(remaining)
 		if sHit && (!fHit || sdt <= fdt) {
-			if err := e.cfg.App.Advance(sdt); err != nil {
-				return false, err
+			if e.cfg.App != nil {
+				e.corrupt(sdt)
 			}
-			e.silent.consume()
-			e.fail.advance(sdt)
+			e.silent.Consume()
+			e.fail.Advance(sdt)
 			e.now += sdt
 			remaining -= sdt
 			e.corrupted = true
-			e.rep.Silent++
-			if e.cfg.Corrupt != nil {
-				if err := e.cfg.Corrupt(e.cfg.App); err != nil {
-					return false, err
-				}
-			}
+			e.cnt.Silent++
 			continue
 		}
 		if fHit {
-			e.fail.consume()
-			e.silent.advance(fdt)
+			e.fail.Consume()
+			e.silent.Advance(fdt)
 			e.now += fdt
-			e.rep.FailStop++
-			return false, nil
+			e.cnt.FailStop++
+			return false
 		}
-		if err := e.cfg.App.Advance(remaining); err != nil {
-			return false, err
+		if e.cfg.App != nil {
+			e.advance(remaining)
 		}
-		e.fail.advance(remaining)
-		e.silent.advance(remaining)
+		e.fail.Advance(remaining)
+		e.silent.Advance(remaining)
 		e.now += remaining
 		remaining = 0
 	}
-	return true, nil
+	return true
+}
+
+// The application-facing helpers below record the first error in
+// e.err and do nothing once it is set: the instance in flight then
+// completes as a run with no application would, and Run returns the
+// error at its end.
+
+// initialCheckpoint persists the pristine initial state at every level.
+func (e *Executor) initialCheckpoint() {
+	snap := e.snapshot()
+	for l := 1; l <= len(e.cfg.Params.Levels); l++ {
+		e.save(l, snap)
+	}
+}
+
+func (e *Executor) advance(w float64) {
+	if e.err == nil {
+		e.err = e.cfg.App.Advance(w)
+	}
+}
+
+// corrupt performs the w seconds of computation preceding a silent
+// error, then applies the corruption.
+func (e *Executor) corrupt(w float64) {
+	e.advance(w)
+	if e.err == nil && e.cfg.Corrupt != nil {
+		e.err = e.cfg.Corrupt(e.cfg.App)
+	}
+}
+
+// check runs a user verifier and reports an alarm.
+func (e *Executor) check(v engine.Verifier) bool {
+	if e.err != nil {
+		return false
+	}
+	clean, err := v.Check(e.cfg.App)
+	e.err = err
+	return err == nil && !clean
+}
+
+func (e *Executor) snapshot() []byte {
+	if e.err != nil {
+		return nil
+	}
+	snap, err := e.cfg.App.Snapshot()
+	e.err = err
+	return snap
+}
+
+func (e *Executor) save(level int, snap []byte) {
+	if e.err == nil {
+		e.err = e.cfg.Storage.Save(level, snap)
+	}
+}
+
+// restore reloads the application from the level-lvl checkpoint and
+// re-establishes every level below it from the same state.
+func (e *Executor) restore(lvl int) {
+	if e.err != nil {
+		return
+	}
+	snap, err := e.cfg.Storage.Load(lvl)
+	if err == nil {
+		err = e.cfg.App.Restore(snap)
+	}
+	for l := 1; l < lvl && err == nil; l++ {
+		err = e.cfg.Storage.Save(l, snap)
+	}
+	e.err = err
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"respat/internal/engine"
 	"respat/internal/faults"
 )
 
@@ -108,7 +109,7 @@ func TestRuntimeSilentDetection(t *testing.T) {
 	rep, err := RunEngine(EngineConfig{
 		App: app, Params: p, Spec: s, Patterns: 1,
 		Silent:  faults.NewTrace([]float64{2.5 * 600}),
-		Corrupt: func(a Application) error { corrupted++; a.(*counterApp).work += 1e6; return nil },
+		Corrupt: func(a engine.Application) error { corrupted++; a.(*counterApp).work += 1e6; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,5 +192,33 @@ func TestRuntimeTargetWork(t *testing.T) {
 	}
 	if rep.Work < 3500 || rep.Work > 3500+1000 {
 		t.Errorf("work %v outside [3500, 4500]", rep.Work)
+	}
+}
+
+// TestExecutorReuseAfterSwaps: a Reset executor replays a run exactly,
+// Boundary swaps of the previous run included.
+func TestExecutorReuseAfterSwaps(t *testing.T) {
+	p := threeLevel()
+	s := UniformSpec(3600, []int{3, 2}, 2)
+	alt := UniformSpec(1800, []int{2, 1}, 3)
+	ex, err := NewExecutor(EngineConfig{
+		App: &counterApp{}, Params: p, Spec: s,
+		Boundary: func(int, Report) (*Spec, error) { return &alt, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []Report
+	for i := 0; i < 2; i++ {
+		ex.cfg.LevelDraw = faults.NewBernoulli(1, 2)
+		ex.Reset(faults.NewTrace([]float64{500, 4000}), faults.NewTrace([]float64{900}))
+		rep, err := ex.Run(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	if reps[0] != reps[1] || reps[0].PlanSwaps != 3 {
+		t.Fatalf("reused executor diverged: %+v vs %+v", reps[0], reps[1])
 	}
 }

@@ -50,27 +50,27 @@ func Baseline(work float64, r core.Rates, runs int, seed uint64) (BaselineResult
 		if err != nil {
 			return BaselineResult{}, err
 		}
-		fail := newProcess(failSrc)
-		silent := newProcess(silentSrc)
+		fail := faults.NewClock(failSrc)
+		silent := faults.NewClock(silentSrc)
 		var now float64
 		for {
-			fdt, hit := fail.within(work)
+			fdt, hit := fail.Within(work)
 			if !hit {
 				// The attempt completes; silent errors within it are
 				// permanent in the unprotected baseline.
 				corrupted := false
 				remaining := work
 				for {
-					sdt, sHit := silent.within(remaining)
+					sdt, sHit := silent.Within(remaining)
 					if !sHit {
 						break
 					}
-					silent.consume()
+					silent.Consume()
 					remaining -= sdt
 					corrupted = true
 				}
-				silent.advance(remaining)
-				fail.advance(work)
+				silent.Advance(remaining)
+				fail.Advance(work)
 				now += work
 				if corrupted {
 					corrupt++
@@ -78,8 +78,8 @@ func Baseline(work float64, r core.Rates, runs int, seed uint64) (BaselineResult
 				break
 			}
 			// Crash: all progress is lost, including any corruption.
-			fail.consume()
-			silent.advance(fdt)
+			fail.Consume()
+			silent.Advance(fdt)
 			now += fdt
 			out.Restarts++
 		}

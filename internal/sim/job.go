@@ -4,15 +4,11 @@ package sim
 // a fleet campaign needs one protected execution per job — seeded by
 // the job's own identity, with the job's own pattern count — instead
 // of one statistical campaign per configuration. JobSim and MLJobSim
-// wrap the campaign executors so a worker can reuse one across all the
-// jobs it simulates: construction validates once and builds the
-// schedule flattening once; Run only reseeds in place.
+// wrap the campaign runners so a worker can reuse one across all the
+// jobs it simulates: construction validates once and flattens the
+// pattern once; Run only reseeds in place.
 
-import (
-	"fmt"
-
-	"respat/internal/multilevel"
-)
+import "fmt"
 
 // JobSim replays single protected executions of one pattern
 // configuration. It owns a private copy of the configuration and a
@@ -20,13 +16,12 @@ import (
 // is not safe for concurrent use; give each worker its own.
 type JobSim struct {
 	cfg Config
-	ex  *executor
+	r   *patternRuns
 }
 
 // NewJobSim validates the configuration (Runs and Seed are ignored —
-// Run supplies per-job seeds) and builds the shared schedule
-// flattening. cfg.Patterns only seeds validation; each Run passes its
-// own count.
+// Run supplies per-job seeds) and flattens the pattern. cfg.Patterns
+// only seeds validation; each Run passes its own count.
 func NewJobSim(cfg Config) (*JobSim, error) {
 	cfg.Runs = 1
 	if cfg.Patterns == 0 {
@@ -36,7 +31,10 @@ func NewJobSim(cfg Config) (*JobSim, error) {
 		return nil, err
 	}
 	j := &JobSim{cfg: cfg}
-	j.ex = newExecutor(&j.cfg, newPlan(cfg.Pattern))
+	var err error
+	if j.r, err = newPatternRuns(&j.cfg); err != nil {
+		return nil, err
+	}
 	return j, nil
 }
 
@@ -52,8 +50,7 @@ func (j *JobSim) Run(seed uint64, patterns int) (Counters, float64, error) {
 	}
 	j.cfg.Seed = seed
 	j.cfg.Patterns = patterns
-	j.ex.reset(0)
-	cnt, elapsed := j.ex.runAll()
+	cnt, elapsed := j.r.run(0)
 	return cnt, elapsed, nil
 }
 
@@ -64,9 +61,8 @@ func (j *JobSim) Work() float64 { return j.cfg.Pattern.W }
 // MLJobSim is JobSim for the multilevel model: single protected
 // executions of one multilevel (Params, Spec) configuration.
 type MLJobSim struct {
-	cfg    MultilevelConfig
-	layout multilevel.Layout
-	ex     *mlExecutor
+	cfg MultilevelConfig
+	r   *multilevelRuns
 }
 
 // NewMLJobSim validates the configuration (Runs and Seed are ignored)
@@ -79,12 +75,11 @@ func NewMLJobSim(cfg MultilevelConfig) (*MLJobSim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	layout, err := cfg.Params.Layout(cfg.Spec)
-	if err != nil {
+	j := &MLJobSim{cfg: cfg}
+	var err error
+	if j.r, err = newMultilevelRuns(&j.cfg); err != nil {
 		return nil, err
 	}
-	j := &MLJobSim{cfg: cfg, layout: layout}
-	j.ex = newMLExecutor(&j.cfg, &j.layout)
 	return j, nil
 }
 
@@ -96,8 +91,7 @@ func (j *MLJobSim) Run(seed uint64, patterns int) (MultilevelCounters, float64, 
 	}
 	j.cfg.Seed = seed
 	j.cfg.Patterns = patterns
-	j.ex.reset(0)
-	cnt, elapsed := j.ex.runAll()
+	cnt, elapsed := j.r.run(0)
 	return cnt, elapsed, nil
 }
 

@@ -3,17 +3,15 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
-	"sync"
 
 	"respat/internal/faults"
 	"respat/internal/multilevel"
 	"respat/internal/stats"
 )
 
-// Stream identifiers for the multilevel executor's deterministic
-// per-run seed derivation (independent of the single-level streams:
-// the two simulators never share a Config).
+// Stream identifiers for the multilevel runs' deterministic per-run
+// seed derivation (independent of the single-level streams: the two
+// simulators never share a Config).
 const (
 	mlStreamFail = iota
 	mlStreamSilent
@@ -40,38 +38,9 @@ type MultilevelConfig struct {
 	Workers int
 }
 
-// MultilevelCounters tallies the events of a multilevel campaign.
-type MultilevelCounters struct {
-	FailStop   int64 // fail-stop errors injected
-	Silent     int64 // silent errors injected
-	PartVerifs int64 // completed interior verifications
-	GuarVerifs int64 // completed guaranteed verifications
-	// DetectByPart and DetectByGuar split detected corruptions by the
-	// verification class that caught them.
-	DetectByPart int64
-	DetectByGuar int64
-	// SilentRecs counts rollbacks to the level-1 checkpoint after a
-	// verification alarm.
-	SilentRecs int64
-	// Ckpts[l] counts committed level-(l+1) checkpoints; Recs[l] counts
-	// recoveries from a level-(l+1) fail-stop error.
-	Ckpts [multilevel.MaxLevels]int64
-	Recs  [multilevel.MaxLevels]int64
-}
-
-func (c *MultilevelCounters) add(o MultilevelCounters) {
-	c.FailStop += o.FailStop
-	c.Silent += o.Silent
-	c.PartVerifs += o.PartVerifs
-	c.GuarVerifs += o.GuarVerifs
-	c.DetectByPart += o.DetectByPart
-	c.DetectByGuar += o.DetectByGuar
-	c.SilentRecs += o.SilentRecs
-	for l := range c.Ckpts {
-		c.Ckpts[l] += o.Ckpts[l]
-		c.Recs[l] += o.Recs[l]
-	}
-}
+// MultilevelCounters tallies the events of a multilevel campaign; see
+// multilevel.Counters.
+type MultilevelCounters = multilevel.Counters
 
 // MultilevelResult aggregates a multilevel campaign.
 type MultilevelResult struct {
@@ -106,9 +75,9 @@ func (cfg MultilevelConfig) Validate() error {
 
 // RunMultilevel executes a multilevel campaign with the same
 // determinism contract as Run: every random stream derives from
-// (Seed, run) alone, each worker reuses one executor against the
-// campaign-shared layout, and per-run statistics are reduced in run
-// order, so results are bit-identical for any Workers value.
+// (Seed, run) alone, each worker reuses one executor, and per-run
+// statistics are reduced in run order, so results are bit-identical
+// for any Workers value.
 //
 // The executor realises the model of internal/multilevel: errors
 // strike computations only (the Sections 3-4 assumption the exact
@@ -121,224 +90,48 @@ func RunMultilevel(cfg MultilevelConfig) (MultilevelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MultilevelResult{}, err
 	}
-	layout, err := cfg.Params.Layout(cfg.Spec)
-	if err != nil {
-		return MultilevelResult{}, err
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	work := cfg.Spec.W * float64(cfg.Patterns)
-	overheads := make([]float64, cfg.Runs)
-	walls := make([]float64, cfg.Runs)
-	totals := make([]MultilevelCounters, workers)
-	if workers == 1 {
-		// Inline, as in Run: a lone worker goroutine only adds
-		// spawn/handoff latency.
-		ex := newMLExecutor(&cfg, &layout)
-		for run := 0; run < cfg.Runs; run++ {
-			ex.reset(run)
-			cnt, elapsed := ex.runAll()
-			overheads[run] = (elapsed - work) / work
-			walls[run] = elapsed
-			totals[0].add(cnt)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ex := newMLExecutor(&cfg, &layout)
-				for run := w; run < cfg.Runs; run += workers {
-					ex.reset(run)
-					cnt, elapsed := ex.runAll()
-					overheads[run] = (elapsed - work) / work
-					walls[run] = elapsed
-					totals[w].add(cnt)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
 	res := MultilevelResult{Runs: cfg.Runs, Patterns: cfg.Patterns, PatternWork: cfg.Spec.W}
-	for run := range overheads {
-		res.Overhead.Add(overheads[run])
-		res.WallTime.Add(walls[run])
-	}
-	for i := range totals {
-		res.Total.add(totals[i])
-	}
-	return res, nil
+	var err error
+	res.Overhead, res.WallTime, res.Total, err = campaign(cfg.Runs, cfg.Workers,
+		cfg.Spec.W*float64(cfg.Patterns), func() (runner[MultilevelCounters], error) { return newMultilevelRuns(&cfg) })
+	return res, err
 }
 
-// mlExecutor simulates multilevel runs one at a time; one executor is
-// reused across all runs of a worker, reseeded per run by reset.
-type mlExecutor struct {
-	cfg    *MultilevelConfig
-	layout *multilevel.Layout
-	fail   process
-	silent process
-	detect *faults.Bernoulli
-	level  *faults.Bernoulli // uniform stream behind the level draw
-
-	now       float64
-	corrupted bool
-	cnt       MultilevelCounters
-
-	failExp   *faults.Exponential
-	failPCG   *rand.PCG
-	silentExp *faults.Exponential
-	silentPCG *rand.PCG
-	detectPCG *rand.PCG
-	levelPCG  *rand.PCG
+// multilevelRuns is one worker's multilevel runner: a multilevel
+// executor with no application, plus its exponential sources, detection
+// and level-draw streams, all reseeded in place per run.
+type multilevelRuns struct {
+	cfg                                     *MultilevelConfig
+	ex                                      *multilevel.Executor
+	failPCG, silentPCG, detectPCG, levelPCG rand.PCG
+	failExp, silentExp                      faults.Exponential
+	detect, level                           faults.Bernoulli
 }
 
-func newMLExecutor(cfg *MultilevelConfig, layout *multilevel.Layout) *mlExecutor {
-	e := &mlExecutor{cfg: cfg, layout: layout}
-	// Rates were validated by cfg.Validate, so construction cannot fail.
-	e.failPCG = rand.NewPCG(0, 0)
-	e.failExp = &faults.Exponential{Lambda: cfg.Params.Rates.FailStop, Rng: rand.New(e.failPCG)}
-	e.silentPCG = rand.NewPCG(0, 0)
-	e.silentExp = &faults.Exponential{Lambda: cfg.Params.Rates.Silent, Rng: rand.New(e.silentPCG)}
-	e.detectPCG = rand.NewPCG(0, 0)
-	e.detect = &faults.Bernoulli{Rng: rand.New(e.detectPCG)}
-	e.levelPCG = rand.NewPCG(0, 0)
-	e.level = &faults.Bernoulli{Rng: rand.New(e.levelPCG)}
-	return e
+// newMultilevelRuns builds a runner for a validated configuration; cfg
+// is read at every run, so MLJobSim can vary Seed and Patterns between
+// runs.
+func newMultilevelRuns(cfg *MultilevelConfig) (*multilevelRuns, error) {
+	r := &multilevelRuns{cfg: cfg}
+	r.failExp = faults.Exponential{Lambda: cfg.Params.Rates.FailStop, Rng: rand.New(&r.failPCG)}
+	r.silentExp = faults.Exponential{Lambda: cfg.Params.Rates.Silent, Rng: rand.New(&r.silentPCG)}
+	r.detect.Rng = rand.New(&r.detectPCG)
+	r.level.Rng = rand.New(&r.levelPCG)
+	var err error
+	r.ex, err = multilevel.NewExecutor(multilevel.EngineConfig{
+		Params: cfg.Params, Spec: cfg.Spec, Detect: &r.detect, LevelDraw: &r.level,
+	})
+	return r, err
 }
 
-// reset prepares the executor for one run; every stream depends only
-// on (cfg.Seed, run).
-func (e *mlExecutor) reset(run int) {
-	s1, s2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numMLStreams+mlStreamFail)
-	e.failPCG.Seed(s1, s2)
-	s1, s2 = faults.SplitSeed(e.cfg.Seed, uint64(run)*numMLStreams+mlStreamSilent)
-	e.silentPCG.Seed(s1, s2)
-	s1, s2 = faults.SplitSeed(e.cfg.Seed, uint64(run)*numMLStreams+mlStreamDetect)
-	e.detectPCG.Seed(s1, s2)
-	s1, s2 = faults.SplitSeed(e.cfg.Seed, uint64(run)*numMLStreams+mlStreamLevel)
-	e.levelPCG.Seed(s1, s2)
-	e.fail = newProcess(e.failExp)
-	e.silent = newProcess(e.silentExp)
-	e.now = 0
-	e.corrupted = false
-	e.cnt = MultilevelCounters{}
-}
-
-func (e *mlExecutor) runAll() (MultilevelCounters, float64) {
-	for p := 0; p < e.cfg.Patterns; p++ {
-		e.runPattern()
-	}
-	return e.cnt, e.now
-}
-
-// runPattern executes one pattern instance: n_1 level-1 intervals,
-// each of m chunks, with level-aware rollback.
-func (e *mlExecutor) runPattern() {
-	p := &e.cfg.Params
-	n1 := e.layout.Spec.Counts[0]
-	t := 0
-	for t < n1 {
-		if lvl, ok := e.runInterval(); !ok {
-			// Fail-stop of level lvl: pay its recovery, resume from the
-			// most recent level-≥lvl boundary. The restored state was
-			// verified before it was checkpointed, so no corruption
-			// survives the rollback.
-			e.now += p.Levels[lvl-1].Rec
-			e.cnt.Recs[lvl-1]++
-			e.corrupted = false
-			t = e.layout.RollbackTo(lvl, t)
-			continue
-		}
-		// Clean guaranteed verification: commit the boundary's
-		// checkpoint stack.
-		for l := 1; l <= e.layout.BoundaryLevel(t); l++ {
-			e.now += p.Levels[l-1].Ckpt
-			e.cnt.Ckpts[l-1]++
-		}
-		t++
-	}
-}
-
-// runInterval executes one level-1 interval until it passes its
-// closing guaranteed verification. It returns ok=false with the error
-// level when a fail-stop interrupts it; detected silent errors are
-// handled internally (level-1 rollback and retry).
-func (e *mlExecutor) runInterval() (level int, ok bool) {
-	p := &e.cfg.Params
-	m := len(e.layout.Chunks)
-	for {
-		j := 0
-		for j < m {
-			if !e.chunk(e.layout.Chunks[j]) {
-				return p.PickLevel(e.level.Rng.Float64()), false
-			}
-			if j < m-1 {
-				// Interior verification.
-				e.now += e.layout.InteriorCost
-				e.cnt.PartVerifs++
-				if e.corrupted && e.detect.Hit(e.layout.InteriorRecall) {
-					e.cnt.DetectByPart++
-					e.silentRollback()
-					j = 0
-					continue
-				}
-			}
-			j++
-		}
-		// Closing guaranteed verification: detection is certain.
-		e.now += p.GuarVer
-		e.cnt.GuarVerifs++
-		if !e.corrupted {
-			return 0, true
-		}
-		e.cnt.DetectByGuar++
-		e.silentRollback()
-	}
-}
-
-// silentRollback restores the level-1 checkpoint after a verification
-// alarm.
-func (e *mlExecutor) silentRollback() {
-	e.now += e.cfg.Params.Levels[0].Rec
-	e.cnt.SilentRecs++
-	e.corrupted = false
-}
-
-// chunk executes w seconds of computation exposed to both error
-// processes; it reports false when a fail-stop interrupts it.
-func (e *mlExecutor) chunk(w float64) bool {
-	remaining := w
-	for remaining > 0 {
-		fdt, fHit := e.fail.within(remaining)
-		sdt, sHit := e.silent.within(remaining)
-		if sHit && (!fHit || sdt <= fdt) {
-			e.silent.consume()
-			e.fail.advance(sdt)
-			e.now += sdt
-			remaining -= sdt
-			e.corrupted = true
-			e.cnt.Silent++
-			continue
-		}
-		if fHit {
-			e.fail.consume()
-			e.silent.advance(fdt)
-			e.now += fdt
-			e.cnt.FailStop++
-			return false
-		}
-		e.fail.advance(remaining)
-		e.silent.advance(remaining)
-		e.now += remaining
-		remaining = 0
-	}
-	return true
+// run simulates one run; every stream depends only on (cfg.Seed, run).
+func (r *multilevelRuns) run(run int) (MultilevelCounters, float64) {
+	base := uint64(run) * numMLStreams
+	r.failPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamFail))
+	r.silentPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamSilent))
+	r.detectPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamDetect))
+	r.levelPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamLevel))
+	r.ex.Reset(&r.failExp, &r.silentExp)
+	rep, _ := r.ex.Run(r.cfg.Patterns) // no application, so no error
+	return rep.Counters, rep.Time
 }

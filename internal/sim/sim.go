@@ -7,11 +7,19 @@
 // triggers a disk recovery and a pattern restart; a detected silent
 // error triggers a memory recovery and a segment restart.
 //
-// Error arrivals are driven by exposure clocks: each process (fail-stop
-// and silent) accumulates exposure only while an operation it can
-// strike is running, which realises the paper's "errors strike
-// computations" semantics for arbitrary renewal processes, not just the
-// memoryless exponential.
+// The protocol itself is the runtime's: a run is an engine.Executor
+// (multilevel.Executor for RunMultilevel) executing with no
+// application, so the oracles make every detection decision and no
+// state is saved or restored. This package is the campaign layer on
+// top: it derives every run's random streams from (Seed, run), reuses
+// one executor per worker, reseeding it in place, and reduces the
+// per-run statistics in run order.
+//
+// Error arrivals are driven by exposure clocks (faults.Clock): each
+// process (fail-stop and silent) accumulates exposure only while an
+// operation it can strike is running, which realises the paper's
+// "errors strike computations" semantics for arbitrary renewal
+// processes, not just the memoryless exponential.
 //
 // Detection semantics match the accounting of Proposition 3: a silent
 // error leaves the application state corrupted; each partial
@@ -28,6 +36,7 @@ import (
 	"sync"
 
 	"respat/internal/core"
+	"respat/internal/engine"
 	"respat/internal/faults"
 	"respat/internal/stats"
 )
@@ -69,41 +78,9 @@ type Config struct {
 	SilentSource func(run int) faults.Source
 }
 
-// Counters tallies the events of one run (or, summed, of a campaign).
-// MemRecs counts only standalone memory recoveries triggered by a
-// verification alarm; the memory restore bundled with every disk
-// recovery is part of DiskRecs, matching the paper's Figure 6e
-// accounting.
-type Counters struct {
-	FailStop     int64 // fail-stop errors injected
-	Silent       int64 // silent errors injected
-	SilentMasked int64 // corruptions wiped by a fail-stop before detection
-	DiskCkpts    int64 // completed disk checkpoints
-	MemCkpts     int64 // completed memory checkpoints
-	PartVerifs   int64 // completed partial verifications
-	GuarVerifs   int64 // completed guaranteed verifications
-	DiskRecs     int64 // disk recoveries (each includes a memory restore)
-	MemRecs      int64 // standalone memory recoveries
-	DetectByPart int64 // corruptions caught by a partial verification
-	DetectByGuar int64 // corruptions caught by a guaranteed verification
-}
-
-func (c *Counters) add(o Counters) {
-	c.FailStop += o.FailStop
-	c.Silent += o.Silent
-	c.SilentMasked += o.SilentMasked
-	c.DiskCkpts += o.DiskCkpts
-	c.MemCkpts += o.MemCkpts
-	c.PartVerifs += o.PartVerifs
-	c.GuarVerifs += o.GuarVerifs
-	c.DiskRecs += o.DiskRecs
-	c.MemRecs += o.MemRecs
-	c.DetectByPart += o.DetectByPart
-	c.DetectByGuar += o.DetectByGuar
-}
-
-// Verifs returns partial plus guaranteed verifications.
-func (c Counters) Verifs() int64 { return c.PartVerifs + c.GuarVerifs }
+// Counters tallies the events of one run (or, summed, of a campaign);
+// see engine.Counters.
+type Counters = engine.Counters
 
 // Result aggregates a campaign.
 type Result struct {
@@ -170,393 +147,137 @@ func (cfg Config) Validate() error {
 // Run executes the campaign, distributing runs over worker goroutines.
 // Results are bit-identical for a fixed cfg.Seed regardless of Workers:
 // every run derives its random streams from (Seed, run) alone, each
-// worker reuses one executor against a campaign-shared immutable plan,
-// and per-run statistics are reduced in run order.
+// worker reuses one executor, and per-run statistics are reduced in run
+// order.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	workers := cfg.Workers
+	res := Result{Runs: cfg.Runs, Patterns: cfg.Patterns, PatternWork: cfg.Pattern.W}
+	var err error
+	res.Overhead, res.WallTime, res.Total, err = campaign(cfg.Runs, cfg.Workers,
+		cfg.Pattern.W*float64(cfg.Patterns), func() (runner[Counters], error) { return newPatternRuns(&cfg) })
+	return res, err
+}
+
+// runner is one worker's reusable executor: run simulates run number
+// `run` of the campaign and returns its counters and elapsed virtual
+// seconds.
+type runner[C any] interface {
+	run(run int) (C, float64)
+}
+
+// campaign simulates runs over workers goroutines (0 means GOMAXPROCS),
+// each with its own runner from newRunner, and returns the per-run
+// overheads relative to work and wall times, reduced in run order, and
+// the summed counters. Runners are built before any run starts, so a
+// construction error aborts the campaign.
+func campaign[C any, PC interface {
+	*C
+	Add(C)
+}](runs, workers int, work float64, newRunner func() (runner[C], error)) (overhead, wall stats.Sample, total C, err error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Runs {
-		workers = cfg.Runs
+	if workers > runs {
+		workers = runs
 	}
-
-	pl := newPlan(cfg.Pattern)
-	work := cfg.Pattern.W * float64(cfg.Patterns)
-	overheads := make([]float64, cfg.Runs)
-	walls := make([]float64, cfg.Runs)
-	totals := make([]Counters, workers)
-	if workers == 1 {
-		// Run inline: a single worker gains nothing from a goroutine,
-		// and the spawn/handoff latency is comparable to a whole
-		// small campaign (it showed up as a 2-3x swing in
-		// BenchmarkSimulatePattern between snapshots).
-		ex := newExecutor(&cfg, pl)
-		for run := 0; run < cfg.Runs; run++ {
-			ex.reset(run)
-			cnt, elapsed := ex.runAll()
+	runners := make([]runner[C], workers)
+	for w := range runners {
+		if runners[w], err = newRunner(); err != nil {
+			return overhead, wall, total, err
+		}
+	}
+	overheads := make([]float64, runs)
+	walls := make([]float64, runs)
+	totals := make([]C, workers)
+	simulate := func(w int) {
+		for run := w; run < runs; run += workers {
+			cnt, elapsed := runners[w].run(run)
 			overheads[run] = (elapsed - work) / work
 			walls[run] = elapsed
-			totals[0].add(cnt)
+			PC(&totals[w]).Add(cnt)
 		}
+	}
+	if workers == 1 {
+		// Run inline: a single worker gains nothing from a goroutine,
+		// and the spawn/handoff latency is comparable to a whole small
+		// campaign (it showed up as a 2-3x swing in
+		// BenchmarkSimulatePattern between snapshots).
+		simulate(0)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ex := newExecutor(&cfg, pl)
-				for run := w; run < cfg.Runs; run += workers {
-					ex.reset(run)
-					cnt, elapsed := ex.runAll()
-					overheads[run] = (elapsed - work) / work
-					walls[run] = elapsed
-					totals[w].add(cnt)
-				}
+				simulate(w)
 			}(w)
 		}
 		wg.Wait()
 	}
-
-	res := Result{Runs: cfg.Runs, Patterns: cfg.Patterns, PatternWork: cfg.Pattern.W}
 	for run := range overheads {
-		res.Overhead.Add(overheads[run])
-		res.WallTime.Add(walls[run])
+		overhead.Add(overheads[run])
+		wall.Add(walls[run])
 	}
 	for i := range totals {
-		res.Total.add(totals[i])
+		PC(&total).Add(totals[i])
 	}
-	return res, nil
+	return overhead, wall, total, nil
 }
 
-// process drives one error source on an exposure clock.
-type process struct {
-	src   faults.Source
-	clock float64 // accumulated exposure
-	next  float64 // next arrival on the exposure clock
+// patternRuns is one worker's single-level runner: an engine executor
+// with no application, plus the default exponential sources and the
+// detection stream, all reseeded in place per run.
+type patternRuns struct {
+	cfg                           *Config
+	ex                            *engine.Executor
+	failPCG, silentPCG, detectPCG rand.PCG
+	failExp, silentExp            faults.Exponential
+	detect                        faults.Bernoulli
 }
 
-func newProcess(src faults.Source) process {
-	return process{src: src, next: src.Next(0)}
-}
-
-// within reports the exposure distance to the next arrival and whether
-// it falls inside the next d units of exposure.
-func (p *process) within(d float64) (float64, bool) {
-	dt := p.next - p.clock
-	return dt, dt <= d
-}
-
-// advance consumes d units of exposure known to contain no arrival.
-func (p *process) advance(d float64) { p.clock += d }
-
-// consume advances to the pending arrival and schedules the next one.
-func (p *process) consume() {
-	p.clock = p.next
-	p.next = p.src.Next(p.clock)
-}
-
-// plan is the immutable flattening of a pattern shared by every run of
-// a campaign: the executable schedule and each segment's first action
-// index. Building it once per Run (instead of once per run, as the
-// executor used to) removes the dominant per-run allocations of
-// paper-scale campaigns.
-type plan struct {
-	sched    []core.Action
-	segStart []int // schedule index of each segment's first action
-}
-
-func newPlan(p core.Pattern) *plan {
-	sched := p.Schedule()
-	segStart := make([]int, p.N())
-	seen := 0
-	for i, a := range sched {
-		if a.Op == core.OpChunk && a.Chunk == 0 && a.Segment == seen {
-			segStart[seen] = i
-			seen++
-		}
-	}
-	return &plan{sched: sched, segStart: segStart}
-}
-
-// executor simulates runs one at a time; one executor is reused across
-// all runs of a worker, reseeded per run by reset.
-type executor struct {
-	cfg       *Config
-	plan      *plan
-	fail      process
-	silent    process
-	detect    *faults.Bernoulli
-	now       float64
-	corrupted bool
-	cnt       Counters
-	// Reusable default sources and their generators, reseeded in place
-	// per run; nil when the corresponding factory override is set.
-	failExp   *faults.Exponential
-	failPCG   *rand.PCG
-	silentExp *faults.Exponential
-	silentPCG *rand.PCG
-	detectPCG *rand.PCG
-	// Optional event recorder (TraceOne) plus its position context.
-	rec    func(Event)
-	curSeg int
-	patIdx int
-}
-
-// emit records a timeline event when tracing is enabled.
-func (e *executor) emit(k EventKind, op core.Op) {
-	if e.rec != nil {
-		e.rec(Event{Time: e.now, Kind: k, Op: op, Segment: e.curSeg, Pattern: e.patIdx})
-	}
-}
-
-// newExecutor builds a reusable executor for a validated configuration
-// against a campaign-shared plan. Call reset before each run.
-func newExecutor(cfg *Config, pl *plan) *executor {
-	e := &executor{cfg: cfg, plan: pl}
-	// The rates were validated by Config.Validate whenever a default
-	// exponential source is needed, so construction cannot fail here.
+// newPatternRuns builds a runner for a validated configuration; cfg is
+// read at every run, so JobSim can vary Seed and Patterns between runs.
+func newPatternRuns(cfg *Config) (*patternRuns, error) {
+	r := &patternRuns{cfg: cfg}
 	if cfg.FailSource == nil {
-		e.failPCG = rand.NewPCG(0, 0)
-		e.failExp = &faults.Exponential{Lambda: cfg.Rates.FailStop, Rng: rand.New(e.failPCG)}
+		r.failExp = faults.Exponential{Lambda: cfg.Rates.FailStop, Rng: rand.New(&r.failPCG)}
 	}
 	if cfg.SilentSource == nil {
-		e.silentPCG = rand.NewPCG(0, 0)
-		e.silentExp = &faults.Exponential{Lambda: cfg.Rates.Silent, Rng: rand.New(e.silentPCG)}
+		r.silentExp = faults.Exponential{Lambda: cfg.Rates.Silent, Rng: rand.New(&r.silentPCG)}
 	}
-	e.detectPCG = rand.NewPCG(0, 0)
-	e.detect = &faults.Bernoulli{Rng: rand.New(e.detectPCG)}
-	return e
+	r.detect.Rng = rand.New(&r.detectPCG)
+	var err error
+	r.ex, err = engine.NewExecutor(engine.Config{
+		Pattern: cfg.Pattern, Costs: cfg.Costs, ErrorsInOps: cfg.ErrorsInOps, Detect: &r.detect,
+	})
+	return r, err
 }
 
-// reset prepares the executor for one run. Every random stream depends
-// only on (cfg.Seed, run), never on scheduling, so results are
-// bit-identical across worker counts; reseeding the generators in place
-// is state-equivalent to constructing fresh ones with the same seeds.
-func (e *executor) reset(run int) {
-	var failSrc, silentSrc faults.Source
-	if e.cfg.FailSource != nil {
-		failSrc = e.cfg.FailSource(run)
+// run simulates one run. Every random stream depends only on
+// (cfg.Seed, run), never on scheduling, so results are bit-identical
+// across worker counts; reseeding the generators in place is
+// state-equivalent to constructing fresh ones with the same seeds.
+func (r *patternRuns) run(run int) (Counters, float64) {
+	seed := r.cfg.Seed
+	var fail, silent faults.Source
+	if r.cfg.FailSource != nil {
+		fail = r.cfg.FailSource(run)
 	} else {
-		s1, s2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numStreams+streamFail)
-		e.failPCG.Seed(s1, s2)
-		failSrc = e.failExp
+		r.failPCG.Seed(faults.SplitSeed(seed, uint64(run)*numStreams+streamFail))
+		fail = &r.failExp
 	}
-	if e.cfg.SilentSource != nil {
-		silentSrc = e.cfg.SilentSource(run)
+	if r.cfg.SilentSource != nil {
+		silent = r.cfg.SilentSource(run)
 	} else {
-		s1, s2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numStreams+streamSilent)
-		e.silentPCG.Seed(s1, s2)
-		silentSrc = e.silentExp
+		r.silentPCG.Seed(faults.SplitSeed(seed, uint64(run)*numStreams+streamSilent))
+		silent = &r.silentExp
 	}
-	d1, d2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numStreams+streamDetect)
-	e.detectPCG.Seed(d1, d2)
-	e.fail = newProcess(failSrc)
-	e.silent = newProcess(silentSrc)
-	e.now = 0
-	e.corrupted = false
-	e.cnt = Counters{}
-	e.curSeg = 0
-	e.patIdx = 0
-}
-
-// runAll executes cfg.Patterns pattern instances and returns the event
-// counters and total elapsed virtual time.
-func (e *executor) runAll() (Counters, float64) {
-	for p := 0; p < e.cfg.Patterns; p++ {
-		e.patIdx = p
-		e.runPattern()
-		e.emit(EvPatternDone, core.OpDisk)
-	}
-	return e.cnt, e.now
-}
-
-// outcome of a protected (fail-stop-exposed) operation.
-type outcome int
-
-const (
-	opDone outcome = iota
-	opFailStop
-)
-
-// runPattern executes one pattern instance to completion, restarting
-// from the disk checkpoint on fail-stop errors and from the enclosing
-// segment's memory checkpoint on detected silent errors.
-func (e *executor) runPattern() {
-	i := 0
-	for i < len(e.plan.sched) {
-		a := e.plan.sched[i]
-		e.curSeg = a.Segment
-		switch a.Op {
-		case core.OpChunk:
-			if e.chunk(a.Work) == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			e.emit(EvOpDone, core.OpChunk)
-		case core.OpPartVer:
-			res, detected := e.verify(core.OpPartVer, e.cfg.Costs.PartVer, e.cfg.Costs.Recall, &e.cnt.PartVerifs, &e.cnt.DetectByPart)
-			if res == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			if detected {
-				if e.memRecovery() == opFailStop {
-					i = 0
-				} else {
-					i = e.plan.segStart[a.Segment]
-				}
-				continue
-			}
-		case core.OpGuarVer:
-			res, detected := e.verify(core.OpGuarVer, e.cfg.Costs.GuarVer, 1, &e.cnt.GuarVerifs, &e.cnt.DetectByGuar)
-			if res == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			if detected {
-				if e.memRecovery() == opFailStop {
-					i = 0
-				} else {
-					i = e.plan.segStart[a.Segment]
-				}
-				continue
-			}
-		case core.OpMemCkpt:
-			if e.protectedOp(e.cfg.Costs.MemCkpt) == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			e.cnt.MemCkpts++
-			e.emit(EvOpDone, core.OpMemCkpt)
-		case core.OpDisk:
-			if e.protectedOp(e.cfg.Costs.DiskCkpt) == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			e.cnt.DiskCkpts++
-			e.emit(EvOpDone, core.OpDisk)
-		}
-		i++
-	}
-}
-
-// chunk executes w seconds of computation, exposed to both error
-// processes. It returns opFailStop if interrupted.
-func (e *executor) chunk(w float64) outcome {
-	remaining := w
-	for remaining > 0 {
-		fdt, fHit := e.fail.within(remaining)
-		sdt, sHit := e.silent.within(remaining)
-		if sHit && (!fHit || sdt <= fdt) {
-			// A silent error strikes first: corrupt and keep computing.
-			e.silent.consume()
-			e.fail.advance(sdt)
-			e.now += sdt
-			remaining -= sdt
-			e.corrupted = true
-			e.cnt.Silent++
-			e.emit(EvSilent, core.OpChunk)
-			continue
-		}
-		if fHit {
-			e.fail.consume()
-			e.silent.advance(fdt)
-			e.now += fdt
-			e.cnt.FailStop++
-			e.emit(EvFailStop, core.OpChunk)
-			return opFailStop
-		}
-		e.fail.advance(remaining)
-		e.silent.advance(remaining)
-		e.now += remaining
-		remaining = 0
-	}
-	return opDone
-}
-
-// protectedOp executes a non-computation operation of the given cost.
-// Silent errors never strike it; fail-stop errors do when ErrorsInOps.
-func (e *executor) protectedOp(cost float64) outcome {
-	if cost <= 0 {
-		return opDone
-	}
-	if !e.cfg.ErrorsInOps {
-		e.now += cost
-		return opDone
-	}
-	if fdt, hit := e.fail.within(cost); hit {
-		e.fail.consume()
-		e.now += fdt
-		e.cnt.FailStop++
-		e.emit(EvFailStop, core.OpChunk)
-		return opFailStop
-	}
-	e.fail.advance(cost)
-	e.now += cost
-	return opDone
-}
-
-// verify runs a verification of the given cost and recall, bumps its
-// counter on completion and reports whether an existing corruption was
-// detected.
-func (e *executor) verify(op core.Op, cost, recall float64, done, caught *int64) (outcome, bool) {
-	if e.protectedOp(cost) == opFailStop {
-		return opFailStop, false
-	}
-	*done++
-	e.emit(EvOpDone, op)
-	if e.corrupted && e.detect.Hit(recall) {
-		*caught++
-		e.emit(EvDetect, op)
-		return opDone, true
-	}
-	return opDone, false
-}
-
-// diskRecovery restores the last disk checkpoint (RD) and the memory
-// state (RM), retrying per the Section 5 semantics: a fail-stop during
-// either restore resumes from the disk read. It clears any pending
-// corruption — the restored state is verified by construction.
-func (e *executor) diskRecovery() {
-	for {
-		if e.protectedOp(e.cfg.Costs.DiskRec) == opFailStop {
-			continue
-		}
-		if e.protectedOp(e.cfg.Costs.MemRec) == opFailStop {
-			continue
-		}
-		break
-	}
-	e.cnt.DiskRecs++
-	e.emit(EvDiskRec, core.OpChunk)
-	if e.corrupted {
-		e.cnt.SilentMasked++
-		e.corrupted = false
-	}
-}
-
-// memRecovery restores the segment's memory checkpoint after a
-// verification alarm. A fail-stop during the restore escalates to a
-// full disk recovery (the memory content is lost), reported as
-// opFailStop so the caller restarts the whole pattern.
-func (e *executor) memRecovery() outcome {
-	if e.protectedOp(e.cfg.Costs.MemRec) == opFailStop {
-		e.diskRecovery()
-		return opFailStop
-	}
-	e.cnt.MemRecs++
-	e.emit(EvMemRec, core.OpChunk)
-	e.corrupted = false
-	return opDone
+	r.detectPCG.Seed(faults.SplitSeed(seed, uint64(run)*numStreams+streamDetect))
+	r.ex.Reset(fail, silent)
+	rep, _ := r.ex.Run(r.cfg.Patterns) // no application, so no error
+	return rep.Counters, rep.Time
 }
 
 // OverheadPredictionGap returns the relative gap between a simulated

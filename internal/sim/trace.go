@@ -4,70 +4,26 @@ import (
 	"fmt"
 	"io"
 
-	"respat/internal/core"
+	"respat/internal/engine"
 )
 
-// EventKind classifies timeline events recorded by TraceOne.
-type EventKind int
+// EventKind classifies timeline events recorded by TraceOne; see
+// engine.EventKind.
+type EventKind = engine.EventKind
 
 // Event kinds, in the order they typically appear.
 const (
-	EvOpDone      EventKind = iota // an operation completed
-	EvFailStop                     // a fail-stop error struck
-	EvSilent                       // a silent error corrupted the state
-	EvDetect                       // a verification raised an alarm
-	EvDiskRec                      // a disk recovery completed
-	EvMemRec                       // a standalone memory recovery completed
-	EvPatternDone                  // a pattern instance committed
+	EvOpDone      = engine.EvOpDone      // an operation completed
+	EvFailStop    = engine.EvFailStop    // a fail-stop error struck
+	EvSilent      = engine.EvSilent      // a silent error corrupted the state
+	EvDetect      = engine.EvDetect      // a verification raised an alarm
+	EvDiskRec     = engine.EvDiskRec     // a disk recovery completed
+	EvMemRec      = engine.EvMemRec      // a standalone memory recovery completed
+	EvPatternDone = engine.EvPatternDone // a pattern instance committed
 )
 
-// String names the kind.
-func (k EventKind) String() string {
-	switch k {
-	case EvOpDone:
-		return "op-done"
-	case EvFailStop:
-		return "fail-stop"
-	case EvSilent:
-		return "silent-error"
-	case EvDetect:
-		return "detected"
-	case EvDiskRec:
-		return "disk-recovery"
-	case EvMemRec:
-		return "mem-recovery"
-	case EvPatternDone:
-		return "pattern-done"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one entry of a simulated run's timeline.
-type Event struct {
-	Time    time64
-	Kind    EventKind
-	Op      core.Op // for EvOpDone and EvDetect
-	Segment int
-	Pattern int // pattern instance index
-}
-
-// time64 documents that event times are virtual seconds.
-type time64 = float64
-
-// String renders one timeline line.
-func (e Event) String() string {
-	switch e.Kind {
-	case EvOpDone:
-		return fmt.Sprintf("t=%10.1f  p%02d s%02d  %v", e.Time, e.Pattern, e.Segment, e.Op)
-	case EvDetect:
-		return fmt.Sprintf("t=%10.1f  p%02d s%02d  ALARM (%v)", e.Time, e.Pattern, e.Segment, e.Op)
-	case EvPatternDone:
-		return fmt.Sprintf("t=%10.1f  p%02d      committed", e.Time, e.Pattern)
-	default:
-		return fmt.Sprintf("t=%10.1f  p%02d s%02d  %v", e.Time, e.Pattern, e.Segment, e.Kind)
-	}
-}
+// Event is one entry of a simulated run's timeline; see engine.Event.
+type Event = engine.Event
 
 // TraceOne executes a single run of the configuration (cfg.Runs is
 // ignored) and returns its full event timeline alongside the counters.
@@ -78,11 +34,13 @@ func TraceOne(cfg Config, run int) ([]Event, Counters, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, Counters{}, err
 	}
-	ex := newExecutor(&cfg, newPlan(cfg.Pattern))
-	ex.reset(run)
+	r, err := newPatternRuns(&cfg)
+	if err != nil {
+		return nil, Counters{}, err
+	}
 	var events []Event
-	ex.rec = func(e Event) { events = append(events, e) }
-	cnt, _ := ex.runAll()
+	r.ex.Record(func(e Event) { events = append(events, e) })
+	cnt, _ := r.run(run)
 	return events, cnt, nil
 }
 
