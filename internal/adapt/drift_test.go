@@ -29,13 +29,13 @@ func driftScenario(t *testing.T, seed uint64, adaptive bool) engine.Report {
 	fsSeed1, fsSeed2 := faults.SplitSeed(seed, 1)
 	silSeed1, silSeed2 := faults.SplitSeed(seed, 2)
 	detSeed1, detSeed2 := faults.SplitSeed(seed, 3)
-	fsSrc, err := faults.NewPiecewise([]faults.RateStep{
+	fsSrc, err := NewPiecewise([]RateStep{
 		{Start: 0, Lambda: prior.FailStop}, {Start: driftAt, Lambda: shiftFS},
 	}, fsSeed1, fsSeed2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	silSrc, err := faults.NewPiecewise([]faults.RateStep{
+	silSrc, err := NewPiecewise([]RateStep{
 		{Start: 0, Lambda: prior.Silent}, {Start: driftAt, Lambda: shiftSil},
 	}, silSeed1, silSeed2)
 	if err != nil {

@@ -1,9 +1,103 @@
-package faults
+package adapt
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
+
+	"respat/internal/faults"
 )
+
+// The piecewise-constant-rate source below is the drift scenario's
+// fault source (drift_test.go); its own tests follow it.
+
+// RateStep is one regime of a piecewise-constant-rate process: from
+// exposure time Start (inclusive) onwards, arrivals occur at rate
+// Lambda, until the next step's Start.
+type RateStep struct {
+	Start  float64 // exposure seconds at which this regime begins
+	Lambda float64 // arrival rate during the regime (0 = quiescent)
+}
+
+// Piecewise samples an inhomogeneous Poisson process whose rate is
+// piecewise constant in exposure time. It models platform drift for
+// the drift scenario: a machine that degrades (or recovers)
+// mid-campaign. Sampling is exact,
+// not thinned: within a regime gaps are memoryless exponentials, and a
+// gap that would cross into the next regime is discarded at the
+// boundary and resampled at the new rate — valid precisely because the
+// exponential law is memoryless.
+type Piecewise struct {
+	steps []RateStep
+	rng   *rand.Rand
+}
+
+// NewPiecewise returns a piecewise-constant-rate Source. Steps must be
+// non-empty, start at 0, have strictly increasing Start times and
+// finite non-negative rates.
+func NewPiecewise(steps []RateStep, seed1, seed2 uint64) (*Piecewise, error) {
+	if len(steps) == 0 {
+		return nil, fmt.Errorf("%w: piecewise needs at least one rate step", faults.ErrBadParam)
+	}
+	if steps[0].Start != 0 {
+		return nil, fmt.Errorf("%w: first rate step must start at 0, got %v", faults.ErrBadParam, steps[0].Start)
+	}
+	for i, s := range steps {
+		if s.Lambda < 0 || math.IsNaN(s.Lambda) || math.IsInf(s.Lambda, 0) {
+			return nil, fmt.Errorf("%w: step %d lambda = %v", faults.ErrBadParam, i, s.Lambda)
+		}
+		if i > 0 && !(s.Start > steps[i-1].Start) {
+			return nil, fmt.Errorf("%w: step starts must increase (step %d: %v after %v)",
+				faults.ErrBadParam, i, s.Start, steps[i-1].Start)
+		}
+	}
+	cp := append([]RateStep(nil), steps...)
+	return &Piecewise{steps: cp, rng: rand.New(rand.NewPCG(seed1, seed2))}, nil
+}
+
+// Next returns the first arrival strictly after now.
+func (p *Piecewise) Next(now float64) float64 {
+	t := now
+	for {
+		i := p.stepAt(t)
+		end := math.Inf(1)
+		if i+1 < len(p.steps) {
+			end = p.steps[i+1].Start
+		}
+		lambda := p.steps[i].Lambda
+		if lambda == 0 {
+			if math.IsInf(end, 1) {
+				return math.Inf(1)
+			}
+			t = end
+			continue
+		}
+		next := t + p.rng.ExpFloat64()/lambda
+		if next < end || math.IsInf(end, 1) {
+			// The final regime has no boundary to resample at: return
+			// the sample even when it overflowed to +Inf (a subnormal
+			// rate), meaning the source never fires again — looping
+			// would resample +Inf forever.
+			return next
+		}
+		t = end // memoryless: restart the clock at the regime boundary
+	}
+}
+
+// stepAt returns the index of the regime containing exposure time t.
+func (p *Piecewise) stepAt(t float64) int {
+	i := sort.Search(len(p.steps), func(j int) bool { return p.steps[j].Start > t })
+	if i == 0 {
+		return 0
+	}
+	return i - 1
+}
+
+// Rate returns the rate of the final regime, the process's long-run
+// arrival rate.
+func (p *Piecewise) Rate() float64 { return p.steps[len(p.steps)-1].Lambda }
 
 func TestNewPiecewiseValidation(t *testing.T) {
 	cases := []struct {

@@ -1,9 +1,10 @@
 // Package analytic implements the paper's analytical model: the
 // first-order optimal pattern characterisation of Theorems 1-4
-// (summarised in Table 1), the expected-execution-time expressions of
-// Propositions 1-4, an exact (non-truncated) expected-time evaluator
-// derived from the same renewal equations, and the Section 5 expected
-// costs of checkpoints and recoveries under fail-stop errors.
+// (summarised in Table 1) and an exact (non-truncated) expected-time
+// evaluator derived from the renewal equations of Propositions 1-4.
+// The truncated expansions of Propositions 1-4 and the Section 5 model
+// of errors during checkpoints and recoveries are test oracles
+// (oracle_test.go).
 //
 // Conventions: work is measured in seconds at unit speed, rates in
 // errors per second. The expected overhead of a pattern is
@@ -19,7 +20,6 @@ import (
 	"math"
 
 	"respat/internal/core"
-	"respat/internal/linalg"
 	"respat/internal/xmath"
 )
 
@@ -89,30 +89,13 @@ func EF(k core.Kind, c core.Costs, n, m int) float64 {
 	return float64(n*(m-1))*v + float64(n)*(c.GuarVer+c.MemCkpt) + c.DiskCkpt
 }
 
-// Fstar returns the minimised quadratic-form value
-// f* = (1 + (2-r)/((m-2)r+2))/2 of Theorem 3; with r = 1 it reduces to
-// (1 + 1/m)/2 and with m = 1 to 1.
-func Fstar(m int, r float64) float64 {
-	if m <= 1 {
-		return 1
-	}
-	return (1 + (2-r)/(float64(m-2)*r+2)) / 2
-}
-
 // RW returns the re-executed-work overhead orw of family k at n and m:
 //
 //	orw = f*(m, r)·λs/n + λf/2.
 func RW(k core.Kind, c core.Costs, r core.Rates, n, m int) float64 {
 	n, m = clampNM(k, n, m)
 	_, recall := interiorVerifCost(k, c)
-	return Fstar(m, recall)*r.Silent/float64(n) + r.FailStop/2
-}
-
-// OverheadAt returns the first-order expected overhead of family k
-// executed with pattern length w: oef/w + orw·w. It lets callers study
-// the sensitivity to a non-optimal period.
-func OverheadAt(k core.Kind, c core.Costs, r core.Rates, n, m int, w float64) float64 {
-	return EF(k, c, n, m)/w + RW(k, c, r, n, m)*w
+	return core.Fstar(m, recall)*r.Silent/float64(n) + r.FailStop/2
 }
 
 // product returns oef·orw, the quantity F(n, m) minimised by the
@@ -322,8 +305,7 @@ func probAtLeastOne(lambda, w float64) float64 {
 // expected first-attempt spending (chunks executed, verification
 // costs, fail-stop losses, disk recoveries and replays of earlier
 // segments). Verifications, checkpoints and recoveries are assumed
-// error-free, matching the Sections 3-4 analysis; see ExpectedOpCosts
-// for the Section 5 refinement.
+// error-free, matching the Sections 3-4 analysis.
 // ExactExpectedTime is a thin wrapper over Evaluator for one-shot
 // evaluations; callers evaluating many patterns or many pattern lengths
 // under the same (costs, rates) should construct an Evaluator once.
@@ -366,118 +348,4 @@ func exactSegmentTime(p core.Pattern, c core.Costs, r core.Rates, i int, prevSum
 		prodPf *= 1 - pf
 	}
 	return c.MemCkpt + ((1-pi)*c.MemRec+s.Value())/pi
-}
-
-// SecondOrderExpectedTime evaluates the truncated expansions of
-// Propositions 2-4 for an arbitrary pattern:
-//
-//	E(P) ≈ oef + W + (λs·Σ_i f_i·α_i² + λf/2)·W²
-//
-// with f_i = β_iᵀ A^(m_i) β_i. Terms of order O(√λ) are dropped, as in
-// the paper. For the one-segment one-chunk pattern, Prop1ExpectedTime
-// keeps the extra linear recovery terms of Proposition 1.
-func SecondOrderExpectedTime(p core.Pattern, c core.Costs, r core.Rates) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	recall := c.Recall
-	if p.InteriorGuaranteed {
-		recall = 1
-	}
-	var h xmath.Accumulator
-	for i := 0; i < p.N(); i++ {
-		a, err := linalg.VerificationMatrix(p.M(i), recall)
-		if err != nil {
-			return 0, err
-		}
-		fi, err := linalg.QuadForm(a, p.Beta[i])
-		if err != nil {
-			return 0, err
-		}
-		h.Add(fi * p.Alpha[i] * p.Alpha[i])
-	}
-	w := p.W
-	return p.ErrorFreeTime(c) + (r.Silent*h.Value()+r.FailStop/2)*w*w, nil
-}
-
-// Prop1ExpectedTime is the Proposition 1 second-order expansion of the
-// base pattern PD, including the O(λW) recovery terms:
-//
-//	E = W + V* + CM + CD + (λs + λf/2)W² + λsW(V*+RM) + λfW(RM+RD).
-func Prop1ExpectedTime(w float64, c core.Costs, r core.Rates) float64 {
-	return w + c.GuarVer + c.MemCkpt + c.DiskCkpt +
-		(r.Silent+r.FailStop/2)*w*w +
-		r.Silent*w*(c.GuarVer+c.MemRec) +
-		r.FailStop*w*(c.MemRec+c.DiskRec)
-}
-
-// fstarCont extends Fstar to real m >= 1 (continuous relaxation).
-func fstarCont(m, recall float64) float64 {
-	if m <= 1 {
-		return 1
-	}
-	return (1 + (2-recall)/((m-2)*recall+2)) / 2
-}
-
-// efCont and rwCont are the continuous relaxations of EF and RW used
-// to validate the closed-form rational optima.
-func efCont(k core.Kind, c core.Costs, n, m float64) float64 {
-	if !k.MultiSegment() {
-		n = 1
-	}
-	if !k.MultiChunk() {
-		m = 1
-	}
-	v, _ := interiorVerifCost(k, c)
-	return n*(m-1)*v + n*(c.GuarVer+c.MemCkpt) + c.DiskCkpt
-}
-
-func rwCont(k core.Kind, c core.Costs, r core.Rates, n, m float64) float64 {
-	if !k.MultiSegment() {
-		n = 1
-	}
-	if !k.MultiChunk() {
-		m = 1
-	}
-	_, recall := interiorVerifCost(k, c)
-	return fstarCont(m, recall)*r.Silent/n + r.FailStop/2
-}
-
-// OpCosts aggregates the Section 5 expected durations of the four
-// resilience operations when fail-stop errors can strike during them.
-type OpCosts struct {
-	DiskRec  float64 // E(R_D)
-	MemRec   float64 // E(R_M)
-	DiskCkpt float64 // E(C_D)
-	MemCkpt  float64 // E(C_M)
-}
-
-// ExpectedOpCosts solves the recursions (30)-(33) of Section 5 for the
-// expected checkpoint and recovery durations under fail-stop errors of
-// rate lf. trec is the expected re-execution time E(T_rec) entailed by
-// a failure during the operation (bounded by the pattern's expected
-// time; pass the value for the pattern under study).
-func ExpectedOpCosts(c core.Costs, lf, trec float64) OpCosts {
-	retryFactor := func(d float64) float64 {
-		// p/(1-p) with p = 1 - e^{-λd}: expected number of failed tries.
-		if lf <= 0 || d <= 0 {
-			return 0
-		}
-		return math.Expm1(lf * d)
-	}
-	var out OpCosts
-	// E(R_D) = R_D + p/(1-p)·E(T_lost): failures restart the disk read.
-	kRD := retryFactor(c.DiskRec)
-	out.DiskRec = c.DiskRec + kRD*ExpectedLost(lf, c.DiskRec)
-	// E(R_M): a failure during memory restore forces a full disk
-	// recovery plus re-execution.
-	kRM := retryFactor(c.MemRec)
-	out.MemRec = c.MemRec + kRM*(ExpectedLost(lf, c.MemRec)+out.DiskRec+trec)
-	// E(C_M): same shape.
-	kCM := retryFactor(c.MemCkpt)
-	out.MemCkpt = c.MemCkpt + kCM*(ExpectedLost(lf, c.MemCkpt)+out.DiskRec+out.MemRec+trec)
-	// E(C_D): additionally re-takes the memory checkpoint.
-	kCD := retryFactor(c.DiskCkpt)
-	out.DiskCkpt = c.DiskCkpt + kCD*(ExpectedLost(lf, c.DiskCkpt)+out.DiskRec+out.MemRec+trec+out.MemCkpt)
-	return out
 }

@@ -22,23 +22,23 @@ func hera() (core.Costs, core.Rates) {
 
 func TestFstar(t *testing.T) {
 	// m = 1 gives 1 regardless of recall.
-	if Fstar(1, 0.3) != 1 || Fstar(1, 1) != 1 {
-		t.Error("Fstar(1, .) should be 1")
+	if core.Fstar(1, 0.3) != 1 || core.Fstar(1, 1) != 1 {
+		t.Error("core.Fstar(1, .) should be 1")
 	}
 	// r = 1 reduces to (1+1/m)/2.
 	for m := 2; m <= 10; m++ {
 		want := (1 + 1/float64(m)) / 2
-		if got := Fstar(m, 1); !xmath.Close(got, want, 1e-12) {
-			t.Errorf("Fstar(%d,1) = %v, want %v", m, got, want)
+		if got := core.Fstar(m, 1); !xmath.Close(got, want, 1e-12) {
+			t.Errorf("core.Fstar(%d,1) = %v, want %v", m, got, want)
 		}
 	}
 	// Known value: m=3, r=0.8 -> (1 + 1.2/2.8)/2.
-	if got, want := Fstar(3, 0.8), (1+1.2/2.8)/2; !xmath.Close(got, want, 1e-12) {
-		t.Errorf("Fstar(3,0.8) = %v, want %v", got, want)
+	if got, want := core.Fstar(3, 0.8), (1+1.2/2.8)/2; !xmath.Close(got, want, 1e-12) {
+		t.Errorf("core.Fstar(3,0.8) = %v, want %v", got, want)
 	}
 	// Decreasing in m: more verifications reduce re-executed work.
 	for m := 1; m < 20; m++ {
-		if !(Fstar(m+1, 0.8) < Fstar(m, 0.8)) {
+		if !(core.Fstar(m+1, 0.8) < core.Fstar(m, 0.8)) {
 			t.Errorf("Fstar not decreasing at m=%d", m)
 		}
 	}
@@ -275,7 +275,7 @@ func TestOverheadAtMinimisedAtWstar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := func(w float64) float64 { return OverheadAt(k, c, r, plan.N, plan.M, w) }
+		f := func(w float64) float64 { return overheadAt(k, c, r, plan.N, plan.M, w) }
 		w, _ := xmath.MinimizeGolden(f, plan.W/100, plan.W*100, 1e-12)
 		if !xmath.Close(w, plan.W, 1e-4) {
 			t.Errorf("%v: OverheadAt minimised at %v, plan says %v", k, w, plan.W)
@@ -349,8 +349,8 @@ func TestExactZeroRatesIsErrorFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !xmath.Close(got, p.ErrorFreeTime(c), 1e-10) {
-			t.Errorf("%v: exact at zero rates %v != error-free %v", k, got, p.ErrorFreeTime(c))
+		if want := 7200 + EF(k, c, 3, 4); !xmath.Close(got, want, 1e-10) {
+			t.Errorf("%v: exact at zero rates %v != error-free %v", k, got, want)
 		}
 	}
 }
@@ -385,7 +385,7 @@ func TestExactCloseToSecondOrderAtLargeMTBF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := SecondOrderExpectedTime(plan.Pattern, c, r)
+		approx, err := secondOrderExpectedTime(plan.Pattern, c, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func TestSecondOrderMatchesProp2Form(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SecondOrderExpectedTime(p, c, r)
+	got, err := secondOrderExpectedTime(p, c, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,12 +428,12 @@ func TestSecondOrderMatchesProp3Form(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SecondOrderExpectedTime(p, c, r)
+	got, err := secondOrderExpectedTime(p, c, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := w + float64(m-1)*c.PartVer + c.GuarVer + c.MemCkpt + c.DiskCkpt +
-		(r.Silent*Fstar(m, c.Recall)+r.FailStop/2)*w*w
+		(r.Silent*core.Fstar(m, c.Recall)+r.FailStop/2)*w*w
 	if !xmath.Close(got, want, 1e-9) {
 		t.Errorf("Prop3: got %v, want %v", got, want)
 	}
@@ -449,7 +449,7 @@ func TestProp1ExpectedTimeExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx := Prop1ExpectedTime(w, c, r)
+	approx := prop1ExpectedTime(w, c, r)
 	if math.Abs(exact-approx)/exact > 1e-3 {
 		t.Errorf("Prop1 %v vs exact %v", approx, exact)
 	}
@@ -525,14 +525,14 @@ func TestExactOverheadNearPredictedAtOptimum(t *testing.T) {
 func TestExpectedOpCosts(t *testing.T) {
 	c, _ := hera()
 	// Zero rate: expected costs equal base costs.
-	oc := ExpectedOpCosts(c, 0, 1e4)
+	oc := expectedOpCosts(c, 0, 1e4)
 	if oc.DiskRec != c.DiskRec || oc.MemRec != c.MemRec ||
 		oc.DiskCkpt != c.DiskCkpt || oc.MemCkpt != c.MemCkpt {
 		t.Errorf("zero-rate op costs changed: %+v", oc)
 	}
 	// Realistic rate: E(op) = op + O(λ), i.e. small positive inflation.
 	lf := 9.46e-7
-	oc = ExpectedOpCosts(c, lf, 1e4)
+	oc = expectedOpCosts(c, lf, 1e4)
 	if oc.DiskRec <= c.DiskRec || oc.DiskRec > c.DiskRec*1.01 {
 		t.Errorf("E(RD) = %v, want slightly above %v", oc.DiskRec, c.DiskRec)
 	}
@@ -543,7 +543,7 @@ func TestExpectedOpCosts(t *testing.T) {
 		t.Error("expected checkpoint costs should exceed base costs")
 	}
 	// Higher failure rate inflates more.
-	oc10 := ExpectedOpCosts(c, lf*10, 1e4)
+	oc10 := expectedOpCosts(c, lf*10, 1e4)
 	if oc10.DiskCkpt <= oc.DiskCkpt {
 		t.Error("op costs should grow with the fail-stop rate")
 	}

@@ -12,8 +12,8 @@ import (
 // fixed (costs, rates) configuration. It validates the configuration
 // once at construction and caches the W-independent invariants of every
 // Theorem 4 layout it sees, so planners that probe many pattern lengths
-// at the same (n, m) — e.g. the golden-section search of
-// optimize.OptimizeW — pay for validation and layout construction once
+// at the same (n, m) — e.g. the golden-section W search of
+// optimize.Exact — pay for validation and layout construction once
 // and for ≤ 2 distinct chunk-size evaluations per probe instead of
 // O(m).
 //
@@ -87,15 +87,7 @@ func (e *Evaluator) layout(k core.Kind, n, m int) (*layoutInfo, error) {
 		li.recall = e.costs.Recall
 		li.interiorCost = e.costs.PartVer
 	}
-	if m == 1 {
-		li.edgeFrac = 1
-	} else {
-		// Theorem 3 sizes: first and last chunks 1/den, interior r/den,
-		// with den = (m-2)r + 2 (equal chunks when r = 1).
-		den := float64(m-2)*li.recall + 2
-		li.edgeFrac = 1 / den
-		li.intFrac = li.recall / den
-	}
+	li.edgeFrac, li.intFrac = core.ChunkFractions(m, li.recall)
 	if e.layouts == nil {
 		e.layouts = make(map[layoutKey]*layoutInfo)
 	}

@@ -8,54 +8,6 @@ import (
 	"respat/internal/xmath"
 )
 
-func TestEventRatesHeraPDMV(t *testing.T) {
-	c, r := hera()
-	plan, err := Optimal(core.PDMV, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er := EventRates(plan, c, r)
-	// One disk checkpoint per pattern: ~0.137/hour at W*~7h.
-	if got := er.DiskCkpts * 3600; math.Abs(got-0.137) > 0.01 {
-		t.Errorf("disk ckpts/hour = %v, want ~0.137", got)
-	}
-	// n per pattern memory checkpoints.
-	if !xmath.Close(er.MemCkpts, float64(plan.N)*er.DiskCkpts, 1e-12) {
-		t.Errorf("mem ckpt rate %v != n x disk rate", er.MemCkpts)
-	}
-	// Disk recoveries per day track λf: 0.0817.
-	if got := er.DiskRecs * 86400; math.Abs(got-0.0817) > 0.001 {
-		t.Errorf("disk recs/day = %v, want ~0.0817", got)
-	}
-	// Memory recoveries per day slightly below the silent rate (~0.29).
-	memPerDay := er.MemRecs * 86400
-	silentPerDay := r.Silent * 86400
-	if !(memPerDay < silentPerDay && memPerDay > 0.8*silentPerDay) {
-		t.Errorf("mem recs/day = %v, want a bit below %v", memPerDay, silentPerDay)
-	}
-	// Verification totals: n(m-1) partial + n guaranteed per pattern.
-	wantVerifs := float64(plan.N*(plan.M-1)+plan.N) * er.DiskCkpts
-	if !xmath.Close(er.PartVerifs+er.GuarVerifs, wantVerifs, 1e-12) {
-		t.Errorf("verif rate = %v, want %v", er.PartVerifs+er.GuarVerifs, wantVerifs)
-	}
-	if er.MaskedShare < 0 || er.MaskedShare > 0.01 {
-		t.Errorf("masked share = %v, want tiny at Hera scale", er.MaskedShare)
-	}
-}
-
-func TestEventRatesMaskedShareGrowsWithFailRate(t *testing.T) {
-	c, r := hera()
-	plan, err := Optimal(core.PDMV, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	low := EventRates(plan, c, r)
-	high := EventRates(plan, c, r.Scale(100, 1))
-	if !(high.MaskedShare > low.MaskedShare) {
-		t.Errorf("masked share should grow with lambda_f: %v vs %v", high.MaskedShare, low.MaskedShare)
-	}
-}
-
 func TestExactWithOpErrorsExceedsPlainExact(t *testing.T) {
 	// Exposing operations to failures can only lengthen the execution.
 	c, r := hera()

@@ -13,9 +13,10 @@
 // join/leave the expected fraction of keys that change owner is 1/N,
 // and the property tests bound it below 2/N.
 //
-// A Ring is immutable after New: With and Without return rebuilt
-// rings, which is what lets the service swap membership atomically
-// (one pointer store) when a health check marks a peer down. Route is
+// A Ring is immutable after New. When a health check marks a peer
+// down or back up, the service's CheckPeerHealth rebuilds the ring
+// with New over the live members, in map order, and swaps it in with
+// one pointer store. Route is
 // allocation-free, so the per-request owner lookup costs nothing
 // measurable next to the cache probe it precedes (BenchmarkRingRoute,
 // gated 0-alloc in scripts/bench.sh).
@@ -39,7 +40,6 @@ const DefaultVNodes = 512
 // members. Safe for concurrent use (it is never mutated after New).
 type Ring struct {
 	seed    uint64
-	vnodes  int
 	members []string // sorted, unique
 	hashes  []uint64 // virtual-node positions, sorted
 	owners  []int32  // hashes[i] belongs to members[owners[i]]
@@ -69,7 +69,6 @@ func New(seed uint64, vnodes int, members []string) (*Ring, error) {
 	}
 	r := &Ring{
 		seed:    seed,
-		vnodes:  vnodes,
 		members: sorted,
 		hashes:  make([]uint64, 0, vnodes*len(sorted)),
 		owners:  make([]int32, 0, vnodes*len(sorted)),
@@ -129,41 +128,6 @@ func (r *Ring) Route(key []byte) string {
 // Members returns the sorted member set (a copy).
 func (r *Ring) Members() []string {
 	return append([]string(nil), r.members...)
-}
-
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
-// Contains reports whether m is a member.
-func (r *Ring) Contains(m string) bool {
-	i := sort.SearchStrings(r.members, m)
-	return i < len(r.members) && r.members[i] == m
-}
-
-// With returns a ring with m added (the receiver if already present).
-// The rebuild is deterministic: the result equals a fresh New over the
-// union, so every replica that applies the same join converges on the
-// same ring.
-func (r *Ring) With(m string) (*Ring, error) {
-	if r.Contains(m) {
-		return r, nil
-	}
-	return New(r.seed, r.vnodes, append(r.Members(), m))
-}
-
-// Without returns a ring with m removed (the receiver if absent).
-// Removing the last member is an error — an empty ring cannot route.
-func (r *Ring) Without(m string) (*Ring, error) {
-	if !r.Contains(m) {
-		return r, nil
-	}
-	members := make([]string, 0, len(r.members)-1)
-	for _, x := range r.members {
-		if x != m {
-			members = append(members, x)
-		}
-	}
-	return New(r.seed, r.vnodes, members)
 }
 
 // hashString seeds a member's virtual-node sequence: FNV-1a over the

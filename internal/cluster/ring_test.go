@@ -36,15 +36,11 @@ func TestRingDeterministicAcrossJoinOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the same membership in a different order, via joins.
-	b, err := New(42, 64, []string{ms[3]})
+	// Build the same membership from a different order, as the
+	// service's health check does from its map of live peers.
+	b, err := New(42, 64, []string{ms[3], ms[0], ms[4], ms[2], ms[1]})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, m := range []string{ms[0], ms[4], ms[2], ms[1]} {
-		if b, err = b.With(m); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for _, k := range testKeys(1, 2000) {
 		if got, want := b.Route(k), a.Route(k); got != want {
@@ -111,7 +107,7 @@ func TestRingMinimalMovement(t *testing.T) {
 		before[i] = base.Route(k)
 	}
 
-	joined, err := base.With("replica-new")
+	joined, err := New(3, DefaultVNodes, append(members(replicas), "replica-new"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +121,13 @@ func TestRingMinimalMovement(t *testing.T) {
 		t.Errorf("join moved %d/%d keys, want < %d (2/N)", movedJoin, keys, limit)
 	}
 
-	left, err := base.Without("replica-07")
+	var rest []string
+	for _, m := range members(replicas) {
+		if m != "replica-07" {
+			rest = append(rest, m)
+		}
+	}
+	left, err := New(3, DefaultVNodes, rest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,41 +149,6 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-func TestRingWithWithoutRoundTrip(t *testing.T) {
-	r, err := New(5, 32, members(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := r.With("extra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := r2.Without("extra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range testKeys(2, 1000) {
-		if r3.Route(k) != r.Route(k) {
-			t.Fatal("with+without is not the identity")
-		}
-	}
-	if same, _ := r.With(r.Members()[0]); same != r {
-		t.Fatal("adding an existing member should return the receiver")
-	}
-	if same, _ := r.Without("absent"); same != r {
-		t.Fatal("removing an absent member should return the receiver")
-	}
-	solo, err := New(1, 16, []string{"only"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := solo.Without("only"); err == nil {
-		t.Fatal("removing the last member should fail")
-	}
-}
-
-// TestRingRouteZeroAlloc pins the routing hot path at zero
-// allocations; scripts/bench.sh gates BenchmarkRingRoute the same way.
 func TestRingRouteZeroAlloc(t *testing.T) {
 	r, err := New(1, DefaultVNodes, members(16))
 	if err != nil {

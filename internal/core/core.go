@@ -64,15 +64,6 @@ func (c Costs) AccuracyToCost() float64 {
 	return (c.Recall / (2 - c.Recall)) / (c.PartVer / (c.GuarVer + c.MemCkpt))
 }
 
-// GuaranteedAccuracyToCost returns the accuracy-to-cost ratio of the
-// guaranteed verification, CM/V* + 1.
-func (c Costs) GuaranteedAccuracyToCost() float64 {
-	if c.GuarVer == 0 {
-		return math.Inf(1)
-	}
-	return c.MemCkpt/c.GuarVer + 1
-}
-
 // Rates holds the arrival rates of the two independent Poisson error
 // processes (Section 2.1), in errors per second.
 type Rates struct {
@@ -202,12 +193,6 @@ type Pattern struct {
 	InteriorGuaranteed bool
 }
 
-// New builds an explicitly sized pattern. It does not validate; call
-// Validate or use the Uniform helper.
-func New(w float64, alpha []float64, beta [][]float64) Pattern {
-	return Pattern{W: w, Alpha: alpha, Beta: beta}
-}
-
 // Layout builds the optimal interior layout of a family: n segments of
 // equal size, m chunks per segment. For the partial families (PDV,
 // PDMV) chunks follow the Theorem 3 sizes for recall r; for the
@@ -258,21 +243,42 @@ func Uniform(w float64, n, m int, r float64) (Pattern, error) {
 	return Pattern{W: w, Alpha: alpha, Beta: beta}, nil
 }
 
-// optimalChunks returns the Theorem 3 chunk fractions (first and last
-// 1/((m-2)r+2), interior r/((m-2)r+2)); for m = 1 the single chunk is
-// the whole segment.
+// optimalChunks returns the Theorem 3 chunk fractions of a segment of
+// m chunks as one row.
 func optimalChunks(m int, r float64) []float64 {
-	if m == 1 {
-		return []float64{1}
-	}
-	den := float64(m-2)*r + 2
+	edge, inner := ChunkFractions(m, r)
 	row := make([]float64, m)
 	for j := range row {
-		row[j] = r / den
+		row[j] = inner
 	}
-	row[0] = 1 / den
-	row[m-1] = 1 / den
+	row[0] = edge
+	row[m-1] = edge
 	return row
+}
+
+// ChunkFractions returns the Theorem 3 chunk sizes of a segment of m
+// chunks whose interior verifications have recall r: the first and
+// last chunks each take edge = 1/((m-2)r+2) of the segment and every
+// interior chunk inner = r/((m-2)r+2), so chunks are equal at r = 1.
+// With m = 1 the single chunk is the whole segment (edge 1, inner 0).
+func ChunkFractions(m int, r float64) (edge, inner float64) {
+	if m <= 1 {
+		return 1, 0
+	}
+	den := float64(m-2)*r + 2
+	return 1 / den, r / den
+}
+
+// Fstar returns the minimised quadratic-form value
+// f* = (1 + (2-r)/((m-2)r+2))/2 of Theorem 3, the share of a segment
+// re-executed after a silent error when its chunks follow
+// ChunkFractions; with r = 1 it reduces to (1 + 1/m)/2 and with m = 1
+// to 1.
+func Fstar(m int, r float64) float64 {
+	if m <= 1 {
+		return 1
+	}
+	return (1 + (2-r)/(float64(m-2)*r+2)) / 2
 }
 
 // N returns the number of segments.
@@ -280,15 +286,6 @@ func (p Pattern) N() int { return len(p.Alpha) }
 
 // M returns the number of chunks in segment i.
 func (p Pattern) M(i int) int { return len(p.Beta[i]) }
-
-// TotalChunks returns the number of chunks across all segments.
-func (p Pattern) TotalChunks() int {
-	var t int
-	for i := range p.Beta {
-		t += len(p.Beta[i])
-	}
-	return t
-}
 
 // SegmentWork returns wi = αi·W.
 func (p Pattern) SegmentWork(i int) float64 { return p.Alpha[i] * p.W }
@@ -409,26 +406,4 @@ func (p Pattern) Schedule() []Action {
 	}
 	out = append(out, Action{Op: OpDisk, Segment: len(p.Alpha) - 1})
 	return out
-}
-
-// ErrorFreeTime returns the wall-clock duration of one error-free
-// traversal of the pattern: W plus all verification and checkpoint
-// costs. This is the numerator of the error-free overhead oef/W.
-func (p Pattern) ErrorFreeTime(c Costs) float64 {
-	interior := c.PartVer
-	if p.InteriorGuaranteed {
-		interior = c.GuarVer
-	}
-	t := p.W + c.DiskCkpt
-	for i := range p.Alpha {
-		t += c.GuarVer + c.MemCkpt
-		t += float64(len(p.Beta[i])-1) * interior
-	}
-	return t
-}
-
-// ErrorFreeOverhead returns oef, the resilience time added per pattern
-// in the absence of errors (Definition 1).
-func (p Pattern) ErrorFreeOverhead(c Costs) float64 {
-	return p.ErrorFreeTime(c) - p.W
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"respat/internal/core"
 	"respat/internal/faults"
@@ -74,52 +72,6 @@ func (s *MemStorage) Load(level Level) ([]byte, error) {
 		return nil, fmt.Errorf("engine: no checkpoint at level %d", level)
 	}
 	return append([]byte(nil), src...), nil
-}
-
-// DirStorage keeps the memory level in process memory and the disk
-// level in a file, exercising a real I/O path.
-type DirStorage struct {
-	mem  []byte
-	path string
-}
-
-// NewDirStorage creates a DirStorage writing its disk checkpoints to
-// dir/checkpoint.bin.
-func NewDirStorage(dir string) (*DirStorage, error) {
-	info, err := os.Stat(dir)
-	if err != nil {
-		return nil, fmt.Errorf("engine: checkpoint dir: %w", err)
-	}
-	if !info.IsDir() {
-		return nil, fmt.Errorf("engine: checkpoint path %s is not a directory", dir)
-	}
-	return &DirStorage{path: filepath.Join(dir, "checkpoint.bin")}, nil
-}
-
-// Save stores data at the given level (the disk level hits the file
-// system).
-func (s *DirStorage) Save(level Level, data []byte) error {
-	if level == Memory {
-		s.mem = make([]byte, len(data))
-		copy(s.mem, data)
-		return nil
-	}
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.path) // atomic replace: a crash never leaves a torn checkpoint
-}
-
-// Load retrieves the checkpoint at the given level.
-func (s *DirStorage) Load(level Level) ([]byte, error) {
-	if level == Memory {
-		if s.mem == nil {
-			return nil, errors.New("engine: no memory checkpoint")
-		}
-		return append([]byte(nil), s.mem...), nil
-	}
-	return os.ReadFile(s.path)
 }
 
 // Config assembles an engine run.
@@ -743,11 +695,3 @@ type VerifierFunc func(app Application) (bool, error)
 
 // Check calls the function.
 func (f VerifierFunc) Check(app Application) (bool, error) { return f(app) }
-
-// Overhead is a convenience: (time - work)/work guarding zero work.
-func Overhead(time, work float64) float64 {
-	if work == 0 {
-		return math.Inf(1)
-	}
-	return (time - work) / work
-}

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"respat/internal/analytic"
 	"respat/internal/core"
 	"respat/internal/faults"
 	"respat/internal/xmath"
@@ -93,7 +94,7 @@ func TestErrorFreeRun(t *testing.T) {
 	if app.garbage != 0 {
 		t.Errorf("garbage = %v", app.garbage)
 	}
-	wantTime := 3 * p.ErrorFreeTime(c)
+	wantTime := 3 * (p.W + analytic.EF(core.PDMV, c, 2, 3)) // W + oef per pattern
 	if !xmath.Close(rep.Time, wantTime, 1e-9) {
 		t.Errorf("time = %v, want %v", rep.Time, wantTime)
 	}
@@ -207,7 +208,7 @@ func TestImperfectGuaranteedVerifierTaintsResult(t *testing.T) {
 		t.Errorf("garbage = %v, want 1e9", app.garbage)
 	}
 	// No recovery happened: time is one clean traversal.
-	if !xmath.Close(rep.Time, p.ErrorFreeTime(c), 1e-9) {
+	if !xmath.Close(rep.Time, p.W+c.GuarVer+c.MemCkpt+c.DiskCkpt, 1e-9) {
 		t.Errorf("time = %v", rep.Time)
 	}
 }
@@ -239,35 +240,6 @@ func TestTaintPropagatesThroughCheckpoints(t *testing.T) {
 	}
 }
 
-func TestDirStorageRoundTrip(t *testing.T) {
-	c := testCosts()
-	p := layout(t, core.PD, 100, 1, 1, 1)
-	store, err := NewDirStorage(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := &counterApp{}
-	rep, err := Run(Config{
-		App: app, Pattern: p, Costs: c, Patterns: 2, Storage: store,
-		FailStop: faults.NewTrace([]float64{150}), // forces a disk read
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DiskRecs != 1 {
-		t.Errorf("DiskRecs = %d", rep.DiskRecs)
-	}
-	if !xmath.Close(app.value, 200, 1e-9) {
-		t.Errorf("value = %v, want 200", app.value)
-	}
-}
-
-func TestNewDirStorageValidation(t *testing.T) {
-	if _, err := NewDirStorage("/definitely/not/here"); err == nil {
-		t.Error("missing dir should fail")
-	}
-}
-
 func TestMemStorageMissingCheckpoint(t *testing.T) {
 	var s MemStorage
 	if _, err := s.Load(Memory); err == nil {
@@ -289,18 +261,6 @@ func TestWorkFuncAdapter(t *testing.T) {
 	}
 }
 
-func TestOverheadHelper(t *testing.T) {
-	if !xmath.Close(Overhead(130, 100), 0.3, 1e-12) {
-		t.Error("Overhead wrong")
-	}
-	if !math.IsInf(Overhead(1, 0), 1) {
-		t.Error("zero work should give +Inf")
-	}
-}
-
-// TestFinalStateCorrectUnderRandomInjection is the headline property:
-// whatever the injection plan, the protected application finishes in
-// the fault-free state (oracle guaranteed verification).
 func TestFinalStateCorrectUnderRandomInjection(t *testing.T) {
 	c := testCosts()
 	rng := rand.New(rand.NewPCG(5, 8))

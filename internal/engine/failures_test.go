@@ -151,7 +151,7 @@ func TestFalsePositivePartialVerifierWastesButFinishes(t *testing.T) {
 	}
 	// One spurious segment replay: chunk1 50 + V 1 + RM 3, then the
 	// full clean pattern 50+1+50+5+10+20.
-	want := 50 + 1 + 3 + p.ErrorFreeTime(c)
+	want := 50 + 1 + 3 + (50 + 1 + 50 + 5 + 10 + 20.0)
 	if rep.Time != want {
 		t.Errorf("time = %v, want %v", rep.Time, want)
 	}

@@ -250,16 +250,6 @@ func (o *OnlineRate) Rate() float64 {
 	return (o.cfg.PriorRate*o.priorExp + o.events) / den
 }
 
-// WindowRate returns the rate fitted to the recent window alone (the
-// drift detector's alternative hypothesis), or the posterior rate while
-// the window has no exposure.
-func (o *OnlineRate) WindowRate() float64 {
-	if o.winT <= 0 {
-		return o.Rate()
-	}
-	return o.winE / o.winT
-}
-
 // Observations returns the number of non-empty intervals ingested.
 func (o *OnlineRate) Observations() int64 { return o.observations }
 

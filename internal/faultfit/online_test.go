@@ -188,21 +188,3 @@ func TestOnlineRateConfigValidation(t *testing.T) {
 		t.Errorf("negative drift threshold (detector disabled) rejected: %v", err)
 	}
 }
-
-func TestOnlineRateWindowRate(t *testing.T) {
-	o, err := NewOnlineRate(OnlineConfig{PriorRate: 1e-4, Window: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o.WindowRate(); got != o.Rate() {
-		t.Fatalf("empty-window WindowRate %v != Rate %v", got, o.Rate())
-	}
-	for i := 0; i < 4; i++ {
-		if err := o.Observe(2, 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := o.WindowRate(), 8.0/4000; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WindowRate = %v, want %v", got, want)
-	}
-}

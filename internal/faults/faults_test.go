@@ -160,33 +160,6 @@ func TestWeibullMeanMatchesRate(t *testing.T) {
 	}
 }
 
-func TestLogNormalValidation(t *testing.T) {
-	if _, err := NewLogNormal(0, 0, 1, 2); err == nil {
-		t.Error("sigma 0 should fail")
-	}
-	if _, err := NewLogNormal(math.NaN(), 1, 1, 2); err == nil {
-		t.Error("NaN mu should fail")
-	}
-}
-
-func TestLogNormalPositiveGaps(t *testing.T) {
-	l, err := NewLogNormal(2, 0.5, 9, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := 0.0
-	for i := 0; i < 1000; i++ {
-		next := l.Next(now)
-		if next <= now {
-			t.Fatalf("non-positive gap at step %d", i)
-		}
-		now = next
-	}
-	if l.Rate() <= 0 {
-		t.Error("rate should be positive")
-	}
-}
-
 func TestTraceReplay(t *testing.T) {
 	tr := NewTrace([]float64{5, 1, 3, math.NaN(), math.Inf(1)})
 	if tr.Len() != 3 {

@@ -47,16 +47,8 @@ func (o Options) cellSeed(i int) uint64 {
 	return s
 }
 
-// runCells evaluates the n campaign cells on the shared bounded pool
-// of internal/sched: cells are claimed in index order, each writes only
-// its own output slot, and errors are reported as a sequential driver
-// would report them.
-func runCells(n, workers int, cell func(i int) error) error {
-	return sched.RunCells(n, workers, cell)
-}
-
-// mapCells runs cell over every element of cells on a runCells pool and
-// collects the results in cell order.
+// mapCells runs cell over every element of cells on the shared bounded
+// pool of internal/sched and collects the results in cell order.
 func mapCells[C, R any](cells []C, workers int, cell func(i int, c C) (R, error)) ([]R, error) {
 	return sched.Map(cells, workers, cell)
 }

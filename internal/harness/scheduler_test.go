@@ -9,6 +9,7 @@ import (
 
 	"respat/internal/core"
 	"respat/internal/platform"
+	"respat/internal/sched"
 )
 
 // campaignCounts are the worker counts the determinism tests compare.
@@ -108,7 +109,7 @@ func TestRunCellsReportsFirstErrorInCellOrder(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for _, workers := range campaignCounts() {
-		err := runCells(8, workers, func(i int) error {
+		err := sched.RunCells(8, workers, func(i int) error {
 			switch i {
 			case 2:
 				return errLow
@@ -128,7 +129,7 @@ func TestRunCellsReportsFirstErrorInCellOrder(t *testing.T) {
 func TestRunCellsRunsEveryCellOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		var hits [23]atomic.Int32
-		if err := runCells(len(hits), workers, func(i int) error {
+		if err := sched.RunCells(len(hits), workers, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"respat/internal/analytic"
+	"respat/internal/core"
 	"respat/internal/xmath"
 )
 
@@ -102,12 +103,8 @@ func (e *Evaluator) layout(m int) (*chunkLayout, error) {
 		return cl, nil
 	}
 	cost, recall := e.p.interiorVerif()
-	cl := &chunkLayout{m: m, recall: recall, interiorCost: cost, edgeFrac: 1}
-	if m > 1 {
-		den := float64(m-2)*recall + 2
-		cl.edgeFrac = 1 / den
-		cl.intFrac = recall / den
-	}
+	cl := &chunkLayout{m: m, recall: recall, interiorCost: cost}
+	cl.edgeFrac, cl.intFrac = core.ChunkFractions(m, recall)
 	if e.layouts == nil || len(e.layouts) >= maxCachedLayouts {
 		e.layouts = make(map[int]*chunkLayout)
 	}

@@ -214,36 +214,6 @@ func boundaryLevel(strides []int, t int) int {
 	return level
 }
 
-// chunkRow returns the Theorem 3 chunk fractions of one level-1
-// interval: first and last 1/((m-2)r+2), interior r/((m-2)r+2); equal
-// chunks at r = 1, the whole interval at m = 1.
-func chunkRow(m int, recall float64) []float64 {
-	if m == 1 {
-		return []float64{1}
-	}
-	den := float64(m-2)*recall + 2
-	row := make([]float64, m)
-	for j := range row {
-		row[j] = recall / den
-	}
-	row[0] = 1 / den
-	row[m-1] = 1 / den
-	return row
-}
-
-// ErrorFreeTime returns the wall-clock of one error-free pattern
-// traversal: W plus all verification and checkpoint costs.
-func (p Params) ErrorFreeTime(s Spec) float64 {
-	v, _ := p.interiorVerif()
-	t := s.W
-	n1 := s.Counts[0]
-	t += float64(n1) * (float64(s.M-1)*v + p.GuarVer)
-	for l, lev := range p.Levels {
-		t += float64(s.Counts[l]) * lev.Ckpt
-	}
-	return t
-}
-
 // FirstOrder returns the first-order overhead decomposition of the
 // spec's layout: the error-free overhead oef per pattern and the
 // re-executed-work fraction orw, generalising the paper's Definition 1
@@ -257,11 +227,7 @@ func (p Params) FirstOrder(counts []int, m int) (oef, orw float64) {
 	for l, lev := range p.Levels {
 		oef += float64(counts[l]) * lev.Ckpt
 	}
-	fstar := 1.0
-	if m > 1 {
-		fstar = (1 + (2-recall)/(float64(m-2)*recall+2)) / 2
-	}
-	orw = fstar * p.Rates.Silent / n1
+	orw = core.Fstar(m, recall) * p.Rates.Silent / n1
 	for l, lev := range p.Levels {
 		orw += p.Rates.FailStop * lev.Share / (2 * float64(counts[l]))
 	}
@@ -350,11 +316,13 @@ func (p Params) Layout(s Spec) (Layout, error) {
 	}
 	cost, recall := p.interiorVerif()
 	w1 := s.W / float64(s.Counts[0])
-	row := chunkRow(s.M, recall)
+	edge, inner := core.ChunkFractions(s.M, recall)
 	chunks := make([]float64, s.M)
-	for j, f := range row {
-		chunks[j] = f * w1
+	for j := range chunks {
+		chunks[j] = inner * w1
 	}
+	chunks[0] = edge * w1
+	chunks[s.M-1] = edge * w1
 	return Layout{
 		Spec:           s,
 		Chunks:         chunks,

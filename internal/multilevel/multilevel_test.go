@@ -115,13 +115,20 @@ func TestPickLevel(t *testing.T) {
 	}
 }
 
+// errorFreeTime returns the wall-clock of one error-free traversal of
+// s: W plus the error-free overhead oef of Params.FirstOrder.
+func errorFreeTime(p Params, s Spec) float64 {
+	oef, _ := p.FirstOrder(s.Counts, s.M)
+	return s.W + oef
+}
+
 func TestErrorFreeTime(t *testing.T) {
 	p := threeLevel()
 	s := UniformSpec(3600, []int{3, 2}, 2)
 	// 6 level-1 intervals: each 1 interior verification + 1 guaranteed;
 	// checkpoints: 6×C1 + 2×C2 + 1×C3.
 	want := 3600 + 6*(1*0.4+6) + 6*5 + 2*30 + 1*200
-	if got := p.ErrorFreeTime(s); math.Abs(got-want) > 1e-9 {
+	if got := errorFreeTime(p, s); math.Abs(got-want) > 1e-9 {
 		t.Errorf("error-free time %v, want %v", got, want)
 	}
 	// The evaluator reduces to the error-free time at zero rates.

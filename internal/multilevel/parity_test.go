@@ -122,7 +122,7 @@ func TestPlannerWorkerDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pln.SetWorkers(workers)
+			pln.workers = workers
 			got, err := pln.Plan()
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)

@@ -195,17 +195,6 @@ func (pl *Planner) runRound(ctx context.Context, n int, cell func(ctx *searchCtx
 	})
 }
 
-// SetWorkers bounds the parallel fan-out of exact candidate
-// evaluations; 0 or 1 evaluates sequentially, the default is
-// GOMAXPROCS. The returned Plan is bit-identical for any value (see
-// Plan).
-func (pl *Planner) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	pl.workers = n
-}
-
 // Stats returns the search statistics of the most recent Plan call.
 func (pl *Planner) Stats() SearchStats { return pl.stats }
 
@@ -220,14 +209,6 @@ func Optimize(p Params) (Plan, error) {
 		return Plan{}, err
 	}
 	return pl.Plan()
-}
-
-// OptimizeWithEvaluator is Optimize on a caller-supplied evaluator,
-// for callers that keep a long-lived evaluator per configuration. The
-// caller is responsible for serialising access to ev (an Evaluator is
-// not safe for concurrent use).
-func OptimizeWithEvaluator(ev *Evaluator) (Plan, error) {
-	return PlannerFor(ev).Plan()
 }
 
 // FirstOrderPlan returns the Definition 1 first-order optimum — the
@@ -285,7 +266,7 @@ func FirstOrderPlan(p Params) (Plan, error) {
 // golden-section leaf search regardless of which worker runs it, the
 // screen and refine sets are pure functions of deterministic values,
 // and the reduction order is fixed — so the returned Plan is
-// bit-identical for any SetWorkers value. Bit-parity with the
+// bit-identical for any worker count. Bit-parity with the
 // sequential nested convex search of the pre-pruning planner is
 // asserted across the Table 2 grid by TestPlannerGoldenParity.
 func (pl *Planner) Plan() (Plan, error) {

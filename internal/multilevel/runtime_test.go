@@ -34,7 +34,7 @@ func TestRuntimeErrorFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4 * p.ErrorFreeTime(s); math.Abs(rep.Time-want) > 1e-9 {
+	if want := 4 * errorFreeTime(p, s); math.Abs(rep.Time-want) > 1e-9 {
 		t.Errorf("time %v, want error-free %v", rep.Time, want)
 	}
 	if math.Abs(rep.Work-4*3600) > 1e-9 || math.Abs(app.work-4*3600) > 1e-9 {
@@ -92,7 +92,7 @@ func TestRuntimeLevelRollback(t *testing.T) {
 			2: 120 + p.Levels[1].Rec + 600 + p.GuarVer + p.Levels[0].Ckpt,
 			3: 120 + p.Levels[2].Rec + 4*(600+p.GuarVer) + 4*p.Levels[0].Ckpt + p.Levels[1].Ckpt,
 		}[lvl]
-		if want := p.ErrorFreeTime(s) + extra; math.Abs(rep.Time-want) > 1e-9 {
+		if want := errorFreeTime(p, s) + extra; math.Abs(rep.Time-want) > 1e-9 {
 			t.Errorf("level %d: time %v, want %v", lvl, rep.Time, want)
 		}
 	}
@@ -126,7 +126,7 @@ func TestRuntimeSilentDetection(t *testing.T) {
 	// The corrupted attempt of interval 2 runs to its guaranteed
 	// verification (600 s of doomed work + V*), then rolls back at
 	// level 1 and replays.
-	want := p.ErrorFreeTime(s) + 600 + p.GuarVer + p.Levels[0].Rec
+	want := errorFreeTime(p, s) + 600 + p.GuarVer + p.Levels[0].Rec
 	if math.Abs(rep.Time-want) > 1e-9 {
 		t.Errorf("time %v, want %v", rep.Time, want)
 	}
@@ -159,7 +159,7 @@ func TestRuntimeBoundarySwap(t *testing.T) {
 	if want := 3600 + 2*1800.0; math.Abs(rep.Work-want) > 1e-9 {
 		t.Errorf("work %v, want %v", rep.Work, want)
 	}
-	if want := p.ErrorFreeTime(first) + 2*p.ErrorFreeTime(second); math.Abs(rep.Time-want) > 1e-9 {
+	if want := errorFreeTime(p, first) + 2*errorFreeTime(p, second); math.Abs(rep.Time-want) > 1e-9 {
 		t.Errorf("time %v, want %v", rep.Time, want)
 	}
 	if len(boundaries) != 3 || boundaries[0] != 3600 || boundaries[2] != rep.Work {

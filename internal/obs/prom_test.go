@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"respat/internal/promlint"
 )
 
 func TestPromWriterGolden(t *testing.T) {
@@ -35,7 +37,7 @@ respat_fraction 0.25
 	if got := b.String(); got != want {
 		t.Fatalf("golden mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if errs := Lint([]byte(b.String())); errs != nil {
+	if errs := promlint.Lint([]byte(b.String())); errs != nil {
 		t.Fatalf("golden output does not lint: %v", errs)
 	}
 }
@@ -52,7 +54,7 @@ func TestPromWriterEscaping(t *testing.T) {
 	if !strings.Contains(out, `k="quote \" slash \\ nl \n end"`) {
 		t.Fatalf("label not escaped: %q", out)
 	}
-	if errs := Lint([]byte(out)); errs != nil {
+	if errs := promlint.Lint([]byte(out)); errs != nil {
 		t.Fatalf("escaped output does not lint: %v", errs)
 	}
 }
@@ -85,7 +87,7 @@ func TestPromWriterHist(t *testing.T) {
 	if !strings.Contains(out, `respat_stage_seconds_sum{stage="decode"} 30.0009005`) {
 		t.Fatalf("sum wrong in:\n%s", out)
 	}
-	if errs := Lint([]byte(out)); errs != nil {
+	if errs := promlint.Lint([]byte(out)); errs != nil {
 		t.Fatalf("histogram output does not lint: %v", errs)
 	}
 }
@@ -156,7 +158,7 @@ func TestLintCatchesBadExpositions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			errs := Lint([]byte(tc.in))
+			errs := promlint.Lint([]byte(tc.in))
 			if tc.want == "" {
 				if errs != nil {
 					t.Fatalf("clean input flagged: %v", errs)

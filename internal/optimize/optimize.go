@@ -1,13 +1,8 @@
-// Package optimize provides planners beyond the closed-form Table 1
-// solution of package analytic:
-//
-//   - an exact-model planner that minimises the renewal-equation
-//     expected overhead (no first-order truncation) over W, n and m,
-//     used to quantify how close the paper's first-order optimum is to
-//     the true optimum (an ablation the paper argues analytically);
-//   - a brute-force verification-placement search on a discretised
-//     segment, validating the Theorem 3 chunk-size structure (first and
-//     last chunks longer, interior chunks equal) from first principles.
+// Package optimize provides an exact-model planner beyond the
+// closed-form Table 1 solution of package analytic: it minimises the
+// renewal-equation expected overhead (no first-order truncation) over
+// W, n and m, and quantifies how close the paper's first-order optimum
+// is to the true optimum (an ablation the paper argues analytically).
 package optimize
 
 import (
@@ -17,7 +12,6 @@ import (
 
 	"respat/internal/analytic"
 	"respat/internal/core"
-	"respat/internal/linalg"
 	"respat/internal/xmath"
 )
 
@@ -37,20 +31,11 @@ func (p ExactPlan) String() string {
 	return fmt.Sprintf("%s(exact): W*=%.6gs n*=%d m*=%d H*=%.4f", p.Kind, p.W, p.N, p.M, p.Overhead)
 }
 
-// OptimizeW minimises the exact expected overhead of family k at fixed
+// optimizeW minimises the exact expected overhead of family k at fixed
 // (n, m) over the pattern length W by golden-section search. The
 // search bracket is centred on the first-order W* and spans two orders
-// of magnitude each way.
-func OptimizeW(k core.Kind, c core.Costs, r core.Rates, n, m int) (w, overhead float64, err error) {
-	ev, err := analytic.NewEvaluator(c, r)
-	if err != nil {
-		return 0, 0, err
-	}
-	return optimizeW(ev, k, n, m)
-}
-
-// optimizeW is OptimizeW on a shared evaluator: the inner golden-section
-// probes only rescale W against the evaluator's cached (n, m) layout.
+// of magnitude each way; the probes only rescale W against the
+// evaluator's cached (n, m) layout.
 func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, err error) {
 	c, r := ev.Costs(), ev.Rates()
 	if r.Total() == 0 {
@@ -80,7 +65,7 @@ func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float
 
 // Exact finds the exact-model optimal plan of family k by searching the
 // integer (n, m) space (a ternary search over n, a descent over m from
-// the first-order optimum) with the inner W optimised by OptimizeW.
+// the first-order optimum) with the inner W optimised by optimizeW.
 func Exact(k core.Kind, c core.Costs, r core.Rates) (ExactPlan, error) {
 	first, err := analytic.Optimal(k, c, r)
 	if err != nil {
@@ -231,83 +216,6 @@ func Compare(k core.Kind, c core.Costs, r core.Rates) (Comparison, error) {
 		FirstOrderExactOverhead: hFirst,
 		Regret:                  regret,
 	}, nil
-}
-
-// Placement is the outcome of the brute-force verification-placement
-// search on a discretised segment.
-type Placement struct {
-	// Boundaries marks, for each of the Grid-1 interior grid
-	// boundaries, whether a partial verification is placed there.
-	Boundaries []bool
-	// M is the resulting number of chunks.
-	M int
-	// Beta holds the resulting chunk fractions.
-	Beta []float64
-	// Score is the minimised second-order badness (see BruteForcePlacement).
-	Score float64
-}
-
-// BruteForcePlacement discretises a segment of work w into grid equal
-// cells and exhaustively searches all 2^(grid-1) subsets of interior
-// boundaries for partial-verification placement, minimising the
-// Proposition 3 second-order badness
-//
-//	(m-1)·V + λs·(βᵀA^(m)β)·w²,
-//
-// the W²-order trade-off between verification cost and re-executed
-// work. It validates Theorem 3 structurally: the optimal subset uses
-// (approximately) the closed-form chunk count with longer first and
-// last chunks. grid is capped at 16 to bound the enumeration.
-func BruteForcePlacement(w float64, grid int, c core.Costs, r core.Rates) (Placement, error) {
-	if grid < 1 || grid > 16 {
-		return Placement{}, fmt.Errorf("optimize: grid %d out of [1,16]", grid)
-	}
-	if err := c.Validate(); err != nil {
-		return Placement{}, err
-	}
-	if w <= 0 {
-		return Placement{}, fmt.Errorf("optimize: segment work %v", w)
-	}
-	nb := grid - 1
-	best := Placement{Score: math.Inf(1)}
-	for mask := 0; mask < 1<<nb; mask++ {
-		beta := betaFromMask(mask, grid)
-		m := len(beta)
-		a, err := linalg.VerificationMatrix(m, c.Recall)
-		if err != nil {
-			return Placement{}, err
-		}
-		f, err := linalg.QuadForm(a, beta)
-		if err != nil {
-			return Placement{}, err
-		}
-		score := float64(m-1)*c.PartVer + r.Silent*f*w*w
-		if score < best.Score {
-			bounds := make([]bool, nb)
-			for b := 0; b < nb; b++ {
-				bounds[b] = mask&(1<<b) != 0
-			}
-			best = Placement{Boundaries: bounds, M: m, Beta: beta, Score: score}
-		}
-	}
-	return best, nil
-}
-
-// betaFromMask converts a boundary subset into chunk fractions over a
-// grid of equal cells.
-func betaFromMask(mask, grid int) []float64 {
-	var beta []float64
-	run := 1
-	for b := 0; b < grid-1; b++ {
-		if mask&(1<<b) != 0 {
-			beta = append(beta, float64(run)/float64(grid))
-			run = 1
-		} else {
-			run++
-		}
-	}
-	beta = append(beta, float64(run)/float64(grid))
-	return beta
 }
 
 func min(a, b int) int {

@@ -7,7 +7,6 @@ import (
 	"respat/internal/analytic"
 	"respat/internal/core"
 	"respat/internal/platform"
-	"respat/internal/xmath"
 )
 
 func heraParams(t *testing.T) (core.Costs, core.Rates) {
@@ -28,7 +27,11 @@ func TestOptimizeWNearFirstOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, h, err := OptimizeW(k, c, r, plan.N, plan.M)
+		ev, err := analytic.NewEvaluator(c, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, h, err := optimizeW(ev, k, plan.N, plan.M)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +46,11 @@ func TestOptimizeWNearFirstOrder(t *testing.T) {
 
 func TestOptimizeWDegenerate(t *testing.T) {
 	c, _ := heraParams(t)
-	if _, _, err := OptimizeW(core.PD, c, core.Rates{}, 1, 1); err != analytic.ErrDegenerate {
+	ev, err := analytic.NewEvaluator(c, core.Rates{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := optimizeW(ev, core.PD, 1, 1); err != analytic.ErrDegenerate {
 		t.Errorf("err = %v, want ErrDegenerate", err)
 	}
 }
@@ -99,140 +106,5 @@ func TestExactPlanString(t *testing.T) {
 	}
 	if plan.String() == "" {
 		t.Error("empty String")
-	}
-}
-
-func TestBruteForcePlacementValidation(t *testing.T) {
-	c, r := heraParams(t)
-	if _, err := BruteForcePlacement(1000, 0, c, r); err == nil {
-		t.Error("grid 0 should fail")
-	}
-	if _, err := BruteForcePlacement(1000, 17, c, r); err == nil {
-		t.Error("grid 17 should fail")
-	}
-	if _, err := BruteForcePlacement(-1, 8, c, r); err == nil {
-		t.Error("negative work should fail")
-	}
-	bad := c
-	bad.Recall = 0
-	if _, err := BruteForcePlacement(1000, 8, bad, r); err == nil {
-		t.Error("invalid costs should fail")
-	}
-}
-
-func TestBruteForcePlacementTrivialGrid(t *testing.T) {
-	c, r := heraParams(t)
-	p, err := BruteForcePlacement(1000, 1, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.M != 1 || len(p.Beta) != 1 || p.Beta[0] != 1 {
-		t.Errorf("grid 1: %+v", p)
-	}
-}
-
-func TestBruteForcePlacementPrefersNoVerifsWhenExpensive(t *testing.T) {
-	// If the partial verification costs more than any conceivable
-	// saving, the optimal placement uses none.
-	c, r := heraParams(t)
-	c.PartVer = 1e9
-	p, err := BruteForcePlacement(1000, 8, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.M != 1 {
-		t.Errorf("expected no verifications, got m=%d", p.M)
-	}
-}
-
-func TestBruteForcePlacementMatchesTheorem3Shape(t *testing.T) {
-	// For a long segment at a high silent rate, the optimal placement
-	// should use several verifications with first and last chunks at
-	// least as long as interior ones (Theorem 3 structure), up to grid
-	// quantisation.
-	c, r := heraParams(t)
-	r.Silent = 1e-4 // push towards many verifications
-	w := 4000.0
-	p, err := BruteForcePlacement(w, 16, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.M < 3 {
-		t.Fatalf("expected several chunks, got m=%d (beta=%v)", p.M, p.Beta)
-	}
-	first, last := p.Beta[0], p.Beta[p.M-1]
-	for j := 1; j < p.M-1; j++ {
-		if p.Beta[j] > first+1.0/16+1e-12 || p.Beta[j] > last+1.0/16+1e-12 {
-			t.Errorf("interior chunk %d (%v) exceeds boundary chunks (%v, %v)",
-				j, p.Beta[j], first, last)
-		}
-	}
-	// The grid-quantised score cannot beat the continuous optimum.
-	mStar := p.M
-	_, fstar, err := optimalBetaScore(mStar, c.Recall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	continuous := float64(mStar-1)*c.PartVer + r.Silent*fstar*w*w
-	if p.Score < continuous-1e-9 {
-		t.Errorf("grid placement %v beats continuous bound %v", p.Score, continuous)
-	}
-	// ... but should be within 5% of it.
-	if p.Score > continuous*1.05 {
-		t.Errorf("grid placement %v far above continuous bound %v", p.Score, continuous)
-	}
-}
-
-func optimalBetaScore(m int, recall float64) ([]float64, float64, error) {
-	beta, fstar, err := optimalBeta(m, recall)
-	return beta, fstar, err
-}
-
-// optimalBeta mirrors linalg.OptimalBeta to avoid an import cycle in
-// this test's helper; kept in sync by TestOptimalBetaHelper.
-func optimalBeta(m int, r float64) ([]float64, float64, error) {
-	if m == 1 {
-		return []float64{1}, 1, nil
-	}
-	den := float64(m-2)*r + 2
-	beta := make([]float64, m)
-	for j := range beta {
-		beta[j] = r / den
-	}
-	beta[0], beta[m-1] = 1/den, 1/den
-	return beta, (1 + (2-r)/den) / 2, nil
-}
-
-func TestOptimalBetaHelper(t *testing.T) {
-	beta, f, err := optimalBeta(3, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmath.Close(beta[0], 1/2.8, 1e-12) || !xmath.Close(f, (1+1.2/2.8)/2, 1e-12) {
-		t.Errorf("helper drifted: %v %v", beta, f)
-	}
-}
-
-func TestBetaFromMask(t *testing.T) {
-	// grid=4, boundaries after cells 1 and 3 (mask bits 0 and 2).
-	beta := betaFromMask(0b101, 4)
-	want := []float64{0.25, 0.5, 0.25}
-	if len(beta) != len(want) {
-		t.Fatalf("beta = %v", beta)
-	}
-	for i := range want {
-		if !xmath.Close(beta[i], want[i], 1e-12) {
-			t.Errorf("beta[%d] = %v, want %v", i, beta[i], want[i])
-		}
-	}
-	// Empty mask: one chunk.
-	beta = betaFromMask(0, 4)
-	if len(beta) != 1 || beta[0] != 1 {
-		t.Errorf("beta = %v", beta)
-	}
-	// Full mask: grid chunks.
-	beta = betaFromMask(0b111, 4)
-	if len(beta) != 4 {
-		t.Errorf("beta = %v", beta)
 	}
 }

@@ -199,14 +199,6 @@ func locate(axis []float64, x float64) (i int, w float64, ok bool) {
 	return i, (x - axis[i]) / (axis[i+1] - axis[i]), true
 }
 
-// Covers reports whether the table applies to (kind, c, r): the family
-// and cost template match and all four coordinates are in-grid. It is
-// Lookup without the interpolation.
-func (t *Table) Covers(kind core.Kind, c core.Costs, r core.Rates) bool {
-	_, ok := t.Lookup(kind, c, r)
-	return ok
-}
-
 // Lookup answers (kind, c, r) from the table: multilinear W/overhead
 // over the 16 surrounding corners, (n, m) from the nearest corner.
 // ok is false when the family differs, the cost template (the non-axis

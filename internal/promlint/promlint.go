@@ -1,4 +1,7 @@
-package obs
+// Package promlint checks Prometheus text expositions for the tests of
+// the packages that write them (obs, service). It is test support: no
+// production package imports it.
+package promlint
 
 import (
 	"fmt"
@@ -7,6 +10,9 @@ import (
 	"strconv"
 	"strings"
 )
+
+// label is one parsed name="value" pair.
+type label struct{ Key, Value string }
 
 // Lint checks a Prometheus text exposition (version 0.0.4) the way
 // `promtool check metrics` would — self-written, no dependency — and
@@ -230,7 +236,7 @@ func parseComment(raw string) (kind, name, rest string, ok bool) {
 
 // parseSample splits `name{k="v",...} value` (no timestamp support:
 // the exposition here never emits one).
-func parseSample(raw string) (name string, labels []Label, value float64, err error) {
+func parseSample(raw string) (name string, labels []label, value float64, err error) {
 	rest := raw
 	if i := strings.IndexAny(rest, "{ "); i < 0 {
 		return "", nil, 0, fmt.Errorf("malformed sample %q", raw)
@@ -280,8 +286,8 @@ func findLabelsEnd(s string) int {
 }
 
 // parseLabels parses `k="v",k2="v2"`.
-func parseLabels(s string) ([]Label, error) {
-	var out []Label
+func parseLabels(s string) ([]label, error) {
+	var out []label
 	for len(s) > 0 {
 		eq := strings.Index(s, "=")
 		if eq < 0 {
@@ -321,7 +327,7 @@ func parseLabels(s string) ([]Label, error) {
 		if i >= len(s) {
 			return nil, fmt.Errorf("unterminated label value for %q", key)
 		}
-		out = append(out, Label{key, val.String()})
+		out = append(out, label{key, val.String()})
 		s = s[i+1:]
 		s = strings.TrimPrefix(s, ",")
 	}
@@ -330,11 +336,11 @@ func parseLabels(s string) ([]Label, error) {
 
 // seriesID renders a canonical series identity: name plus sorted
 // labels.
-func seriesID(name string, labels []Label) string {
+func seriesID(name string, labels []label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := append([]Label(nil), labels...)
+	ls := append([]label(nil), labels...)
 	sort.Slice(ls, func(a, b int) bool { return ls[a].Key < ls[b].Key })
 	var b strings.Builder
 	b.WriteString(name)
@@ -349,8 +355,8 @@ func seriesID(name string, labels []Label) string {
 	return b.String()
 }
 
-func withoutLE(labels []Label) []Label {
-	out := make([]Label, 0, len(labels))
+func withoutLE(labels []label) []label {
+	out := make([]label, 0, len(labels))
 	for _, l := range labels {
 		if l.Key != "le" {
 			out = append(out, l)
@@ -359,7 +365,7 @@ func withoutLE(labels []Label) []Label {
 	return out
 }
 
-func labelValue(labels []Label, key string) (string, bool) {
+func labelValue(labels []label, key string) (string, bool) {
 	for _, l := range labels {
 		if l.Key == key {
 			return l.Value, true

@@ -137,17 +137,6 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 	return nil
 }
 
-// Owner returns the replica owning key under the current ring view,
-// or "" when clustering is off. Tests and operators use it to map a
-// configuration to its serving replica.
-func (s *Service) Owner(key Key) string {
-	c := s.clu
-	if c == nil {
-		return ""
-	}
-	return c.ring.Load().Route(key[:])
-}
-
 // routePeer decides whether the request for key must be forwarded:
 // clustering on, request not already forwarded (the single-hop loop
 // guard), and the key owned by a peer under the current ring view.

@@ -28,6 +28,16 @@ type fakeNet struct {
 	forwards []string // ForwardedHeader value of each forwarded request
 }
 
+// owner returns the replica owning key under the current ring view,
+// or "" when clustering is off.
+func (s *Service) owner(key Key) string {
+	c := s.clu
+	if c == nil {
+		return ""
+	}
+	return c.ring.Load().Route(key[:])
+}
+
 func newFakeNet() *fakeNet {
 	return &fakeNet{handlers: make(map[string]http.Handler), dead: make(map[string]bool)}
 }
@@ -198,7 +208,7 @@ func TestClusterKillReplicaDegradesOnlyItsRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner := entry.Owner(EncodeKey(ModePlanExact, kind, p.Costs, p.Rates))
+		owner := entry.owner(EncodeKey(ModePlanExact, kind, p.Costs, p.Rates))
 		ownedBy[owner] = append(ownedBy[owner], rq)
 	}
 	// The victim is a peer of r0 that owns at least one request.

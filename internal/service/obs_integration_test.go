@@ -13,6 +13,7 @@ import (
 	"respat/internal/core"
 	"respat/internal/obs"
 	"respat/internal/platform"
+	"respat/internal/promlint"
 )
 
 // tracedService builds a service that samples every request into a
@@ -51,7 +52,7 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatalf("content type %q, want %q", ct, obs.PromContentType)
 	}
 	body := rec.Body.String()
-	for _, errLint := range obs.Lint(rec.Body.Bytes()) {
+	for _, errLint := range promlint.Lint(rec.Body.Bytes()) {
 		t.Errorf("lint: %v", errLint)
 	}
 	for _, want := range []string{
@@ -271,7 +272,7 @@ func TestConcurrentTracesAndScrapes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if errs := obs.Lint(do(h, http.MethodGet, "/metrics?format=prometheus", "").Body.Bytes()); len(errs) > 0 {
+	if errs := promlint.Lint(do(h, http.MethodGet, "/metrics?format=prometheus", "").Body.Bytes()); len(errs) > 0 {
 		t.Fatalf("post-race exposition does not lint: %v", errs)
 	}
 	if svc.Tracer().Sampled() != 200 {

@@ -26,7 +26,7 @@ var buildVersion = sync.OnceValue(func() string {
 // hand-rolled via obs.PromWriter — no client library. Families are
 // emitted in fixed code order and endpoints/stages in declaration
 // order, so the output is stable enough to golden-test and always
-// passes obs.Lint. Served by GET /metrics?format=prometheus; the JSON
+// passes promlint.Lint. Served by GET /metrics?format=prometheus; the JSON
 // snapshot remains the default format.
 func (s *Service) WritePrometheus(w io.Writer) error {
 	p := obs.NewPromWriter(w)

@@ -4,44 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"respat/internal/analytic"
 	"respat/internal/core"
 	"respat/internal/faults"
 )
-
-// TestSimulatorMatchesOpErrorModel cross-validates the Section 5
-// analytical refinement: with fail-stop errors striking operations too
-// (ErrorsInOps), the simulated mean pattern time must match
-// analytic.ExactExpectedTimeWithOpErrors.
-func TestSimulatorMatchesOpErrorModel(t *testing.T) {
-	c := testCosts()
-	r := core.Rates{FailStop: 2e-4, Silent: 3e-4}
-	p := mustLayout(t, core.PDMV, 3000, 2, 3, c.Recall)
-	want, err := analytic.ExactExpectedTimeWithOpErrors(p, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{
-		Pattern: p, Costs: c, Rates: r,
-		Patterns: 30, Runs: 500, Seed: 21, ErrorsInOps: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPerPattern := res.WallTime.Mean() / float64(res.Patterns)
-	tol := 4*res.WallTime.CI95()/float64(res.Patterns) + 0.005*want
-	if math.Abs(gotPerPattern-want) > tol {
-		t.Errorf("simulated per-pattern %v vs §5 model %v (tol %v)", gotPerPattern, want, tol)
-	}
-	// And the §5 model must fit better than the ops-error-free one.
-	plain, err := analytic.ExactExpectedTime(p, c, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotPerPattern-want) > math.Abs(gotPerPattern-plain) {
-		t.Errorf("§5 model (%v) fits worse than plain (%v) for simulated %v", want, plain, gotPerPattern)
-	}
-}
 
 // TestWeibullAblation exercises the non-exponential fault generators:
 // with shape k < 1 (infant mortality / clustering) the optimal-for-
@@ -95,33 +60,5 @@ func TestWeibullAblation(t *testing.T) {
 	ratio := float64(res1.Total.FailStop) / float64(expRes.Total.FailStop)
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("Weibull/exponential failure ratio %v implausible", ratio)
-	}
-}
-
-// TestLogNormalSourceInSimulator smoke-tests the third generator under
-// the full protocol.
-func TestLogNormalSourceInSimulator(t *testing.T) {
-	c := testCosts()
-	p := mustLayout(t, core.PD, 1000, 1, 1, 1)
-	res, err := Run(Config{
-		Pattern: p, Costs: c, Patterns: 10, Runs: 20, Seed: 5,
-		FailSource: func(run int) faults.Source {
-			s1, s2 := faults.SplitSeed(31, uint64(run))
-			l, err := faults.NewLogNormal(8, 1, s1, s2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		},
-		SilentSource: func(int) faults.Source { return faults.Never{} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total.FailStop == 0 {
-		t.Error("expected log-normal failures (mean gap ~4900s)")
-	}
-	if res.Total.DiskRecs != res.Total.FailStop {
-		t.Error("every crash must trigger a disk recovery")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"respat/internal/analytic"
 	"respat/internal/core"
 )
 
@@ -113,7 +114,7 @@ func TestInvariantWallTimeAccounting(t *testing.T) {
 	}
 	// The gap is re-executed work and partial losses; it cannot exceed
 	// one pattern per error plus segment replays, generously bounded:
-	maxExtra := float64(tot.FailStop+tot.MemRecs+tot.DetectByPart+tot.DetectByGuar) * (p.W + p.ErrorFreeTime(c))
+	maxExtra := float64(tot.FailStop+tot.MemRecs+tot.DetectByPart+tot.DetectByGuar) * (2*p.W + analytic.EF(core.PDV, c, 1, 3))
 	if total > minTime+maxExtra {
 		t.Errorf("total time %v exceeds ceiling %v", total, minTime+maxExtra)
 	}

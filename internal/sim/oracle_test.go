@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 
 	"respat/internal/core"
+	"respat/internal/engine"
 	"respat/internal/faults"
 	"respat/internal/multilevel"
 )
@@ -88,7 +89,7 @@ type executor struct {
 }
 
 // emit records a timeline event when tracing is enabled.
-func (e *executor) emit(k EventKind, op core.Op) {
+func (e *executor) emit(k engine.EventKind, op core.Op) {
 	if e.rec != nil {
 		e.rec(Event{Time: e.now, Kind: k, Op: op, Segment: e.curSeg, Pattern: e.patIdx})
 	}
@@ -150,7 +151,7 @@ func (e *executor) runAll() (Counters, float64) {
 	for p := 0; p < e.cfg.Patterns; p++ {
 		e.patIdx = p
 		e.runPattern()
-		e.emit(EvPatternDone, core.OpDisk)
+		e.emit(engine.EvPatternDone, core.OpDisk)
 	}
 	return e.cnt, e.now
 }
@@ -178,7 +179,7 @@ func (e *executor) runPattern() {
 				i = 0
 				continue
 			}
-			e.emit(EvOpDone, core.OpChunk)
+			e.emit(engine.EvOpDone, core.OpChunk)
 		case core.OpPartVer:
 			res, detected := e.verify(core.OpPartVer, e.cfg.Costs.PartVer, e.cfg.Costs.Recall, &e.cnt.PartVerifs, &e.cnt.DetectByPart)
 			if res == opFailStop {
@@ -216,7 +217,7 @@ func (e *executor) runPattern() {
 				continue
 			}
 			e.cnt.MemCkpts++
-			e.emit(EvOpDone, core.OpMemCkpt)
+			e.emit(engine.EvOpDone, core.OpMemCkpt)
 		case core.OpDisk:
 			if e.protectedOp(e.cfg.Costs.DiskCkpt) == opFailStop {
 				e.diskRecovery()
@@ -224,7 +225,7 @@ func (e *executor) runPattern() {
 				continue
 			}
 			e.cnt.DiskCkpts++
-			e.emit(EvOpDone, core.OpDisk)
+			e.emit(engine.EvOpDone, core.OpDisk)
 		}
 		i++
 	}
@@ -245,7 +246,7 @@ func (e *executor) chunk(w float64) outcome {
 			remaining -= sdt
 			e.corrupted = true
 			e.cnt.Silent++
-			e.emit(EvSilent, core.OpChunk)
+			e.emit(engine.EvSilent, core.OpChunk)
 			continue
 		}
 		if fHit {
@@ -253,7 +254,7 @@ func (e *executor) chunk(w float64) outcome {
 			e.silent.advance(fdt)
 			e.now += fdt
 			e.cnt.FailStop++
-			e.emit(EvFailStop, core.OpChunk)
+			e.emit(engine.EvFailStop, core.OpChunk)
 			return opFailStop
 		}
 		e.fail.advance(remaining)
@@ -278,7 +279,7 @@ func (e *executor) protectedOp(cost float64) outcome {
 		e.fail.consume()
 		e.now += fdt
 		e.cnt.FailStop++
-		e.emit(EvFailStop, core.OpChunk)
+		e.emit(engine.EvFailStop, core.OpChunk)
 		return opFailStop
 	}
 	e.fail.advance(cost)
@@ -294,10 +295,10 @@ func (e *executor) verify(op core.Op, cost, recall float64, done, caught *int64)
 		return opFailStop, false
 	}
 	*done++
-	e.emit(EvOpDone, op)
+	e.emit(engine.EvOpDone, op)
 	if e.corrupted && e.detect.Hit(recall) {
 		*caught++
-		e.emit(EvDetect, op)
+		e.emit(engine.EvDetect, op)
 		return opDone, true
 	}
 	return opDone, false
@@ -318,7 +319,7 @@ func (e *executor) diskRecovery() {
 		break
 	}
 	e.cnt.DiskRecs++
-	e.emit(EvDiskRec, core.OpChunk)
+	e.emit(engine.EvDiskRec, core.OpChunk)
 	if e.corrupted {
 		e.cnt.SilentMasked++
 		e.corrupted = false
@@ -335,7 +336,7 @@ func (e *executor) memRecovery() outcome {
 		return opFailStop
 	}
 	e.cnt.MemRecs++
-	e.emit(EvMemRec, core.OpChunk)
+	e.emit(engine.EvMemRec, core.OpChunk)
 	e.corrupted = false
 	return opDone
 }

@@ -30,7 +30,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -278,12 +277,4 @@ func (r *patternRuns) run(run int) (Counters, float64) {
 	r.ex.Reset(fail, silent)
 	rep, _ := r.ex.Run(r.cfg.Patterns) // no application, so no error
 	return rep.Counters, rep.Time
-}
-
-// OverheadPredictionGap returns the relative gap between a simulated
-// overhead and a model prediction, |sim - pred| / max(pred, eps); it is
-// the figure reported in EXPERIMENTS.md.
-func OverheadPredictionGap(simulated, predicted float64) float64 {
-	den := math.Max(math.Abs(predicted), 1e-12)
-	return math.Abs(simulated-predicted) / den
 }

@@ -86,7 +86,7 @@ func TestErrorFreeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOverhead := p.ErrorFreeTime(c)/p.W - 1
+	wantOverhead := (p.W+analytic.EF(core.PDMV, c, 2, 3))/p.W - 1
 	if !xmath.Close(res.Overhead.Mean(), wantOverhead, 1e-12) {
 		t.Errorf("overhead = %v, want %v", res.Overhead.Mean(), wantOverhead)
 	}
@@ -448,15 +448,6 @@ func TestRateHelpers(t *testing.T) {
 	}
 	if got := res.PerPattern(res.Total.DiskCkpts); !xmath.Close(got, 1, 1e-12) {
 		t.Errorf("PerPattern = %v, want 1", got)
-	}
-}
-
-func TestOverheadPredictionGap(t *testing.T) {
-	if got := OverheadPredictionGap(0.11, 0.10); !xmath.Close(got, 0.1, 1e-9) {
-		t.Errorf("gap = %v, want 0.1", got)
-	}
-	if got := OverheadPredictionGap(1, 0); got < 1e11 {
-		t.Errorf("gap with zero prediction = %v", got)
 	}
 }
 

@@ -7,21 +7,6 @@ import (
 	"respat/internal/engine"
 )
 
-// EventKind classifies timeline events recorded by TraceOne; see
-// engine.EventKind.
-type EventKind = engine.EventKind
-
-// Event kinds, in the order they typically appear.
-const (
-	EvOpDone      = engine.EvOpDone      // an operation completed
-	EvFailStop    = engine.EvFailStop    // a fail-stop error struck
-	EvSilent      = engine.EvSilent      // a silent error corrupted the state
-	EvDetect      = engine.EvDetect      // a verification raised an alarm
-	EvDiskRec     = engine.EvDiskRec     // a disk recovery completed
-	EvMemRec      = engine.EvMemRec      // a standalone memory recovery completed
-	EvPatternDone = engine.EvPatternDone // a pattern instance committed
-)
-
 // Event is one entry of a simulated run's timeline; see engine.Event.
 type Event = engine.Event
 

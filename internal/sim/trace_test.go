@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"respat/internal/core"
+	"respat/internal/engine"
 )
 
 func TestTraceOneCleanRun(t *testing.T) {
@@ -19,7 +20,7 @@ func TestTraceOneCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// chunk, partverif, chunk, guarverif, memckpt, disk, pattern-done.
-	wantKinds := []EventKind{EvOpDone, EvOpDone, EvOpDone, EvOpDone, EvOpDone, EvOpDone, EvPatternDone}
+	wantKinds := []engine.EventKind{engine.EvOpDone, engine.EvOpDone, engine.EvOpDone, engine.EvOpDone, engine.EvOpDone, engine.EvOpDone, engine.EvPatternDone}
 	wantOps := []core.Op{core.OpChunk, core.OpPartVer, core.OpChunk, core.OpGuarVer, core.OpMemCkpt, core.OpDisk, core.OpDisk}
 	if len(events) != len(wantKinds) {
 		t.Fatalf("got %d events: %v", len(events), events)
@@ -28,12 +29,12 @@ func TestTraceOneCleanRun(t *testing.T) {
 		if e.Kind != wantKinds[i] {
 			t.Errorf("event %d kind = %v, want %v", i, e.Kind, wantKinds[i])
 		}
-		if e.Kind == EvOpDone && e.Op != wantOps[i] {
+		if e.Kind == engine.EvOpDone && e.Op != wantOps[i] {
 			t.Errorf("event %d op = %v, want %v", i, e.Op, wantOps[i])
 		}
 	}
 	// Final event time equals the error-free traversal time.
-	if got, want := events[len(events)-1].Time, p.ErrorFreeTime(c); got != want {
+	if got, want := events[len(events)-1].Time, p.W+c.PartVer+c.GuarVer+c.MemCkpt+c.DiskCkpt; got != want {
 		t.Errorf("final time %v, want %v", got, want)
 	}
 	if cnt.DiskCkpts != 1 {
@@ -54,13 +55,13 @@ func TestTraceOneWithErrors(t *testing.T) {
 	}
 	// fail@50, disk-rec, silent during replay, chunk done, guar verif,
 	// alarm, mem-rec, replay chunk, guar verif, mem ckpt, disk, done.
-	var kinds []EventKind
+	var kinds []engine.EventKind
 	for _, e := range events {
 		kinds = append(kinds, e.Kind)
 	}
-	want := []EventKind{
-		EvFailStop, EvDiskRec, EvSilent, EvOpDone, EvOpDone, EvDetect,
-		EvMemRec, EvOpDone, EvOpDone, EvOpDone, EvOpDone, EvPatternDone,
+	want := []engine.EventKind{
+		engine.EvFailStop, engine.EvDiskRec, engine.EvSilent, engine.EvOpDone, engine.EvOpDone, engine.EvDetect,
+		engine.EvMemRec, engine.EvOpDone, engine.EvOpDone, engine.EvOpDone, engine.EvOpDone, engine.EvPatternDone,
 	}
 	if len(kinds) != len(want) {
 		t.Fatalf("got %d events:\n%v", len(kinds), events)
@@ -111,12 +112,12 @@ func TestWriteTimeline(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	for k := EvOpDone; k <= EvPatternDone; k++ {
+	for k := engine.EvOpDone; k <= engine.EvPatternDone; k++ {
 		if strings.HasPrefix(k.String(), "EventKind(") {
 			t.Errorf("kind %d has no name", k)
 		}
 	}
-	if EventKind(42).String() != "EventKind(42)" {
+	if engine.EventKind(42).String() != "EventKind(42)" {
 		t.Error("unknown kind fallback broken")
 	}
 }

@@ -14,10 +14,6 @@ import (
 // ErrShape reports mismatched dimensions.
 var ErrShape = errors.New("sparse: dimension mismatch")
 
-// ErrNotConverged is returned by CG when the iteration budget is
-// exhausted before the residual target is met.
-var ErrNotConverged = errors.New("sparse: conjugate gradient did not converge")
-
 // Coord is one coordinate-format entry used to assemble matrices.
 type Coord struct {
 	Row, Col int
@@ -79,19 +75,6 @@ func insertionSort(xs []int) {
 	}
 }
 
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
-// At returns element (i, j) (zero if not stored).
-func (m *CSR) At(i, j int) float64 {
-	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-		if m.ColIdx[k] == j {
-			return m.Vals[k]
-		}
-	}
-	return 0
-}
-
 // MulVec computes y = A·x into a fresh slice.
 func (m *CSR) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.Cols {
@@ -147,25 +130,6 @@ func (m *CSR) CheckedMulVec(x, checksums []float64, tol float64) (y []float64, o
 	return y, math.Abs(ySum-cx) <= tol*scale, nil
 }
 
-// Poisson1D returns the n×n tridiagonal [-1, 2, -1] matrix, the
-// standard 1-D Poisson operator (symmetric positive definite).
-func Poisson1D(n int) (*CSR, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sparse: Poisson1D size %d", n)
-	}
-	entries := make([]Coord, 0, 3*n)
-	for i := 0; i < n; i++ {
-		entries = append(entries, Coord{i, i, 2})
-		if i > 0 {
-			entries = append(entries, Coord{i, i - 1, -1})
-		}
-		if i < n-1 {
-			entries = append(entries, Coord{i, i + 1, -1})
-		}
-	}
-	return NewCSR(n, n, entries)
-}
-
 // Poisson2D returns the 5-point Laplacian on an n×n grid (size n²),
 // the workhorse SPD test matrix for iterative solvers.
 func Poisson2D(n int) (*CSR, error) {
@@ -203,9 +167,6 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
 
 // Axpy computes y += alpha*x in place.
 func Axpy(alpha float64, x, y []float64) {
@@ -310,24 +271,4 @@ func (s *CGState) RecurrenceDrift() (float64, error) {
 		return math.Sqrt(num), nil
 	}
 	return math.Sqrt(num / den), nil
-}
-
-// Solve runs CG until the true residual drops below tol·|b| or
-// maxIter iterations elapse.
-func Solve(a *CSR, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	s, err := NewCG(a, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	target := tol * Norm2(b)
-	for it := 0; it < maxIter; it++ {
-		rn, err := s.Step()
-		if err != nil {
-			return nil, s.Iter, err
-		}
-		if rn <= target {
-			return s.X, s.Iter, nil
-		}
-	}
-	return s.X, s.Iter, ErrNotConverged
 }

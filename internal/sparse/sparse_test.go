@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -8,6 +10,69 @@ import (
 
 	"respat/internal/xmath"
 )
+
+// The helpers below drive and inspect the production CG and CSR code
+// in the tests: element access, a 1-D Poisson fixture, and a
+// solve-to-tolerance loop over CGState.Step.
+
+// NNZ returns the number of stored entries.
+func (m *CSR) NNZ() int { return len(m.Vals) }
+
+// At returns element (i, j) (zero if not stored).
+func (m *CSR) At(i, j int) float64 {
+	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+		if m.ColIdx[k] == j {
+			return m.Vals[k]
+		}
+	}
+	return 0
+}
+
+// poisson1D returns the n×n tridiagonal [-1, 2, -1] matrix, the
+// standard 1-D Poisson operator (symmetric positive definite).
+func poisson1D(n int) (*CSR, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("sparse: Poisson1D size %d", n)
+	}
+	entries := make([]Coord, 0, 3*n)
+	for i := 0; i < n; i++ {
+		entries = append(entries, Coord{i, i, 2})
+		if i > 0 {
+			entries = append(entries, Coord{i, i - 1, -1})
+		}
+		if i < n-1 {
+			entries = append(entries, Coord{i, i + 1, -1})
+		}
+	}
+	return NewCSR(n, n, entries)
+}
+
+// errNotConverged is returned by solve when the iteration budget is
+// exhausted before the residual target is met.
+var errNotConverged = errors.New("sparse: conjugate gradient did not converge")
+
+// norm2 returns the Euclidean norm.
+func norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
+
+// solve runs CG until the true residual drops below tol·|b| or
+// maxIter iterations elapse.
+func solve(a *CSR, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+	s, err := NewCG(a, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	target := tol * norm2(b)
+	for it := 0; it < maxIter; it++ {
+		rn, err := s.Step()
+		if err != nil {
+			return nil, s.Iter, err
+		}
+		if rn <= target {
+			return s.X, s.Iter, nil
+		}
+	}
+	return s.X, s.Iter, errNotConverged
+}
 
 func TestNewCSRBasics(t *testing.T) {
 	m, err := NewCSR(2, 3, []Coord{{0, 0, 1}, {0, 2, 2}, {1, 1, 3}, {0, 0, 4}})
@@ -89,7 +154,7 @@ func TestColumnChecksumInvariant(t *testing.T) {
 }
 
 func TestCheckedMulVecDetectsCorruption(t *testing.T) {
-	m, err := Poisson1D(50)
+	m, err := poisson1D(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +185,7 @@ func TestCheckedMulVecDetectsCorruption(t *testing.T) {
 }
 
 func TestPoisson1DStructure(t *testing.T) {
-	m, err := Poisson1D(4)
+	m, err := poisson1D(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +195,7 @@ func TestPoisson1DStructure(t *testing.T) {
 	if m.At(0, 0) != 2 || m.At(1, 0) != -1 || m.At(0, 1) != -1 || m.At(0, 2) != 0 {
 		t.Error("Poisson1D entries wrong")
 	}
-	if _, err := Poisson1D(0); err == nil {
+	if _, err := poisson1D(0); err == nil {
 		t.Error("size 0 should fail")
 	}
 }
@@ -162,7 +227,7 @@ func TestVectorHelpers(t *testing.T) {
 	if Dot(a, b) != 32 {
 		t.Errorf("Dot = %v", Dot(a, b))
 	}
-	if !xmath.Close(Norm2([]float64{3, 4}), 5, 1e-12) {
+	if !xmath.Close(norm2([]float64{3, 4}), 5, 1e-12) {
 		t.Error("Norm2 wrong")
 	}
 	y := []float64{1, 1}
@@ -172,9 +237,9 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-func TestCGSolvesPoisson1D(t *testing.T) {
+func TestCGSolvespoisson1D(t *testing.T) {
 	n := 64
-	a, err := Poisson1D(n)
+	a, err := poisson1D(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +251,7 @@ func TestCGSolvesPoisson1D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, iters, err := Solve(a, b, 1e-10, 10*n)
+	x, iters, err := solve(a, b, 1e-10, 10*n)
 	if err != nil {
 		t.Fatalf("after %d iters: %v", iters, err)
 	}
@@ -211,7 +276,7 @@ func TestCGSolvesPoisson2D(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	x, _, err := Solve(a, b, 1e-9, 4*a.Rows)
+	x, _, err := solve(a, b, 1e-9, 4*a.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +287,7 @@ func TestCGSolvesPoisson2D(t *testing.T) {
 		d := b[i] - ax[i]
 		res += d * d
 	}
-	if math.Sqrt(res) > 1e-8*Norm2(b)+1e-12 {
+	if math.Sqrt(res) > 1e-8*norm2(b)+1e-12 {
 		t.Errorf("residual %v too large", math.Sqrt(res))
 	}
 }
@@ -239,19 +304,19 @@ func TestCGValidation(t *testing.T) {
 }
 
 func TestCGNotConverged(t *testing.T) {
-	a, err := Poisson1D(100)
+	a, err := poisson1D(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := make([]float64, 100)
 	b[0] = 1
-	if _, _, err := Solve(a, b, 1e-14, 2); err != ErrNotConverged {
-		t.Errorf("err = %v, want ErrNotConverged", err)
+	if _, _, err := solve(a, b, 1e-14, 2); err != errNotConverged {
+		t.Errorf("err = %v, want errNotConverged", err)
 	}
 }
 
 func TestRecurrenceDriftDetectsCorruption(t *testing.T) {
-	a, err := Poisson1D(64)
+	a, err := poisson1D(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +353,7 @@ func TestRecurrenceDriftDetectsCorruption(t *testing.T) {
 }
 
 func TestResidualNormMatchesRecurrence(t *testing.T) {
-	a, err := Poisson1D(32)
+	a, err := poisson1D(32)
 	if err != nil {
 		t.Fatal(err)
 	}

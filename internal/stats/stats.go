@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics used to aggregate
-// Monte-Carlo simulation outputs: running moments, confidence intervals,
-// histograms and two goodness-of-fit tests (Kolmogorov-Smirnov and
-// chi-square) that validate the fault generators of package faults.
+// Monte-Carlo simulation outputs: running moments, confidence
+// intervals, quantiles, and the Kolmogorov-Smirnov goodness-of-fit test
+// that faultfit uses to check a fitted error law against its trace.
 package stats
 
 import (
@@ -42,29 +42,6 @@ func (s *Sample) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddSample merges another sample (parallel reduction) using Chan et
-// al.'s pairwise update, so per-worker samples can be combined exactly.
-func (s *Sample) AddSample(o Sample) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
 }
 
 // N returns the number of observations.
@@ -174,105 +151,11 @@ func quantilesSorted(sorted []float64, qs []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Histogram is a fixed-width binned histogram over [Lo, Hi); values
-// outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	Under  int64
-	Over   int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins = %d, need > 0", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: invalid range [%v,%v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}, nil
-}
-
-// Add bins one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard FP edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of binned observations, excluding out-of-range.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Merge adds another histogram's counts into h (parallel reduction).
-// The histograms must share the same range and bin count.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o.Lo != h.Lo || o.Hi != h.Hi || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("stats: merging histogram [%v,%v)x%d into [%v,%v)x%d",
-			o.Lo, o.Hi, len(o.Counts), h.Lo, h.Hi, len(h.Counts))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	return nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated from the
-// binned counts by linear interpolation inside the bin holding the
-// target rank: the error is bounded by one bin width. Under-range
-// observations resolve to Lo and over-range ones to Hi. It is the
-// streaming, allocation-free counterpart of the exact Quantile over a
-// retained sample.
-func (h *Histogram) Quantile(q float64) (float64, error) {
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	n := h.Total() + h.Under + h.Over
-	if n == 0 {
-		return 0, ErrNoData
-	}
-	// Rank in [0, n-1], matching Quantile's order-statistic convention.
-	rank := q * float64(n-1)
-	if rank < float64(h.Under) {
-		return h.Lo, nil
-	}
-	rest := rank - float64(h.Under)
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if rest < float64(c) {
-			// Interpolate through the bin: rank 0 of a c-count bin sits
-			// at its left edge, rank c at its right edge.
-			return h.Lo + (float64(i)+rest/float64(c))*width, nil
-		}
-		rest -= float64(c)
-	}
-	return h.Hi, nil
-}
-
 // KolmogorovSmirnov computes the one-sample KS statistic D of xs against
 // the continuous CDF cdf, and an approximate p-value via the asymptotic
-// Kolmogorov distribution. It is used to validate that the exponential
-// fault generators actually sample the advertised law.
+// Kolmogorov distribution. faultfit uses it to check a fitted law
+// against the observed gaps; the faults tests use it to check that the
+// generators sample the advertised law.
 func KolmogorovSmirnov(xs []float64, cdf func(float64) float64) (d, p float64, err error) {
 	n := len(xs)
 	if n == 0 {
@@ -316,36 +199,4 @@ func ksPValue(d float64, n int) float64 {
 	}
 	p := 2 * sum.Value()
 	return xmath.Clamp(p, 0, 1)
-}
-
-// ChiSquare computes Pearson's chi-square statistic for observed counts
-// against expected counts and returns the statistic and the degrees of
-// freedom (len-1). Expected entries must be positive.
-func ChiSquare(observed []int64, expected []float64) (stat float64, dof int, err error) {
-	if len(observed) == 0 || len(observed) != len(expected) {
-		return 0, 0, fmt.Errorf("stats: chi-square needs matching non-empty slices, got %d and %d", len(observed), len(expected))
-	}
-	var acc xmath.Accumulator
-	for i, o := range observed {
-		e := expected[i]
-		if e <= 0 {
-			return 0, 0, fmt.Errorf("stats: expected[%d] = %v, need > 0", i, e)
-		}
-		diff := float64(o) - e
-		acc.Add(diff * diff / e)
-	}
-	return acc.Value(), len(observed) - 1, nil
-}
-
-// ChiSquareCritical95 returns the 95th-percentile critical value of the
-// chi-square distribution with dof degrees of freedom, via the
-// Wilson-Hilferty approximation (accurate to ~1% for dof >= 3).
-func ChiSquareCritical95(dof int) float64 {
-	if dof <= 0 {
-		return 0
-	}
-	k := float64(dof)
-	z := 1.6448536269514722 // 95th percentile of N(0,1)
-	t := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
-	return k * t * t * t
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"respat/internal/xmath"
 )
@@ -33,44 +32,6 @@ func TestSampleEmpty(t *testing.T) {
 	var s Sample
 	if s.Mean() != 0 || s.Var() != 0 || s.StdErr() != 0 || s.CI95() != 0 {
 		t.Error("empty sample should report zeros")
-	}
-}
-
-func TestSampleMergeMatchesSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e150 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var s1, s2, merged, seq Sample
-		for _, x := range a {
-			s1.Add(x)
-			seq.Add(x)
-		}
-		for _, x := range b {
-			s2.Add(x)
-			seq.Add(x)
-		}
-		merged.AddSample(s1)
-		merged.AddSample(s2)
-		if merged.N() != seq.N() {
-			return false
-		}
-		if seq.N() == 0 {
-			return true
-		}
-		return xmath.Close(merged.Mean(), seq.Mean(), 1e-9) &&
-			xmath.Close(merged.Var(), seq.Var(), 1e-6) &&
-			merged.Min() == seq.Min() && merged.Max() == seq.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -142,34 +103,6 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under,Over = %d,%d, want 1,2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("Counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d, want 4", h.Total())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("expected error for empty range")
-	}
-}
-
 func TestKSAcceptsCorrectDistribution(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	xs := make([]float64, 2000)
@@ -210,161 +143,15 @@ func TestKSEmpty(t *testing.T) {
 	}
 }
 
-func TestChiSquareUniform(t *testing.T) {
-	obs := []int64{95, 105, 102, 98, 100}
-	exp := []float64{100, 100, 100, 100, 100}
-	stat, dof, err := ChiSquare(obs, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dof != 4 {
-		t.Errorf("dof = %d, want 4", dof)
-	}
-	if stat > ChiSquareCritical95(dof) {
-		t.Errorf("chi2 = %v rejected a near-uniform sample (crit %v)", stat, ChiSquareCritical95(dof))
-	}
-}
-
-func TestChiSquareErrors(t *testing.T) {
-	if _, _, err := ChiSquare(nil, nil); err == nil {
-		t.Error("expected error on empty input")
-	}
-	if _, _, err := ChiSquare([]int64{1}, []float64{0}); err == nil {
-		t.Error("expected error on zero expected count")
-	}
-	if _, _, err := ChiSquare([]int64{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error on length mismatch")
-	}
-}
-
-func TestChiSquareCritical95KnownValues(t *testing.T) {
-	// Reference values: dof=5 -> 11.070, dof=10 -> 18.307.
-	if got := ChiSquareCritical95(5); math.Abs(got-11.070) > 0.15 {
-		t.Errorf("crit(5) = %v, want ~11.07", got)
-	}
-	if got := ChiSquareCritical95(10); math.Abs(got-18.307) > 0.15 {
-		t.Errorf("crit(10) = %v, want ~18.31", got)
-	}
-	if ChiSquareCritical95(0) != 0 {
-		t.Error("crit(0) should be 0")
-	}
-}
-
-// TestHistogramQuantileMatchesExact pins the binned quantile estimator
-// to the exact order-statistic Quantile on random data: the estimate
-// may only be off by one bin width.
-func TestHistogramQuantileMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	h, err := NewHistogram(0, 1, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]float64, 5000)
-	for i := range xs {
-		x := rng.Float64()
-		if i%3 == 0 { // skew the distribution so bins fill unevenly
-			x = x * x
-		}
-		xs[i] = x
-		h.Add(x)
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1} {
-		want, err := Quantile(xs, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := h.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > width {
-			t.Errorf("q=%v: histogram %v vs exact %v differ by > bin width %v", q, got, want, width)
-		}
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Quantile(0.5); err != ErrNoData {
-		t.Errorf("empty histogram quantile err = %v, want ErrNoData", err)
-	}
-	if _, err := h.Quantile(-0.1); err == nil {
-		t.Error("Quantile accepted q < 0")
-	}
-	h.Add(-5) // under
-	h.Add(15) // over
-	h.Add(5)
-	if got, _ := h.Quantile(0); got != h.Lo {
-		t.Errorf("q=0 with under-range mass = %v, want Lo %v", got, h.Lo)
-	}
-	if got, _ := h.Quantile(1); got != h.Hi {
-		t.Errorf("q=1 with over-range mass = %v, want Hi %v", got, h.Hi)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	whole, _ := NewHistogram(0, 1, 50)
-	a, _ := NewHistogram(0, 1, 50)
-	b, _ := NewHistogram(0, 1, 50)
-	for i := 0; i < 2000; i++ {
-		x := rng.NormFloat64()*0.3 + 0.5 // exercises Under/Over too
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Under != whole.Under || a.Over != whole.Over || a.Total() != whole.Total() {
-		t.Errorf("merged totals (%d,%d,%d) != whole (%d,%d,%d)",
-			a.Under, a.Over, a.Total(), whole.Under, whole.Over, whole.Total())
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bin %d: merged %d != whole %d", i, a.Counts[i], whole.Counts[i])
-		}
-	}
-	other, _ := NewHistogram(0, 2, 50)
-	if err := a.Merge(other); err == nil {
-		t.Error("Merge accepted a mismatched range")
-	}
-	narrow, _ := NewHistogram(0, 1, 10)
-	if err := a.Merge(narrow); err == nil {
-		t.Error("Merge accepted a mismatched bin count")
-	}
-}
-
-// TestStreamingAccumulatorsAllocationFree asserts the hot accumulation
-// paths the fleet reducer leans on never allocate.
+// TestStreamingAccumulatorsAllocationFree asserts that Sample.Add, the
+// accumulation path the fleet reducer leans on, never allocates.
 func TestStreamingAccumulatorsAllocationFree(t *testing.T) {
 	var s Sample
-	h, _ := NewHistogram(0, 1, 100)
 	x := 0.123
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Add(x)
 		x = math.Mod(x*1.618, 1)
 	}); n != 0 {
 		t.Errorf("Sample.Add allocates %v times per call", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		h.Add(x)
-		x = math.Mod(x*1.618, 1)
-	}); n != 0 {
-		t.Errorf("Histogram.Add allocates %v times per call", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, err := h.Quantile(0.99); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("Histogram.Quantile allocates %v times per call", n)
 	}
 }

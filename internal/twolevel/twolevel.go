@@ -12,8 +12,8 @@
 // first. The package therefore provides an exact numeric
 // expected-time evaluator (a renewal recursion), a numeric optimiser
 // over the period W and the number of local intervals n — the
-// "sophisticated heuristics" route of the literature — and a
-// Monte-Carlo simulator validating the evaluator. Contrasting
+// "sophisticated heuristics" route of the literature; a Monte-Carlo
+// simulator in the tests validates the evaluator. Contrasting
 // Optimize here with analytic.Optimal makes the paper's structural
 // point executable.
 package twolevel
@@ -23,8 +23,6 @@ import (
 	"math"
 
 	"respat/internal/analytic"
-	"respat/internal/faults"
-	"respat/internal/stats"
 	"respat/internal/xmath"
 )
 
@@ -186,65 +184,4 @@ func Compare(p Params) (Comparison, error) {
 		cmp.Gain = 1 - two.Overhead/h
 	}
 	return cmp, nil
-}
-
-// SimResult aggregates the Monte-Carlo validation.
-type SimResult struct {
-	Time       stats.Sample // per-run total
-	LocalRecs  int64
-	GlobalRecs int64
-}
-
-// Simulate runs the two-level protocol: patterns instances per run,
-// runs repetitions, with exponential arrivals classified local/global
-// by an independent Bernoulli(q). It validates ExpectedTime.
-func Simulate(p Params, w float64, n, patterns, runs int, seed uint64) (SimResult, error) {
-	if err := p.Validate(); err != nil {
-		return SimResult{}, err
-	}
-	if w <= 0 || n <= 0 || patterns <= 0 || runs <= 0 {
-		return SimResult{}, fmt.Errorf("twolevel: W=%v n=%d patterns=%d runs=%d", w, n, patterns, runs)
-	}
-	u := w / float64(n)
-	var out SimResult
-	for run := 0; run < runs; run++ {
-		s1, s2 := faults.SplitSeed(seed, uint64(run)*2)
-		src, err := faults.NewExponential(p.Lambda, s1, s2)
-		if err != nil {
-			return SimResult{}, err
-		}
-		b1, b2 := faults.SplitSeed(seed, uint64(run)*2+1)
-		coin := faults.NewBernoulli(b1, b2)
-		var now, exposure float64
-		next := src.Next(0)
-		for pat := 0; pat < patterns; pat++ {
-			i := 0
-			for i < n {
-				d := u + p.LocalCkpt
-				if next-exposure <= d {
-					// Error mid-interval.
-					dt := next - exposure
-					now += dt
-					exposure = next
-					next = src.Next(exposure)
-					if coin.Hit(p.LocalShare) {
-						now += p.LocalRec
-						out.LocalRecs++
-						// Retry interval i.
-					} else {
-						now += p.DiskRec
-						out.GlobalRecs++
-						i = 0 // replay the whole pattern
-					}
-					continue
-				}
-				exposure += d
-				now += d
-				i++
-			}
-			now += p.DiskCkpt
-		}
-		out.Time.Add(now)
-	}
-	return out, nil
 }

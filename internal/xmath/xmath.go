@@ -31,24 +31,6 @@ func Close(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// Sum returns the Kahan-Babuška (Neumaier) compensated sum of xs.
-// It is accurate to within a couple of ulps even for badly conditioned
-// inputs, which matters when accumulating millions of per-operation
-// durations in the simulator.
-func Sum(xs []float64) float64 {
-	var sum, comp float64
-	for _, x := range xs {
-		t := sum + x
-		if math.Abs(sum) >= math.Abs(x) {
-			comp += (sum - t) + x
-		} else {
-			comp += (x - t) + sum
-		}
-		sum = t
-	}
-	return sum + comp
-}
-
 // Accumulator is a streaming Neumaier-compensated accumulator.
 // The zero value is ready to use.
 type Accumulator struct {
@@ -72,16 +54,6 @@ func (a *Accumulator) Value() float64 { return a.sum + a.comp }
 
 // Reset clears the accumulator.
 func (a *Accumulator) Reset() { a.sum, a.comp = 0, 0 }
-
-// Expm1Div returns (e^x - 1)/x evaluated stably, with the limit value 1
-// at x = 0. It appears in the exact expected-lost-time formula
-// E[T_lost] = 1/λ - w/(e^{λw}-1).
-func Expm1Div(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	return math.Expm1(x) / x
-}
 
 const invPhi = 0.6180339887498949 // (sqrt(5)-1)/2
 
@@ -200,22 +172,6 @@ func IntNeighborhood(x float64) []int {
 		return []int{lo}
 	}
 	return []int{lo, hi}
-}
-
-// ArgminInt evaluates f over candidates and returns the minimising
-// candidate and its value. It panics on an empty candidate list.
-func ArgminInt(f func(int) float64, candidates []int) (int, float64) {
-	if len(candidates) == 0 {
-		panic("xmath: ArgminInt with no candidates")
-	}
-	best := candidates[0]
-	fbest := f(best)
-	for _, c := range candidates[1:] {
-		if fc := f(c); fc < fbest {
-			best, fbest = c, fc
-		}
-	}
-	return best, fbest
 }
 
 // Brent finds a root of f in [a, b] using the Brent-Dekker method.

