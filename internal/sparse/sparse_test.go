@@ -237,7 +237,7 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-func TestCGSolvespoisson1D(t *testing.T) {
+func TestCGSolvesPoisson1D(t *testing.T) {
 	n := 64
 	a, err := poisson1D(n)
 	if err != nil {

@@ -49,7 +49,7 @@ var stdlibCalled = map[string]bool{
 // code selects its name, or the standard library calls it through an
 // interface (stdlibCalled).
 func TestProductionCodeReachable(t *testing.T) {
-	prog, err := loadProgram(".")
+	prog, err := loadProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,11 @@ func (n *node) name() string {
 	return n.obj.Pkg().Name() + "." + n.obj.Name()
 }
 
-// loadProgram parses and type-checks every non-test package under
-// root. Directory d holds package "respat/d": the perfbench module's
-// path is respat/perfbench, so one mapping serves both modules.
-func loadProgram(root string) (*program, error) {
+// loadProgram parses and type-checks every non-test package under the
+// repository root. Directory d holds package "respat/d": the perfbench
+// module's path is respat/perfbench, so one mapping serves both
+// modules.
+func loadProgram() (*program, error) {
 	prog := &program{
 		fset:  token.NewFileSet(),
 		pkgs:  map[string]*pkg{},
@@ -122,11 +123,11 @@ func loadProgram(root string) (*program, error) {
 	}
 	prog.std = importer.ForCompiler(prog.fset, "source", nil)
 	var paths []string
-	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if dir != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
 		bp, err := build.ImportDir(dir, 0)
@@ -138,7 +139,7 @@ func loadProgram(root string) (*program, error) {
 			return err
 		}
 		path := "respat"
-		if dir != root {
+		if dir != "." {
 			path += "/" + filepath.ToSlash(dir)
 		}
 		p := &pkg{path: path}
