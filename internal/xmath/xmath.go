@@ -86,6 +86,191 @@ func MinimizeGolden(f func(float64) float64, a, b, tol float64) (x, fx float64) 
 	return x, f(x)
 }
 
+// Constants of MinimizeFrom: the relative tolerance √ε of float64 (a
+// smooth minimum is not resolvable in x below it, since f's change
+// there is quadratic in the step), an absolute floor for a minimum at
+// 0, the first bracketing step relative to the seed, the golden ratio
+// that grows the bracket and 1/φ², the fraction of a golden-section
+// step of Brent's fallback.
+const (
+	sqrtEps   = 1.4901161193847656e-08
+	zeroFloor = 2.220446049250313e-19 // 1e-3·ε
+	firstStep = 0.05
+	phi       = 1.618033988749895
+	cgold     = 0.3819660112501051 // 2 - phi
+)
+
+// MinimizeFrom minimises f on [lo, hi] from the seed x0 (clamped into
+// the range): it steps downhill from x0, the first step 5% of |x0|
+// and each next one golden-ratio longer, until a probe rises (or the
+// walk reaches a bound), then runs Brent's parabolic-interpolation
+// method inside that bracket to a relative tolerance of √ε. A seed
+// near the minimum of a smooth f (e.g. a first-order optimum) makes it
+// far cheaper than MinimizeGolden over a wide range: ~14 probes
+// instead of ~60.
+//
+// It returns the best point it probed, so fx ≤ f(x0). NaN reads as
+// +Inf, and +Inf as no better than any other value: while the seed's
+// value is +Inf the walk widens both ways until one side turns finite.
+// For unimodal f the result is the minimum; otherwise it is a local
+// one. The probe sequence is a pure function of f's values, so results
+// repeat bit for bit.
+func MinimizeFrom(f func(float64) float64, x0, lo, hi float64) (x, fx float64) {
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	f = infNaN(f)
+	x0 = Clamp(x0, lo, hi)
+	f0 := f(x0)
+	step := firstStep * math.Abs(x0)
+	if step == 0 {
+		step = firstStep * (hi - lo)
+	}
+	// Find a downhill direction. a is the point behind the walk (the
+	// far end of the bracket), b the lowest point so far.
+	a, fa, b, fb := x0, f0, x0, f0
+	var dir float64
+	left, fl, right, fr := x0, f0, x0, f0
+	for dir == 0 {
+		r, l := math.Min(x0+step, hi), math.Max(x0-step, lo)
+		if !(r > right) && !(l < left) {
+			// Both sides clamped (or NaN) and nothing lower: x0 is
+			// the best point in reach.
+			return brentMin(f, left, fl, right, fr, x0, f0)
+		}
+		if r > right {
+			fv := f(r)
+			if fv < fb {
+				a, fa, b, fb, dir = right, fr, r, fv, 1
+				break
+			}
+			right, fr = r, fv
+		}
+		if l < left {
+			fv := f(l)
+			if fv < fb {
+				a, fa, b, fb, dir = left, fl, l, fv, -1
+				break
+			}
+			left, fl = l, fv
+		}
+		if isFinite(f0) {
+			// x0 is no worse than both neighbours: they bracket it.
+			return brentMin(f, left, fl, right, fr, x0, f0)
+		}
+		step *= phi
+	}
+	// Walk downhill while probes keep falling.
+	for {
+		step *= phi
+		c := Clamp(b+dir*step, lo, hi)
+		if c == b {
+			return brentMin(f, a, fa, b, fb, b, fb)
+		}
+		fc := f(c)
+		if !(fc < fb) {
+			return brentMin(f, a, fa, c, fc, b, fb)
+		}
+		a, fa, b, fb = b, fb, c, fc
+	}
+}
+
+// infNaN returns f with NaN values read as +Inf, so every comparison
+// below orders them last.
+func infNaN(f func(float64) float64) func(float64) float64 {
+	return func(x float64) float64 {
+		if v := f(x); !math.IsNaN(v) {
+			return v
+		}
+		return math.Inf(1)
+	}
+}
+
+// brentMin is Brent's minimiser (Algorithms for Minimization Without
+// Derivatives, 1973, ch. 5) on the bracket [a, b] from its lowest
+// known point x: parabolic interpolation through the three best points,
+// with a golden-section step whenever the parabola is not finite, falls
+// outside the bracket or does not at least halve the step before last.
+// It stops when the bracket is within √ε·|x| of x and returns the best
+// point probed.
+func brentMin(f func(float64) float64, a, fa, b, fb, x, fx float64) (float64, float64) {
+	// Unlike the textbook start (w = v = x, a golden first step), the
+	// bracket's ends seed the parabola, so the first step can already
+	// interpolate.
+	w, fw, v, fv := a, fa, b, fb
+	if fb < fa {
+		w, fw, v, fv = b, fb, a, fa
+	}
+	if b < a {
+		a, b = b, a
+	}
+	d := b - a
+	e := d
+	for iter := 0; iter < 200; iter++ {
+		xm := (a + b) / 2
+		tol1 := sqrtEps*math.Abs(x) + zeroFloor
+		tol2 := 2 * tol1
+		if math.Abs(x-xm) <= tol2-(b-a)/2 {
+			break
+		}
+		golden := true
+		if math.Abs(e) > tol1 {
+			r := (x - w) * (fx - fv)
+			q := (x - v) * (fx - fw)
+			p := (x-v)*q - (x-w)*r
+			q = 2 * (q - r)
+			if q > 0 {
+				p = -p
+			}
+			q = math.Abs(q)
+			etemp := e
+			e = d
+			// Written so that NaN (from non-finite values) fails it.
+			if math.Abs(p) < math.Abs(q*etemp/2) && p > q*(a-x) && p < q*(b-x) {
+				d = p / q
+				if u := x + d; u-a < tol2 || b-u < tol2 {
+					d = math.Copysign(tol1, xm-x)
+				}
+				golden = false
+			}
+		}
+		if golden {
+			if x >= xm {
+				e = a - x
+			} else {
+				e = b - x
+			}
+			d = cgold * e
+		}
+		u := x + d
+		if math.Abs(d) < tol1 {
+			u = x + math.Copysign(tol1, d)
+		}
+		fu := f(u)
+		if fu <= fx {
+			if u >= x {
+				a = x
+			} else {
+				b = x
+			}
+			v, w, x = w, x, u
+			fv, fw, fx = fw, fx, fu
+		} else {
+			if u < x {
+				a = u
+			} else {
+				b = u
+			}
+			if fu <= fw || w == x {
+				v, w, fv, fw = w, u, fw, fu
+			} else if fu <= fv || v == x || v == w {
+				v, fv = u, fu
+			}
+		}
+	}
+	return x, fx
+}
+
 // MinimizeConvexInt minimises a convex function f over the integers in
 // [lo, hi] by ternary search. It returns the argmin and minimum value.
 // For non-convex f the result is a local minimum.

@@ -1,6 +1,7 @@
 package xmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -348,5 +349,165 @@ func TestGoldenSectionAgainstBruteForce(t *testing.T) {
 		if !Close(x, want, 1e-5) {
 			t.Errorf("argmin(a=%v,b=%v) = %v, want %v", a, b, x, want)
 		}
+	}
+}
+
+// minimizeFromCase is one MinimizeFrom property input: f, its argmin
+// on [lo, hi] and the distance within which the result must land (the
+// search tolerance plus the float64 resolution of f's minimum).
+type minimizeFromCase struct {
+	name     string
+	f        func(float64) float64
+	lo, hi   float64
+	argmin   float64
+	tol      float64
+	maxCalls int // 0: unchecked
+}
+
+// checkMinimizeFrom runs MinimizeFrom from x0 and asserts the
+// properties every seed must keep: the result is no worse than the
+// seed, lands within tolerance of the argmin, stays inside the range,
+// repeats bit for bit and, where bounded, stays within the probe
+// budget.
+func checkMinimizeFrom(t *testing.T, c minimizeFromCase, x0 float64) {
+	t.Helper()
+	calls := 0
+	x, fx := MinimizeFrom(func(x float64) float64 { calls++; return c.f(x) }, x0, c.lo, c.hi)
+	label := fmt.Sprintf("%s on [%v, %v] from %v", c.name, c.lo, c.hi, x0)
+	if f0 := c.f(Clamp(x0, c.lo, c.hi)); !(fx <= f0) && !math.IsNaN(f0) {
+		t.Fatalf("%s: f(x)=%v above f(x0)=%v", label, fx, f0)
+	}
+	if x < c.lo || x > c.hi {
+		t.Fatalf("%s: x=%v outside the range", label, x)
+	}
+	if math.Abs(x-c.argmin) > c.tol {
+		t.Fatalf("%s: x=%v, argmin %v (tolerance %v)", label, x, c.argmin, c.tol)
+	}
+	if c.maxCalls > 0 && calls > c.maxCalls {
+		t.Fatalf("%s: %d probes, budget %d", label, calls, c.maxCalls)
+	}
+	x2, fx2 := MinimizeFrom(c.f, x0, c.lo, c.hi)
+	if math.Float64bits(x2) != math.Float64bits(x) || math.Float64bits(fx2) != math.Float64bits(fx) {
+		t.Fatalf("%s: repeat gave (%v, %v), first (%v, %v)", label, x2, fx2, x, fx)
+	}
+}
+
+// TestMinimizeFromQuadratics: random quadratics with the argmin
+// anywhere in a random range, seeded at the argmin, near it, two
+// decades of the seed's distance away, and at both ends.
+func TestMinimizeFromQuadratics(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 1))
+	for i := 0; i < 500; i++ {
+		k := math.Exp(rng.Float64()*4 - 2)
+		c0 := rng.Float64()*200 - 100
+		lo, hi := c0-math.Exp(rng.Float64()*8), c0+math.Exp(rng.Float64()*8)
+		c := minimizeFromCase{
+			name:   fmt.Sprintf("%v(x-%v)²+1", k, c0),
+			f:      func(x float64) float64 { return k*(x-c0)*(x-c0) + 1 },
+			lo:     lo,
+			hi:     hi,
+			argmin: c0,
+			tol:    1e-6 * math.Max(1, math.Abs(c0)),
+		}
+		near := 0.03 * math.Max(1, math.Abs(c0))
+		for _, x0 := range []float64{c0, c0 + near, c0 - near, c0 + 100*near, c0 - 100*near, lo, hi} {
+			checkMinimizeFrom(t, c, x0)
+		}
+	}
+}
+
+// TestMinimizeFromOverheadShape: the shape of the pattern overhead
+// h(W) = a/W + b·W + c over the planners' range [W*/100, 100·W*],
+// seeded where they seed it (the argmin, or near it) and two decades
+// away; the seeded cases stay within the 40-probe budget.
+func TestMinimizeFromOverheadShape(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 2))
+	for i := 0; i < 500; i++ {
+		a := math.Exp(rng.Float64()*14 - 2)
+		b := math.Exp(-rng.Float64()*14 - 2)
+		off := rng.Float64()
+		ws := math.Sqrt(a / b)
+		c := minimizeFromCase{
+			name:     fmt.Sprintf("%v/W+%v·W+%v", a, b, off),
+			f:        func(w float64) float64 { return a/w + b*w + off },
+			lo:       ws / 100,
+			hi:       ws * 100,
+			argmin:   ws,
+			tol:      1e-6 * ws,
+			maxCalls: 40,
+		}
+		for _, s := range []float64{1, 1.03, 0.97, 1.2, 0.8, 1.6, 0.6, 100, 0.01} {
+			checkMinimizeFrom(t, c, s*ws)
+		}
+	}
+}
+
+// TestMinimizeFromNonFinite: +Inf over part of the range (a diverging
+// expected time beyond some W, or below some W), including at the seed
+// itself, and NaN read as +Inf.
+func TestMinimizeFromNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 3))
+	for i := 0; i < 300; i++ {
+		a := math.Exp(rng.Float64()*8 + 2)
+		b := math.Exp(-rng.Float64()*8 - 2)
+		ws := math.Sqrt(a / b)
+		cut := ws * math.Exp(rng.Float64()*math.Log(50)+0.2)
+		bad := math.Inf(1)
+		if i%2 == 1 {
+			bad = math.NaN()
+		}
+		right := minimizeFromCase{
+			name: fmt.Sprintf("%v/W+%v·W, %v beyond %v", a, b, bad, cut),
+			f: func(w float64) float64 {
+				if w > cut {
+					return bad
+				}
+				return a/w + b*w
+			},
+			lo: ws / 100, hi: ws * 100, argmin: ws, tol: 1e-6 * ws,
+		}
+		leftCut := ws / math.Exp(rng.Float64()*math.Log(50)+0.2)
+		left := right
+		left.name = fmt.Sprintf("%v/W+%v·W, %v below %v", a, b, bad, leftCut)
+		left.f = func(w float64) float64 {
+			if w < leftCut {
+				return bad
+			}
+			return a/w + b*w
+		}
+		for _, s := range []float64{1, 1.1, 0.9, 100, 0.01} {
+			checkMinimizeFrom(t, right, s*ws)
+			checkMinimizeFrom(t, left, s*ws)
+		}
+		// Seeds inside the non-finite region.
+		checkMinimizeFrom(t, right, cut*1.01)
+		checkMinimizeFrom(t, right, math.Sqrt(cut*ws*100))
+		checkMinimizeFrom(t, left, leftCut*0.99)
+		checkMinimizeFrom(t, left, math.Sqrt(leftCut*ws/100))
+	}
+	// A range with no finite value returns a non-finite value.
+	if _, fx := MinimizeFrom(func(float64) float64 { return math.Inf(1) }, 3, 1, 10); !math.IsInf(fx, 1) {
+		t.Errorf("all +Inf: fx = %v", fx)
+	}
+}
+
+// TestMinimizeFromEdges: a minimum at either end of the range, a seed
+// outside the range, reversed bounds and a zero seed.
+func TestMinimizeFromEdges(t *testing.T) {
+	rising := minimizeFromCase{name: "x", f: func(x float64) float64 { return x }, lo: 1, hi: 10, argmin: 1, tol: 1e-6}
+	falling := minimizeFromCase{name: "-x", f: func(x float64) float64 { return -x }, lo: 1, hi: 10, argmin: 10, tol: 1e-5}
+	for _, x0 := range []float64{1, 1.5, 5, 10, -3, 40} {
+		checkMinimizeFrom(t, rising, x0)
+		checkMinimizeFrom(t, falling, x0)
+	}
+	x, _ := MinimizeFrom(func(x float64) float64 { return (x - 2) * (x - 2) }, 0, 10, -10)
+	if !Close(x, 2, 1e-6) {
+		t.Errorf("reversed bounds, zero seed: x = %v, want 2", x)
+	}
+	// A NaN seed or bound must end the search, not hang it.
+	nan := math.NaN()
+	square := func(x float64) float64 { return x * x }
+	for _, in := range [][3]float64{{nan, -1, 1}, {0.5, nan, 1}, {0.5, -1, nan}, {nan, nan, nan}} {
+		MinimizeFrom(square, in[0], in[1], in[2])
 	}
 }
