@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -628,6 +630,52 @@ func BenchmarkServicePlanCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		costs.DiskCkpt = 300 + float64(i)*1e-6
 		if _, err := svc.PlanExact(core.PDMV, costs, hera.Rates); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExactPlanMix is the single-level cold work of perfbench's
+// zipf-tail workload: each op plans one configuration of a fixed
+// seeded mix cold, on a fresh evaluator, with
+// optimize.ExactWithEvaluator. The mix is 16 Table 2 platforms drawn
+// at random with both error rates and the disk checkpoint and recovery
+// costs scattered x0.5..x2, as zipf-tail's key space is, times all six
+// families; their first-order plans are computed before the timer
+// starts. BenchmarkServicePlanCold covers only Hera PDMV.
+func BenchmarkExactPlanMix(b *testing.B) {
+	type config struct {
+		costs core.Costs
+		rates core.Rates
+		first analytic.Plan
+	}
+	rng := rand.New(rand.NewPCG(1, 17))
+	scatter := func(x float64) float64 { return x * math.Exp((rng.Float64()*2-1)*math.Ln2) }
+	plats := platform.Table2()
+	var mix []config
+	for range 16 {
+		p := plats[rng.IntN(len(plats))]
+		p.Rates.FailStop = scatter(p.Rates.FailStop)
+		p.Rates.Silent = scatter(p.Rates.Silent)
+		p.Costs.DiskCkpt = scatter(p.Costs.DiskCkpt)
+		p.Costs.DiskRec = scatter(p.Costs.DiskRec)
+		for _, k := range core.Kinds() {
+			first, err := analytic.Optimal(k, p.Costs, p.Rates)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mix = append(mix, config{p.Costs, p.Rates, first})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := mix[i%len(mix)]
+		ev, err := analytic.NewEvaluator(c.costs, c.rates)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := optimize.ExactWithEvaluator(ev, c.first); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,8 +32,8 @@ var goldenDigests = map[string]string{
 	"sim.TraceOne":      "08b2a1173dfdadd15450ca587a0219e37ae222d6d8a5c9725b60337f1fed3d24",
 	"sim.JobSim":        "ced9bd84792a29b19a05bad02addbfd626f51f9b207d2cbcd537955f40b48015",
 	"sim.RunMultilevel": "09b2b8ee71cc8fa507c2c4498c9c475d29618414c6fe564239840f4ea2a0c50b",
-	"fleet.Run":         "19a5ea9776da9baaca08267964e86c462b8531db7b738efab2df8a687aad6970",
-	"harness":           "16679b05f2256bea9958d9da805c4cf886812fe7b974e0cdd6bd76e7fc203078",
+	"fleet.Run":         "196af2abcc20632853cb4052187a35db6f496a103ab3b8af7f577ac9636e7004",
+	"harness":           "5eb1d6f7197dd24ca7674e3e91aeb812496d4f7666735a9191eae46570d5578a",
 	"engine":            "05b7020de9135369b796e5963222fe99f975234db1da407063275ce7893d5b97",
 }
 

@@ -12,10 +12,10 @@ import (
 // fixed (costs, rates) configuration. It validates the configuration
 // once at construction and caches the W-independent invariants of every
 // Theorem 4 layout it sees, so planners that probe many pattern lengths
-// at the same (n, m) — e.g. the golden-section W search of
-// optimize.Exact — pay for validation and layout construction once
-// and for ≤ 2 distinct chunk-size evaluations per probe instead of
-// O(m).
+// at the same (n, m) — e.g. the leaf W search of optimize.Exact, ~14
+// probes from the first-order period — pay for validation and layout
+// construction once and for ≤ 2 distinct chunk-size evaluations per
+// probe instead of O(m).
 //
 // The fast path exploits the structure of the optimal interior layout:
 // all n segments are equal, and the Theorem 3 chunk row has only two

@@ -12,25 +12,29 @@ import (
 // with a ~800-probe seed, against ~4.6ms when the seed ran a nested
 // ternary search (83,248 first-order probes); L=4 measures ~1.4ms /
 // ~240 allocs with a ~2,700-probe seed, against ~180ms (3.66M probes).
-// The latency and allocation budgets sit far above the current
-// figures and far below the old ones, so the test is insensitive to
-// runner noise but fails loudly if the cold path regresses; the probe
-// budgets bound exact counts, so they catch a seed regression on any
-// machine. The bench gate in scripts/bench.sh enforces the tighter
-// release targets (5ms, 1000 allocs).
+// Each full-precision leaf W search takes 11-13 evaluator probes from
+// the first-order period, against ~60 for the golden-section search it
+// replaced. The latency and allocation budgets sit far above the
+// current figures and far below the old ones, so the test is
+// insensitive to runner noise but fails loudly if the cold path
+// regresses; the probe budgets bound exact counts, so they catch a
+// seed or leaf regression on any machine. The bench gate in
+// scripts/bench.sh enforces the tighter release targets (5ms, 1000
+// allocs).
 var planBudgets = []struct {
-	levels     int
-	seedProbes int
-	allocs     float64
-	latency    time.Duration
+	levels        int
+	seedProbes    int
+	probesPerLeaf float64
+	allocs        float64
+	latency       time.Duration
 }{
-	{levels: 3, seedProbes: 1000, allocs: 1000, latency: 25 * time.Millisecond},
-	{levels: 4, seedProbes: 3000, allocs: 2000, latency: 50 * time.Millisecond},
+	{levels: 3, seedProbes: 1000, probesPerLeaf: 20, allocs: 1000, latency: 25 * time.Millisecond},
+	{levels: 4, seedProbes: 3000, probesPerLeaf: 20, allocs: 2000, latency: 50 * time.Millisecond},
 }
 
 // TestMultilevelPlanBudget is the CI guard on the cold-plan overhaul:
-// a cold multilevel plan must stay within the seed-probe, latency and
-// allocation budgets between bench snapshots.
+// a cold multilevel plan must stay within the seed-probe, leaf-probe,
+// latency and allocation budgets between bench snapshots.
 func TestMultilevelPlanBudget(t *testing.T) {
 	pl, err := platform.ByName("Hera")
 	if err != nil {
@@ -48,8 +52,13 @@ func TestMultilevelPlanBudget(t *testing.T) {
 		if _, err := pln.Plan(); err != nil { // warm the code paths once
 			t.Fatal(err)
 		}
-		if got := pln.Stats().SeedProbes; got > b.seedProbes {
-			t.Errorf("L=%d seed: %d first-order probes, budget %d", b.levels, got, b.seedProbes)
+		st := pln.Stats()
+		if st.SeedProbes > b.seedProbes {
+			t.Errorf("L=%d seed: %d first-order probes, budget %d", b.levels, st.SeedProbes, b.seedProbes)
+		}
+		if leaves := st.Leaves - st.Screened; float64(st.LeafProbes) > b.probesPerLeaf*float64(leaves) {
+			t.Errorf("L=%d leaves: %d evaluator probes over %d full-precision leaves, budget %g per leaf",
+				b.levels, st.LeafProbes, leaves, b.probesPerLeaf)
 		}
 
 		allocs := testing.AllocsPerRun(5, func() {

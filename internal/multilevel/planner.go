@@ -44,7 +44,7 @@ const pruneSlack = 1.05
 // must dominate how much a candidate can gain by re-optimising m away
 // from the incumbent's — the exact overhead is nearly flat in m around
 // m* (well under 1% across the Table 2 grid) — plus the coarse
-// search's own error (quadratically suppressed, see optimizeW).
+// search's own error (quadratic in its W error near the minimum).
 const refineMargin = 0.05
 
 // Plan is the outcome of optimising a multilevel pattern for a
@@ -81,9 +81,15 @@ type SearchStats struct {
 	// Evaluated is how many candidates ran the full exact m/W search
 	// (the incumbent plus the screening survivors within refineMargin).
 	Evaluated int
-	// Leaves is the total number of exact (n-vector, m) leaves
-	// golden-section-searched over W.
+	// Leaves is the total number of exact (n-vector, m) leaves searched
+	// over W: the Screened coarse searches plus the full-precision
+	// searches of the Evaluated candidates.
 	Leaves int
+	// LeafProbes is the number of exact evaluator probes the
+	// full-precision leaf W searches ran (screening excluded): ~14 per
+	// leaf from the first-order period. Like every count here it is
+	// the same for any worker count.
+	LeafProbes int
 	// Workers is the fan-out width the exact evaluations ran under.
 	Workers int
 	// Fallback reports that the box exceeded maxEnumCandidates and the
@@ -91,13 +97,21 @@ type SearchStats struct {
 	Fallback bool
 }
 
-// wEval is one (level-vector, m) leaf: the W-optimised overhead.
+// wEval is one (level-vector, m) leaf: the W-optimised overhead and
+// the evaluator probes its W search ran. A candidate's m search
+// returns its best leaf with leaves and probes summed over the leaves
+// it searched.
 type wEval struct {
 	w, h   float64
 	m      int
 	leaves int
+	probes int
 	err    error
 }
+
+// leafSearch minimises one (counts, m) leaf's exact overhead over W:
+// optimizeW, or in tests the golden-section oracle it replaced.
+type leafSearch func(ev *Evaluator, counts []int, m int) wEval
 
 // Planner is a reusable search context bound to one Params
 // configuration: it owns a memoized Evaluator (see the Evaluator doc
@@ -108,6 +122,7 @@ type wEval struct {
 // per-worker evaluators.
 type Planner struct {
 	ev      *Evaluator
+	leaf    leafSearch
 	workers int
 	stats   SearchStats
 	// pool holds one searchCtx per fan-out worker, kept warm across
@@ -143,6 +158,7 @@ func PlannerFor(ev *Evaluator) *Planner {
 	L := len(ev.Params().Levels)
 	pl := &Planner{
 		ev:      ev,
+		leaf:    optimizeW,
 		workers: runtime.GOMAXPROCS(0),
 		branch:  make([]int, L-1),
 		counts:  make([]int, L),
@@ -263,7 +279,7 @@ func FirstOrderPlan(p Params) (Plan, error) {
 //     index-order scan with strict-less tie-breaking picks the winner.
 //
 // Every candidate's exact value is computed by the same deterministic
-// golden-section leaf search regardless of which worker runs it, the
+// leaf W search regardless of which worker runs it, the
 // screen and refine sets are pure functions of deterministic values,
 // and the reduction order is fixed — so the returned Plan is
 // bit-identical for any worker count. Bit-parity with the
@@ -311,7 +327,7 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	if box > maxEnumCandidates {
 		pl.stats.Fallback = true
 		pl.stats.Candidates = box
-		return optimizeNested(ctx, pl.ev, maxM, pl.caps, &pl.stats)
+		return optimizeNested(ctx, pl.ev, pl.leaf, maxM, pl.caps, &pl.stats)
 	}
 	pl.stats.Candidates = box
 
@@ -320,18 +336,19 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	// thresholds are pure functions of the configuration (never of
 	// scheduling).
 	seedIdx := pl.candidateIndex(pl.seed)
-	incumbent := pl.pool[0].evalCandidate(pl.seed, maxM, seedM)
+	incumbent := pl.pool[0].evalCandidate(pl.seed, maxM, seedM, pl.leaf)
 	if incumbent.err != nil {
 		return Plan{}, incumbent.err
 	}
 	pl.stats.Leaves += incumbent.leaves
+	pl.stats.LeafProbes += incumbent.probes
 	pl.stats.Evaluated++
 	if math.IsInf(incumbent.h, 1) || math.IsNaN(incumbent.h) {
 		// A diverging seed means the first-order model missed badly;
 		// screening against it would be meaningless, so run the
 		// exhaustive-by-convexity nested search instead.
 		pl.stats.Fallback = true
-		return optimizeNested(ctx, pl.ev, maxM, pl.caps, &pl.stats)
+		return optimizeNested(ctx, pl.ev, pl.leaf, maxM, pl.caps, &pl.stats)
 	}
 
 	// Bound-and-prune pass (sequential, O(L·log m) per candidate).
@@ -395,7 +412,7 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	err = pl.runRound(ctx, len(refine), func(ctx *searchCtx, i int) error {
 		branch := ctx.scratchBranch(len(pl.caps))
 		pl.decode(refine[i], branch)
-		results[i] = ctx.evalCandidate(branch, maxM, incumbent.m)
+		results[i] = ctx.evalCandidate(branch, maxM, incumbent.m, pl.leaf)
 		return nil
 	})
 	if err != nil {
@@ -410,6 +427,7 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	for i, idx := range refine {
 		e := results[i]
 		pl.stats.Leaves += e.leaves
+		pl.stats.LeafProbes += e.probes
 		if e.err != nil || math.IsNaN(e.h) {
 			continue
 		}
@@ -480,18 +498,20 @@ func (sc *searchCtx) scratchBranch(n int) []int {
 // evalCandidate runs the capped convex integer search over m for one
 // level-vector candidate, descending from startM (the seed's or the
 // incumbent's chunk count, which neighbouring candidates share to
-// within a step or two), with a golden-section W search at every
-// leaf. Leaves are memoized per candidate so the descent's final
-// lookup never recomputes a leaf.
-func (sc *searchCtx) evalCandidate(branch []int, maxM, startM int) wEval {
+// within a step or two), with the leaf W search at every m. Leaves
+// are memoized per candidate so the descent's final lookup never
+// recomputes a leaf.
+func (sc *searchCtx) evalCandidate(branch []int, maxM, startM int, leaf leafSearch) wEval {
 	fillCounts(sc.counts, branch)
 	clear(sc.memo)
+	probes := 0
 	at := func(m int) wEval {
 		if e, ok := sc.memo[m]; ok {
 			return e
 		}
-		e := optimizeW(sc.ev, sc.counts, m)
+		e := leaf(sc.ev, sc.counts, m)
 		e.m = m
+		probes += e.probes
 		sc.memo[m] = e
 		return e
 	}
@@ -503,7 +523,7 @@ func (sc *searchCtx) evalCandidate(branch []int, maxM, startM int) wEval {
 		return e.h
 	}, 1, maxM, startM)
 	e := at(m)
-	e.leaves = len(sc.memo)
+	e.leaves, e.probes = len(sc.memo), probes
 	return e
 }
 
@@ -633,10 +653,12 @@ func firstOrderSeed(p Params, seed, counts []int) (m, probes int) {
 }
 
 // optimizeW minimises the exact expected overhead at fixed (counts, m)
-// over W by golden-section search, bracketed two orders of magnitude
-// around the first-order optimum sqrt(oef/orw) — the per-leaf
-// first-order seed. Probes run through the evaluator's prefetched
-// chunk layout and boundary table, so each one is pure arithmetic.
+// over W: xmath.MinimizeFrom seeded at the leaf's first-order period
+// sqrt(oef/orw), kept to two orders of magnitude either side of it. A
+// diverging probe reads as +Inf (evalSpec), so only a leaf with no
+// finite probe comes back non-finite. Probes run through the
+// evaluator's prefetched chunk layout and boundary table, so each one
+// is pure arithmetic.
 func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 	p := ev.Params()
 	oef, orw := p.FirstOrder(counts, m)
@@ -649,19 +671,24 @@ func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 		return wEval{err: err}
 	}
 	bt := ev.table(counts)
+	probes := 0
 	h := func(w float64) float64 {
+		probes++
 		return ev.evalSpec(cl, bt, w)/w - 1
 	}
-	w, hMin := xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
-	return wEval{w: w, h: hMin}
+	w, hMin := xmath.MinimizeFrom(h, guess, guess/100, guess*100)
+	return wEval{w: w, h: hMin, probes: probes}
 }
 
-// screenW is optimizeW with the golden tolerance relaxed to 1e-4 of
-// the first-order guess (~29 probes instead of ~80): screening only
-// ranks level vectors, and near the minimum the overhead error is
-// quadratic in the W error, far below refineMargin. Refined candidates
-// rerun through optimizeW at full precision, so screening never
-// touches the returned Plan's bits.
+// screenW places a screened candidate with a golden-section search
+// over [W*/100, 100·W*] at a tolerance of 1e-4 of the first-order
+// guess. MinimizeGolden takes that tolerance as relative, so for
+// W* ≳ 10⁴ s the search stops before its first step and the screen is
+// the overhead at ~50·W*: screening is inert, and no survivor refines.
+// That is ROADMAP item 1's defect; a different screen search changes
+// which candidates refine, so it belongs to that change. Refined
+// candidates rerun through optimizeW at full precision, so screening
+// never touches the returned Plan's bits.
 func screenW(ev *Evaluator, counts []int, m int) wEval {
 	p := ev.Params()
 	oef, orw := p.FirstOrder(counts, m)

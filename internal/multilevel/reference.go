@@ -21,10 +21,10 @@ import (
 //     bit-identical Plan on the Table 2 grid, which pins the overhaul
 //     to the pre-optimization planner's outputs.
 //
-// Leaves run through the same optimizeW as the parallel path, so the
+// Leaves run through the same leaf search as the parallel path, so the
 // two searches share every floating-point operation and differ only in
 // how they walk the box.
-func optimizeNested(ctx context.Context, ev *Evaluator, maxM int, caps []int, stats *SearchStats) (Plan, error) {
+func optimizeNested(ctx context.Context, ev *Evaluator, leaf leafSearch, maxM int, caps []int, stats *SearchStats) (Plan, error) {
 	memo := make(map[[MaxLevels]int]wEval)
 	branch := make([]int, len(caps))
 	counts := make([]int, len(caps)+1)
@@ -39,7 +39,7 @@ func optimizeNested(ctx context.Context, ev *Evaluator, maxM int, caps []int, st
 			return wEval{err: err}
 		}
 		fillCounts(counts, branch)
-		e := optimizeW(ev, counts, m)
+		e := leaf(ev, counts, m)
 		e.m = m
 		memo[key] = e
 		return e
@@ -86,5 +86,8 @@ func optimizeNested(ctx context.Context, ev *Evaluator, maxM int, caps []int, st
 	}
 	stats.Leaves += len(memo)
 	stats.Evaluated += len(memo)
+	for _, e := range memo {
+		stats.LeafProbes += e.probes
+	}
 	return Plan{Spec: UniformSpec(best.w, branch, m), Overhead: best.h}, nil
 }

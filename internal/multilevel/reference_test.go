@@ -3,6 +3,7 @@ package multilevel
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"respat/internal/xmath"
 )
@@ -61,5 +62,28 @@ func optimizeReference(ev *Evaluator) (Plan, error) {
 		maxM = 1
 	}
 	var stats SearchStats
-	return optimizeNested(context.Background(), ev, maxM, caps, &stats)
+	return optimizeNested(context.Background(), ev, optimizeW, maxM, caps, &stats)
+}
+
+// optimizeWGolden is the leaf W search as it ran before optimizeW was
+// seeded at the first-order period: a golden-section search over
+// [W*/100, 100·W*] to a 1e-10 relative tolerance (~60 probes).
+// Diverging probes already read as +Inf there (evalSpec).
+func optimizeWGolden(ev *Evaluator, counts []int, m int) wEval {
+	p := ev.Params()
+	oef, orw := p.FirstOrder(counts, m)
+	guess := xmath.SqrtRatio(oef, orw)
+	if math.IsInf(guess, 1) || math.IsNaN(guess) || guess <= 0 {
+		return wEval{err: fmt.Errorf("multilevel: no finite period guess for n=%v m=%d", counts, m)}
+	}
+	cl, err := ev.layout(m)
+	if err != nil {
+		return wEval{err: err}
+	}
+	bt := ev.table(counts)
+	h := func(w float64) float64 {
+		return ev.evalSpec(cl, bt, w)/w - 1
+	}
+	w, hMin := xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
+	return wEval{w: w, h: hMin}
 }

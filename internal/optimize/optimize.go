@@ -32,10 +32,14 @@ func (p ExactPlan) String() string {
 }
 
 // optimizeW minimises the exact expected overhead of family k at fixed
-// (n, m) over the pattern length W by golden-section search. The
-// search bracket is centred on the first-order W* and spans two orders
-// of magnitude each way; the probes only rescale W against the
-// evaluator's cached (n, m) layout.
+// (n, m) over the pattern length W: xmath.MinimizeFrom seeded at the
+// first-order period W* = sqrt(oef/orw) of Theorems 1-4, which lands
+// within a few percent of the exact optimum (§6.2.2), and kept to two
+// orders of magnitude either side of it. The probes only rescale W
+// against the evaluator's cached (n, m) layout. A probe whose expected
+// time diverges reads as +Inf, so a large-W overflow cannot discard a
+// leaf whose minimum is finite; the leaf fails only when no probe was
+// finite.
 func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, err error) {
 	c, r := ev.Costs(), ev.Rates()
 	if r.Total() == 0 {
@@ -56,8 +60,11 @@ func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float
 		}
 		return h
 	}
-	w, overhead = xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
-	if evalErr != nil {
+	w, overhead = xmath.MinimizeFrom(h, guess, guess/100, guess*100)
+	if math.IsInf(overhead, 0) {
+		if evalErr == nil {
+			evalErr = fmt.Errorf("optimize: no finite overhead for %v n=%d m=%d", k, n, m)
+		}
 		return 0, 0, evalErr
 	}
 	return w, overhead, nil
@@ -97,7 +104,7 @@ func ExactWithEvaluator(ev *analytic.Evaluator, first analytic.Plan) (ExactPlan,
 
 // ExactWithEvaluatorCtx is ExactWithEvaluator under a cancellation
 // context: when ctx is cancelled or expires the integer (n, m) search
-// aborts — within one golden-section leaf — and returns ctx's error,
+// aborts — within one leaf W search — and returns ctx's error,
 // never a partial plan (there is a final ctx check before the plan is
 // assembled). The planning service threads each request's deadline
 // through here so an abandoned cold plan stops searching.
@@ -107,6 +114,16 @@ func ExactWithEvaluatorCtx(ctx context.Context, ev *analytic.Evaluator, first an
 
 // exactFrom runs the integer (n, m) search on a shared evaluator.
 func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan) (ExactPlan, error) {
+	return exactSearch(ctx, ev, first, optimizeW)
+}
+
+// leafSearch minimises one (n, m) leaf's exact overhead over W:
+// optimizeW, or in tests the golden-section oracle it replaced.
+type leafSearch func(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, err error)
+
+// exactSearch is exactFrom over a given leaf search, so tests can run
+// the same (n, m) walk with an oracle leaf.
+func exactSearch(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan, leaf leafSearch) (ExactPlan, error) {
 	k, c := first.Kind, ev.Costs()
 	maxN, maxM := 1, 1
 	if k.MultiSegment() {
@@ -129,7 +146,7 @@ func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan)
 		if err := ctx.Err(); err != nil {
 			return eval{err: err}
 		}
-		w, h, err := optimizeW(ev, k, n, m)
+		w, h, err := leaf(ev, k, n, m)
 		e := eval{w: w, h: h, err: err}
 		memo[key] = e
 		return e
@@ -216,11 +233,4 @@ func Compare(k core.Kind, c core.Costs, r core.Rates) (Comparison, error) {
 		FirstOrderExactOverhead: hFirst,
 		Regret:                  regret,
 	}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -55,6 +55,30 @@ func TestOptimizeWDegenerate(t *testing.T) {
 	}
 }
 
+// TestOptimizeWDivergingSeed: a leaf whose expected time diverges at
+// the first-order period itself (a checkpoint ~10⁶ MTBFs long) reads
+// those probes as +Inf and still returns the finite minimum of its
+// range, which lies at its lower end.
+func TestOptimizeWDivergingSeed(t *testing.T) {
+	c := core.Costs{DiskCkpt: 1e8, MemCkpt: 10, DiskRec: 1e8, MemRec: 10, GuarVer: 10, PartVer: 1, Recall: 0.8}
+	r := core.Rates{FailStop: 1e-2, Silent: 1e-3}
+	ev, err := analytic.NewEvaluator(c, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guess := math.Sqrt(analytic.EF(core.PD, c, 1, 1) / analytic.RW(core.PD, c, r, 1, 1))
+	if _, err := ev.EvalLayoutOverhead(core.PD, 1, 1, guess); err == nil {
+		t.Fatal("the first-order period no longer diverges; pick a costlier checkpoint")
+	}
+	w, h, err := optimizeW(ev, core.PD, 1, 1)
+	if err != nil || math.IsInf(h, 0) || math.IsNaN(h) {
+		t.Fatalf("W=%v H=%v err=%v, want a finite minimum", w, h, err)
+	}
+	if math.Abs(w-guess/100) > 1e-6*w {
+		t.Errorf("W = %v, want the range's lower end %v", w, guess/100)
+	}
+}
+
 func TestExactPlanBeatsFirstOrderPlan(t *testing.T) {
 	// The exact planner can only do better (or equal) under the exact
 	// model than the first-order plan evaluated exactly.
@@ -106,5 +130,23 @@ func TestExactPlanString(t *testing.T) {
 	}
 	if plan.String() == "" {
 		t.Error("empty String")
+	}
+}
+
+// TestExactSurvivesDivergingProbes pins a ×100-scattered PDM
+// configuration whose leaves from n=57 up have a finite minimum but
+// diverge (`analytic: expected time diverged`) near 100·W*. A leaf
+// that failed on any diverging probe read as +Inf to the n search,
+// which then settled on n=56 (H=0.6349); n=130 gives H=0.5952.
+func TestExactSurvivesDivergingProbes(t *testing.T) {
+	c := core.Costs{DiskCkpt: 3199.3473108079647, MemCkpt: 0.09718712355866518, DiskRec: 183.7665487502915,
+		MemRec: 0.31726524666198186, GuarVer: 77.04759652904565, PartVer: 0.0019117273283946498, Recall: 0.8}
+	r := core.Rates{FailStop: 1.7056963900614352e-06, Silent: 0.0005025106407712845}
+	plan, err := Exact(core.PDM, c, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.N != 130 || plan.M != 1 || plan.Overhead > 0.5953 {
+		t.Errorf("plan n=%d m=%d H=%.4f, want n=130 m=1 H=0.5952", plan.N, plan.M, plan.Overhead)
 	}
 }

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -109,6 +110,85 @@ func TestExactTernaryParity(t *testing.T) {
 					math.Float64bits(got.Overhead) != math.Float64bits(want.Overhead) {
 					t.Fatalf("%s: n=%d m=%d W=%v H=%v, ternary n=%d m=%d W=%v H=%v",
 						label, got.N, got.M, got.W, got.Overhead, want.N, want.M, want.W, want.Overhead)
+				}
+			}
+		}
+	}
+}
+
+// optimizeWGolden is the leaf W search as it ran before optimizeW was
+// seeded at the first-order period: a golden-section search over
+// [W*/100, 100·W*] to a 1e-10 relative tolerance (~60 probes), with
+// the divergence fix — a probe whose expected time diverges reads as
+// +Inf, and the leaf fails only when its minimum is not finite.
+func optimizeWGolden(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, err error) {
+	c, r := ev.Costs(), ev.Rates()
+	if r.Total() == 0 {
+		return 0, 0, analytic.ErrDegenerate
+	}
+	guess := xmath.SqrtRatio(analytic.EF(k, c, n, m), analytic.RW(k, c, r, n, m))
+	if math.IsInf(guess, 1) || guess <= 0 {
+		return 0, 0, fmt.Errorf("optimize: no finite period guess for %v", k)
+	}
+	var evalErr error
+	h := func(w float64) float64 {
+		h, err := ev.EvalLayoutOverhead(k, n, m, w)
+		if err != nil {
+			evalErr = err
+			return math.Inf(1)
+		}
+		return h
+	}
+	w, overhead = xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
+	if math.IsInf(overhead, 0) || math.IsNaN(overhead) {
+		if evalErr == nil {
+			evalErr = fmt.Errorf("optimize: no finite overhead for %v n=%d m=%d", k, n, m)
+		}
+		return 0, 0, evalErr
+	}
+	return w, overhead, nil
+}
+
+// TestExactLeafOracleParity runs the exact (n, m) search over
+// optimizeW and over the golden-section oracle leaf, for all six
+// families on a seeded random sample at ×2/×10/×100 scatter. At ×2
+// and ×10 the two plans must pick the same (n, m), with W within 1e-5
+// relative and H no more than 1e-12 relative above the oracle's; at
+// ×100, where wide leaves can be non-unimodal, a changed (n, m) must
+// have a strictly lower H.
+func TestExactLeafOracleParity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 5))
+	perScatter := map[float64]int{2: 30, 10: 30, 100: 10} // ×100 plans cost ~20 ms
+	for _, s := range []float64{2, 10, 100} {
+		for i := 0; i < perScatter[s]; i++ {
+			c, r := scattered(rng, s)
+			ev, err := analytic.NewEvaluator(c, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range core.Kinds() {
+				label := fmt.Sprintf("x%g #%d %v %+v %+v", s, i, k, c, r)
+				first, err := analytic.Optimal(k, c, r)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := exactSearch(context.Background(), ev, first, optimizeW)
+				want, oracleErr := exactSearch(context.Background(), ev, first, optimizeWGolden)
+				if (err != nil) != (oracleErr != nil) {
+					t.Fatalf("%s: error %v, oracle error %v", label, err, oracleErr)
+				}
+				if err != nil {
+					continue
+				}
+				if got.N != want.N || got.M != want.M {
+					if s == 100 && got.Overhead < want.Overhead {
+						continue
+					}
+					t.Fatalf("%s: n=%d m=%d H=%v, oracle n=%d m=%d H=%v",
+						label, got.N, got.M, got.Overhead, want.N, want.M, want.Overhead)
+				}
+				if math.Abs(got.W-want.W) > 1e-5*want.W || got.Overhead > want.Overhead*(1+1e-12) {
+					t.Fatalf("%s: W=%v H=%v, oracle W=%v H=%v", label, got.W, got.Overhead, want.W, want.Overhead)
 				}
 			}
 		}
