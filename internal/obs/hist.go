@@ -23,7 +23,6 @@ const NumBuckets = len(BucketBoundsNS)
 // request path. The zero value is ready to use.
 type Histogram struct {
 	buckets [NumBuckets + 1]atomic.Int64 // last slot = +Inf overflow
-	count   atomic.Int64
 	sumNS   atomic.Int64
 }
 
@@ -37,8 +36,22 @@ func (h *Histogram) Observe(ns int64) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sumNS.Add(ns)
+}
+
+// Halve halves every bucket count and the sum, rounding down, so the
+// observations recorded before the call weigh half as much as those
+// recorded after it: halving every k observations keeps the quantiles
+// following the most recent few k. Observations racing the call are
+// kept whole, and a Snapshot taken during it may see some buckets
+// halved and others not.
+func (h *Histogram) Halve() {
+	for i := range h.buckets {
+		v := h.buckets[i].Load()
+		h.buckets[i].Add(v/2 - v)
+	}
+	v := h.sumNS.Load()
+	h.sumNS.Add(v/2 - v)
 }
 
 // HistSnapshot is one histogram's state, cumulative per the
@@ -52,9 +65,8 @@ type HistSnapshot struct {
 
 // Snapshot captures the histogram. Counters are read individually (no
 // global lock), so a snapshot taken during concurrent recording is
-// approximate; cumulativity is restored by construction, and the +Inf
-// bucket is forced to cover every bucketed observation so the
-// exposition always lints clean.
+// approximate; Count is the sum of the buckets read, so cumulativity
+// holds by construction and the exposition always lints clean.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
@@ -65,8 +77,31 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		run += h.buckets[i].Load()
 		s.Cumulative[i] = run
 	}
-	run += h.buckets[NumBuckets].Load()
-	s.Count = max(run, h.count.Load())
+	s.Count = run + h.buckets[NumBuckets].Load()
 	s.SumNS = h.sumNS.Load()
 	return s
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in nanoseconds by
+// Prometheus's histogram_quantile rule: it finds the bucket holding
+// rank q·Count and interpolates linearly between that bucket's bounds,
+// the first bucket starting at 0. A rank in the +Inf bucket reads as
+// the last finite bound (10 s), and an empty snapshot reads 0.
+func (s HistSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	rank := q * float64(s.Count)
+	var lo float64  // lower bound of bucket i
+	var below int64 // observations in the buckets before i
+	for i, c := range s.Cumulative {
+		hi := float64(BucketBoundsNS[i])
+		// c > below skips empty buckets, which only a rank of 0 can
+		// reach.
+		if float64(c) >= rank && c > below {
+			return lo + (hi-lo)*(rank-float64(below))/float64(c-below)
+		}
+		lo, below = hi, c
+	}
+	return lo
 }
