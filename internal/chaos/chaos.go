@@ -49,8 +49,9 @@ type Injector struct {
 	ClockSkew time.Duration
 	// ClockScale multiplies elapsed time as seen by the service clock
 	// (0 means 1: unscaled). A scale of 1000 makes a 1ms cold plan
-	// look like 1s to the Retry-After estimator — the clamp in the
-	// admission gate is what keeps the advice bounded anyway.
+	// look like 1s to the cold-plan p90, which reads anything above
+	// 10s as 10s; the clamp in the admission gate is what keeps the
+	// Retry-After advice bounded anyway.
 	ClockScale float64
 
 	failEvery atomic.Int64 // every Nth fault call fails; 0 = never

@@ -261,7 +261,12 @@ func TestInjectedErrorsNotCached(t *testing.T) {
 
 // TestRetryAfterClampedUnderClockSkew: a wildly scaled and skewed
 // service clock corrupts the cold-plan latency observations, but the
-// Retry-After advice stays within [1, 60] seconds.
+// Retry-After advice stays within [1, 60] seconds. Sequential cold
+// plans warm the estimate first, so the burst's sheds read the skewed
+// clock. Each plan then reads as ~1000 s, which the estimate caps at
+// the histogram's 10 s top bound; on one worker the advice is
+// 10 s × (depth+1), past 60 s once more than five plans queue, so a
+// queue of 8 makes the clamp fire.
 func TestRetryAfterClampedUnderClockSkew(t *testing.T) {
 	inj := &Injector{
 		PlannerDelay: 10 * time.Millisecond,
@@ -269,11 +274,18 @@ func TestRetryAfterClampedUnderClockSkew(t *testing.T) {
 		ClockScale:   1e5, // 10ms of real delay reads as ~1000s
 		Seed:         5,
 	}
-	svc := service.New(inj.Apply(service.Config{ColdWorkers: 1, ColdQueue: 1}))
+	svc := service.New(inj.Apply(service.Config{ColdWorkers: 1, ColdQueue: 8}))
 	h := svc.Handler()
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, exactRequest(1000+i))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("warming plan %d returned %d", i, rec.Code)
+		}
+	}
 
-	rep := Drive(h, Options{Clients: 12, Requests: 48, NewRequest: exactRequest})
-	shed := 0
+	rep := Drive(h, Options{Clients: 24, Requests: 96, NewRequest: exactRequest})
+	shed, clamped := 0, 0
 	for i := range rep.Results {
 		r := &rep.Results[i]
 		if r.Status != http.StatusTooManyRequests {
@@ -283,9 +295,54 @@ func TestRetryAfterClampedUnderClockSkew(t *testing.T) {
 		if r.RetryAfter < 1 || r.RetryAfter > 60 {
 			t.Errorf("request %d: Retry-After = %d under clock chaos, want within [1, 60]", i, r.RetryAfter)
 		}
+		if r.RetryAfter == 60 {
+			clamped++
+		}
 	}
 	if shed == 0 {
-		t.Error("no request was shed; the clamp was never exercised")
+		t.Fatal("no request was shed; the clamp was never exercised")
+	}
+	if clamped == 0 {
+		t.Errorf("none of %d shed responses carried Retry-After: 60; the skewed estimate never reached the clamp", shed)
+	}
+}
+
+// TestTooTightDegrades: in degraded mode, a request whose budget is
+// below the cold-plan p90 gets the first-order answer at once, without
+// taking a worker slot. The p90 counts the injected planner latency,
+// as the cold_compute span and the client do.
+func TestTooTightDegrades(t *testing.T) {
+	inj := &Injector{PlannerDelay: 50 * time.Millisecond, Seed: 13}
+	svc := service.New(inj.Apply(service.Config{ColdWorkers: 1, ColdQueue: 1, Degraded: true}))
+	h := svc.Handler()
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, exactRequest(100+i))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("warming plan %d returned %d", i, rec.Code)
+		}
+	}
+	before := metricsSnapshot(t, h)
+	if before.ColdPlanP90Ns < 50e6 {
+		t.Errorf("coldPlanP90Ns = %v after three 50 ms plans, want at least 50 ms", before.ColdPlanP90Ns)
+	}
+
+	req := exactRequest(0)
+	req.Header.Set(service.TimeoutHeader, "10ms")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("10 ms-budget request returned %d, want a degraded 200; body %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(service.OutcomeHeader); got != "degraded" {
+		t.Errorf("outcome header = %q, want degraded", got)
+	}
+	after := metricsSnapshot(t, h)
+	if after.Admitted != before.Admitted {
+		t.Errorf("admitted %d -> %d: the too-tight request took a worker slot", before.Admitted, after.Admitted)
+	}
+	if after.DeadlineExceeded != 0 || after.Degraded != 1 {
+		t.Errorf("deadlineExceeded = %d, degraded = %d; want 0 and 1", after.DeadlineExceeded, after.Degraded)
 	}
 }
 

@@ -83,24 +83,18 @@ type Dist struct {
 	Max  float64 `json:"max"`
 }
 
-// distOf reduces xs (not retained) to a Dist via stats.Quantile.
+// distOf reduces xs (not retained) to a Dist via one stats.Quantiles
+// call.
 func distOf(xs []float64) (Dist, error) {
 	var s stats.Sample
 	for _, x := range xs {
 		s.Add(x)
 	}
-	d := Dist{Mean: s.Mean(), Max: s.Max()}
-	for _, q := range []struct {
-		q   float64
-		dst *float64
-	}{{0.50, &d.P50}, {0.90, &d.P90}, {0.99, &d.P99}} {
-		v, err := stats.Quantile(xs, q.q)
-		if err != nil {
-			return Dist{}, err
-		}
-		*q.dst = v
+	qs, err := stats.Quantiles(xs, 0.50, 0.90, 0.99)
+	if err != nil {
+		return Dist{}, err
 	}
-	return d, nil
+	return Dist{Mean: s.Mean(), P50: qs[0], P90: qs[1], P99: qs[2], Max: s.Max()}, nil
 }
 
 // PlanSummary describes one (mode, nodes) resilience plan and how many

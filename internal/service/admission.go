@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"respat/internal/stats"
+	"respat/internal/obs"
 )
 
 // ErrShed is returned by the gated cold-planning paths when the
@@ -24,9 +23,10 @@ var ErrShed = errors.New("service: cold-plan queue full; request shed")
 // into a degraded first-order response.
 var ErrTooTight = errors.New("service: request deadline too tight for exact search")
 
-// coldLatencyWindow is the number of recent cold-plan wall times the
-// gate retains for its Retry-After estimate.
-const coldLatencyWindow = 256
+// coldHalfLife is the number of cold-plan observations after which the
+// gate halves its latency histogram, so the estimate follows the most
+// recent few hundred cold plans rather than every plan since start.
+const coldHalfLife = 256
 
 // Bounds on the Retry-After advice, in seconds. The clamp is what
 // keeps the advice sane when the latency observations are garbage —
@@ -40,7 +40,9 @@ const (
 // gate is the cold-plan admission controller: a bounded worker pool
 // (slots) fronted by a bounded wait queue. Cache hits never touch it —
 // only the singleflight leaders of cold computations do, so coalesced
-// requests for one key consume one slot between them.
+// requests for one key consume one slot between them. It also keeps
+// the histogram of recent cold-plan wall times whose p90 sizes the
+// Retry-After advice and the too-tight check.
 //
 // The queue bound is enforced with a CAS loop on queued, so the
 // invariant "queued never exceeds queueCap" holds at every instant,
@@ -52,12 +54,8 @@ type gate struct {
 	queued    atomic.Int64 // requests currently waiting for a slot
 	maxQueued atomic.Int64 // high-water mark of queued (observability)
 
-	// Ring of recent cold-plan wall times (seconds) feeding the
-	// Retry-After estimate; mirrors the endpointMetrics latency ring.
-	mu     sync.Mutex
-	ring   [coldLatencyWindow]float64
-	filled int
-	next   int
+	cold     obs.Histogram // cold-plan wall times, halved every coldHalfLife
+	observed atomic.Int64  // observations recorded into cold
 }
 
 func newGate(workers, queue int) *gate {
@@ -112,28 +110,17 @@ func (g *gate) workers() int { return cap(g.slots) }
 
 // observe records one cold-plan wall time.
 func (g *gate) observe(d time.Duration) {
-	g.mu.Lock()
-	g.ring[g.next] = d.Seconds()
-	g.next = (g.next + 1) % coldLatencyWindow
-	if g.filled < coldLatencyWindow {
-		g.filled++
+	g.cold.Observe(int64(d))
+	if g.observed.Add(1)%coldHalfLife == 0 {
+		g.cold.Halve()
 	}
-	g.mu.Unlock()
 }
 
-// estimate returns the p90 of the observed cold-plan wall times in
-// seconds, or 0 before the first observation.
+// estimate returns the p90 of recent cold-plan wall times in seconds,
+// or 0 before the first observation. It is bucket-resolved and capped
+// at the histogram's last finite bound, 10 s.
 func (g *gate) estimate() float64 {
-	g.mu.Lock()
-	window := append([]float64(nil), g.ring[:g.filled]...)
-	g.mu.Unlock()
-	if len(window) == 0 {
-		return 0
-	}
-	// stats.Quantile only fails on empty data or q outside [0,1],
-	// both excluded here.
-	p90, _ := stats.Quantile(window, 0.90)
-	return p90
+	return g.cold.Snapshot().Quantile(0.90) / 1e9
 }
 
 // retryAfter returns the advised client back-off in whole seconds:

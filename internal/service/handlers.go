@@ -202,7 +202,7 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 		// or skip the latency observation and trace retirement.
 		defer func() {
 			s.metrics.InFlight.Add(-1)
-			s.metrics.observe(ep, float64(time.Since(start).Nanoseconds()), status)
+			s.metrics.observe(ep, time.Since(start), status)
 			tr.Finish(status, string(d.out))
 		}()
 		budget, err := requestBudget(r, s.cfg.DefaultTimeout)

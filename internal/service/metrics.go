@@ -1,21 +1,15 @@
 package service
 
 import (
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"respat/internal/obs"
-	"respat/internal/stats"
 )
 
-// latencyWindow is the number of recent observations each endpoint's
-// latency reservoir retains for quantile estimation. A fixed ring keeps
-// recording allocation-free.
-const latencyWindow = 4096
-
 // Metrics aggregates the service counters surfaced by GET /metrics.
-// Counters are atomics so the request hot path never takes a lock for
-// them; latency recording takes one short per-endpoint mutex.
+// Counters and latency histograms are atomics, so the request hot path
+// never takes a lock.
 type Metrics struct {
 	// Cache outcome counters. A request for a cacheable operation
 	// increments exactly one of the three: Hits (served from the LRU),
@@ -97,25 +91,20 @@ func (e endpointID) String() string {
 
 // endpointMetrics tracks one endpoint's request count, error counts
 // (client 4xx and server 5xx separately — a spike of bad requests and
-// a spike of overload look identical when pooled), a ring of recent
-// latencies for the JSON quantiles, and a fixed-bucket histogram for
-// the Prometheus exposition.
+// a spike of overload look identical when pooled), and the latency
+// histogram that both the Prometheus exposition and the JSON quantiles
+// read.
 type endpointMetrics struct {
 	requests  atomic.Int64
 	errors4xx atomic.Int64
 	errors5xx atomic.Int64
 
 	hist obs.Histogram
-
-	mu     sync.Mutex
-	ring   [latencyWindow]float64 // nanoseconds
-	filled int                    // observations recorded, capped at latencyWindow
-	next   int                    // ring write cursor
 }
 
-// observe records one request outcome with its latency in nanoseconds
-// and final HTTP status.
-func (m *Metrics) observe(ep endpointID, latencyNS float64, status int) {
+// observe records one request outcome with its latency and final HTTP
+// status.
+func (m *Metrics) observe(ep endpointID, latency time.Duration, status int) {
 	e := &m.endpoints[ep]
 	e.requests.Add(1)
 	switch {
@@ -124,17 +113,13 @@ func (m *Metrics) observe(ep endpointID, latencyNS float64, status int) {
 	case status >= 400:
 		e.errors4xx.Add(1)
 	}
-	e.hist.Observe(int64(latencyNS))
-	e.mu.Lock()
-	e.ring[e.next] = latencyNS
-	e.next = (e.next + 1) % latencyWindow
-	if e.filled < latencyWindow {
-		e.filled++
-	}
-	e.mu.Unlock()
+	e.hist.Observe(int64(latency))
 }
 
-// LatencyQuantiles summarises an endpoint's recent latencies.
+// LatencyQuantiles summarises an endpoint's latencies since start:
+// Count is every request, and the quantiles, in nanoseconds, are
+// obs.HistSnapshot.Quantile over the endpoint's histogram — what
+// histogram_quantile returns on the Prometheus view.
 type LatencyQuantiles struct {
 	Count int64   `json:"count"`
 	P50   float64 `json:"p50_ns"`
@@ -170,7 +155,8 @@ type Snapshot struct {
 	DeadlineExceeded int64 `json:"deadlineExceeded"`
 	// ColdQueueDepth is the current cold-plan wait-queue depth;
 	// ColdQueueMax its high-water mark since start. ColdPlanP90Ns is
-	// the observed cold-plan latency p90 feeding Retry-After.
+	// the p90 of recent cold-plan wall times feeding Retry-After and
+	// the too-tight check (gate.estimate).
 	ColdQueueDepth int64   `json:"coldQueueDepth"`
 	ColdQueueMax   int64   `json:"coldQueueMax"`
 	ColdPlanP90Ns  float64 `json:"coldPlanP90Ns"`
@@ -211,32 +197,22 @@ func (m *Metrics) snapshot(cacheEntries, sessions int, g *gate, peersDown int) S
 		PeersDown:        peersDown,
 		Endpoints:        make(map[string]EndpointSnapshot, len(m.endpoints)),
 	}
-	// One scratch buffer serves every endpoint: each ring is copied out
-	// under its lock, then sorted in place outside it, so a scrape costs
-	// one latencyWindow allocation total instead of one per endpoint.
-	scratch := make([]float64, latencyWindow)
 	for id := range m.endpoints {
 		e := &m.endpoints[id]
-		e.mu.Lock()
-		window := scratch[:e.filled]
-		copy(window, e.ring[:e.filled])
-		e.mu.Unlock()
 		c4, c5 := e.errors4xx.Load(), e.errors5xx.Load()
-		snap := EndpointSnapshot{
+		h := e.hist.Snapshot()
+		out.Endpoints[endpointID(id).String()] = EndpointSnapshot{
 			Requests:     e.requests.Load(),
 			Errors:       c4 + c5,
 			ClientErrors: c4,
 			ServerErrors: c5,
+			Latency: LatencyQuantiles{
+				Count: h.Count,
+				P50:   h.Quantile(0.50),
+				P90:   h.Quantile(0.90),
+				P99:   h.Quantile(0.99),
+			},
 		}
-		snap.Latency.Count = int64(len(window))
-		if len(window) > 0 {
-			// One sort for all three quantiles; QuantilesInPlace only
-			// fails on empty data or q outside [0,1], both excluded.
-			if qs, err := stats.QuantilesInPlace(window, 0.50, 0.90, 0.99); err == nil {
-				snap.Latency.P50, snap.Latency.P90, snap.Latency.P99 = qs[0], qs[1], qs[2]
-			}
-		}
-		out.Endpoints[endpointID(id).String()] = snap
 	}
 	return out
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,10 +26,65 @@ func tracedService(cfg Config) *Service {
 	return New(cfg)
 }
 
+// histogramQuantile is Prometheus's histogram_quantile over one
+// series' buckets, upper bounds les (+Inf last) with cumulative counts,
+// written from the PromQL rule as the reference the JSON quantiles are
+// checked against. It returns NaN for an empty series, as PromQL does.
+func histogramQuantile(q float64, les, counts []float64) float64 {
+	n := len(counts)
+	if counts[n-1] == 0 {
+		return math.NaN()
+	}
+	rank := q * counts[n-1]
+	b := sort.Search(n-1, func(i int) bool { return counts[i] >= rank })
+	if b == n-1 {
+		return les[n-2]
+	}
+	start, count := 0.0, counts[b]
+	if b > 0 {
+		start = les[b-1]
+		count -= counts[b-1]
+		rank -= counts[b-1]
+	}
+	return start + (les[b]-start)*(rank/count)
+}
+
+// promHistograms parses the bucket lines of one histogram family per
+// value of its first label: upper bounds in seconds and cumulative
+// counts, in exposition order.
+func promHistograms(t *testing.T, body, family string) (les, counts map[string][]float64) {
+	t.Helper()
+	les, counts = map[string][]float64{}, map[string][]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, family+"_bucket{")
+		if !ok {
+			continue
+		}
+		labels, value, _ := strings.Cut(rest, "} ")
+		first, le, _ := strings.Cut(labels, `,le="`)
+		_, key, _ := strings.Cut(first, `="`)
+		key = strings.TrimSuffix(key, `"`)
+		bound, err := strconv.ParseFloat(strings.TrimSuffix(le, `"`), 64)
+		if err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		c, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		les[key] = append(les[key], bound)
+		counts[key] = append(counts[key], c)
+	}
+	return les, counts
+}
+
 // TestPrometheusExposition drives a mixed workload (hits, misses, a
 // client error) and asserts the Prometheus view of it: correct content
 // type, a lint-clean exposition, and the counters/histograms the
-// workload must have moved.
+// workload must have moved. The JSON view must read from the same
+// source: each endpoint's p50/p90/p99 is histogram_quantile over its
+// respat_endpoint_latency_seconds buckets, and coldPlanP90Ns is
+// respat_cold_plan_p90_seconds.
 func TestPrometheusExposition(t *testing.T) {
 	svc := tracedService(Config{})
 	h := svc.Handler()
@@ -82,6 +140,45 @@ func TestPrometheusExposition(t *testing.T) {
 	ep := snap.Endpoints["plan"]
 	if ep.Requests != 4 || ep.ClientErrors != 1 || ep.ServerErrors != 0 || ep.Errors != 1 {
 		t.Fatalf("plan endpoint snapshot %+v, want 4 requests, 1 client error", ep)
+	}
+
+	// One source: the JSON quantiles are the Prometheus histograms'.
+	les, counts := promHistograms(t, body, "respat_endpoint_latency_seconds")
+	if len(les) != int(epCount) {
+		t.Fatalf("parsed %d endpoint histograms, want %d", len(les), epCount)
+	}
+	for name, e := range snap.Endpoints {
+		c := counts[name]
+		if float64(e.Latency.Count) != c[len(c)-1] {
+			t.Errorf("%s: JSON count %d, +Inf bucket %v", name, e.Latency.Count, c[len(c)-1])
+		}
+		for _, qv := range []struct {
+			q    float64
+			json float64
+		}{{0.50, e.Latency.P50}, {0.90, e.Latency.P90}, {0.99, e.Latency.P99}} {
+			want := histogramQuantile(qv.q, les[name], c) * 1e9
+			if math.IsNaN(want) {
+				want = 0 // an empty histogram reads 0 in JSON
+			}
+			if math.Abs(qv.json-want) > 1e-9*want {
+				t.Errorf("%s: JSON p%g = %v ns, histogram_quantile = %v ns", name, 100*qv.q, qv.json, want)
+			}
+		}
+	}
+	if snap.Endpoints["plan_exact"].Latency.P50 <= 0 {
+		t.Error("plan_exact p50 is not positive after a cold plan")
+	}
+	var p90 float64
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "respat_cold_plan_p90_seconds "); ok {
+			var err error
+			if p90, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p90 <= 0 || snap.ColdPlanP90Ns != p90*1e9 {
+		t.Errorf("coldPlanP90Ns = %v, respat_cold_plan_p90_seconds × 1e9 = %v; want equal and positive", snap.ColdPlanP90Ns, p90*1e9)
 	}
 }
 

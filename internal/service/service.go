@@ -56,8 +56,10 @@ type Config struct {
 	// sleeping adds planner latency. Production configurations leave
 	// it nil.
 	ColdFault func(ctx context.Context) error
-	// Now overrides the clock used to time cold-plan computations for
-	// the Retry-After estimate (chaos/testing hook; default time.Now).
+	// Now overrides the clock that times cold-plan computations, from
+	// slot acquisition through ColdFault to the computation's return,
+	// for the gate's cold-plan p90: the Retry-After and too-tight
+	// estimate (chaos/testing hook; default time.Now).
 	Now func() time.Time
 	// Tables holds precomputed plan tables (internal/plantable),
 	// consulted on the exact-plan path after the cache and before the
@@ -326,7 +328,8 @@ func (s *Service) planExactCold(ctx context.Context, key Key, kind core.Kind, co
 // gated runs one cold-plan computation through the admission gate:
 // acquire a worker slot (shedding when the bounded queue is full), run
 // the optional injected fault hook, compute, and record the wall time
-// that feeds the Retry-After estimate. ctx is the flight context, so a
+// of hook and computation, the cold_compute span's interval, for the
+// Retry-After and too-tight estimate. ctx is the flight context, so a
 // queued computation whose every requester abandoned leaves the queue
 // instead of occupying it.
 func (s *Service) gated(ctx context.Context, fn func(context.Context) ([]byte, error)) ([]byte, error) {
@@ -348,13 +351,13 @@ func (s *Service) gated(ctx context.Context, fn func(context.Context) ([]byte, e
 	defer s.gate.release()
 	s.metrics.Admitted.Add(1)
 	cc := tr.Begin(obs.StageColdCompute)
+	start := s.cfg.Now()
 	if s.cfg.ColdFault != nil {
 		if err := s.cfg.ColdFault(ctx); err != nil {
 			cc.End("error")
 			return nil, err
 		}
 	}
-	start := s.cfg.Now()
 	resp, err := fn(ctx)
 	s.gate.observe(s.cfg.Now().Sub(start))
 	if err != nil {

@@ -85,54 +85,17 @@ func (s *Sample) String() string {
 	return fmt.Sprintf("%.6g ± %.2g [%.6g,%.6g] (n=%d)", s.Mean(), s.CI95(), s.min, s.max, s.n)
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Quantiles returns several quantiles of xs in one pass: the data is
-// sorted once, not once per quantile, which is what the metrics
-// snapshot and the load generator want when reporting p50/p90/p99
-// over the same window. Each qs[i] must be in [0, 1]; xs need not be
-// sorted and is not modified.
+// Quantiles returns the qs quantiles of xs, each by linear
+// interpolation between order statistics. The data is sorted once, not
+// once per quantile, which is what the fleet report and the load
+// generator want when reporting p50/p90/p99 of one sample. Each qs[i]
+// must be in [0, 1]; xs need not be sorted and is not modified.
 func Quantiles(xs []float64, qs ...float64) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return quantilesSorted(sorted, qs)
-}
-
-// QuantilesInPlace is Quantiles over a caller-owned scratch buffer: xs
-// is sorted in place and no copy is made, so a caller that reuses one
-// buffer across calls (the /metrics snapshot iterating endpoints) pays
-// no per-call allocation beyond the small result slice.
-func QuantilesInPlace(xs []float64, qs ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrNoData
-	}
-	sort.Float64s(xs)
-	return quantilesSorted(xs, qs)
-}
-
-func quantilesSorted(sorted []float64, qs []float64) ([]float64, error) {
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		if q < 0 || q > 1 {

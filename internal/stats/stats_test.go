@@ -47,46 +47,41 @@ func TestSampleString(t *testing.T) {
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	for _, c := range []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4},
+		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4}, {0.9, 4.6},
 	} {
-		got, err := Quantile(xs, c.q)
+		got, err := Quantiles(xs, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !xmath.Close(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if !xmath.Close(got[0], c.want, 1e-12) {
+			t.Errorf("Quantiles(%v) = %v, want %v", c.q, got[0], c.want)
 		}
 	}
-	if _, err := Quantile(nil, 0.5); err != ErrNoData {
+	if _, err := Quantiles(nil, 0.5); err != ErrNoData {
 		t.Errorf("err = %v, want ErrNoData", err)
 	}
-	if _, err := Quantile(xs, 1.5); err == nil {
+	if _, err := Quantiles(xs, 1.5); err == nil {
 		t.Error("expected error for q out of range")
 	}
 }
 
-// TestQuantiles asserts the one-sort multi-quantile helper agrees
-// with repeated Quantile calls and validates its inputs.
+// TestQuantiles asserts that one call for several quantiles agrees
+// with one call per quantile and validates every q.
 func TestQuantiles(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
-	got, err := Quantiles(xs, 0, 0.25, 0.5, 0.75, 1)
+	qs := []float64{0, 0.25, 0.5, 0.75, 0.9, 1}
+	got, err := Quantiles(xs, qs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		want, err := Quantile(xs, q)
+	for i, q := range qs {
+		want, err := Quantiles(xs, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !xmath.Close(got[i], want, 1e-12) {
-			t.Errorf("Quantiles[%v] = %v, Quantile = %v", q, got[i], want)
+		if got[i] != want[0] {
+			t.Errorf("Quantiles[%v] = %v, alone %v", q, got[i], want[0])
 		}
-	}
-	if xs[0] != 5 || xs[4] != 4 {
-		t.Error("Quantiles mutated its input")
-	}
-	if _, err := Quantiles(nil, 0.5); err != ErrNoData {
-		t.Errorf("err = %v, want ErrNoData", err)
 	}
 	if _, err := Quantiles(xs, 0.5, 1.5); err == nil {
 		t.Error("expected error for q out of range")
@@ -95,11 +90,11 @@ func TestQuantiles(t *testing.T) {
 
 func TestQuantileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
+	if _, err := Quantiles(xs, 0.5, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Quantile mutated its input")
+		t.Error("Quantiles mutated its input")
 	}
 }
 
