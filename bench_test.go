@@ -362,6 +362,29 @@ func BenchmarkServiceMultilevelHot(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceMultilevelCold measures the multilevel endpoint's
+// cold path: every iteration perturbs the top level's checkpoint cost
+// so the key is new and the full Hera L=3 search runs through
+// Service.PlanMultilevel, on a planner built for that configuration.
+func BenchmarkServiceMultilevelCold(b *testing.B) {
+	hera := mustPlatform(b, "Hera")
+	params, err := multilevel.FromPlatform(hera, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := service.New(service.Config{Capacity: 1 << 22})
+	top := &params.Levels[len(params.Levels)-1]
+	ckpt := top.Ckpt
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		top.Ckpt = ckpt + float64(i)*1e-6
+		if _, err := svc.PlanMultilevel(params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Micro-benchmarks for the core primitives.
 
 func BenchmarkOptimalPlan(b *testing.B) {
@@ -620,7 +643,7 @@ func BenchmarkPromScrape(b *testing.B) {
 
 // BenchmarkServicePlanCold measures the cold exact-plan path: every
 // iteration perturbs CD so the key is new and the full exact-model
-// search runs (through the shard's reused evaluator).
+// search runs, on an evaluator built for that configuration.
 func BenchmarkServicePlanCold(b *testing.B) {
 	hera := mustPlatform(b, "Hera")
 	svc := service.New(service.Config{Capacity: 1 << 22})
@@ -637,12 +660,12 @@ func BenchmarkServicePlanCold(b *testing.B) {
 
 // BenchmarkExactPlanMix is the single-level cold work of perfbench's
 // zipf-tail workload: each op plans one configuration of a fixed
-// seeded mix cold, on a fresh evaluator, with
-// optimize.ExactWithEvaluator. The mix is 16 Table 2 platforms drawn
-// at random with both error rates and the disk checkpoint and recovery
-// costs scattered x0.5..x2, as zipf-tail's key space is, times all six
-// families; their first-order plans are computed before the timer
-// starts. BenchmarkServicePlanCold covers only Hera PDMV.
+// seeded mix cold, on a fresh evaluator, with optimize.ExactFrom. The
+// mix is 16 Table 2 platforms drawn at random with both error rates
+// and the disk checkpoint and recovery costs scattered x0.5..x2, as
+// zipf-tail's key space is, times all six families; their first-order
+// plans are computed before the timer starts. BenchmarkServicePlanCold
+// covers only Hera PDMV.
 func BenchmarkExactPlanMix(b *testing.B) {
 	type config struct {
 		costs core.Costs
@@ -671,11 +694,7 @@ func BenchmarkExactPlanMix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := mix[i%len(mix)]
-		ev, err := analytic.NewEvaluator(c.costs, c.rates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := optimize.ExactWithEvaluator(ev, c.first); err != nil {
+		if _, err := optimize.ExactFrom(c.first, c.costs, c.rates); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command fleet runs the deterministic fleet-scale discrete-event
 // simulator (internal/fleet): open-loop job arrivals against a shared
-// cluster, per-job resilience plans from the warm planners, per-job
+// cluster, per-job resilience plans from the exact planners, per-job
 // fault injection through internal/sim's job simulators, and SLO metrics
 // (queue-delay / overhead / sojourn p50-p90-p99, utilization, event
 // totals).

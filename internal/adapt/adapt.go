@@ -133,12 +133,6 @@ type Session struct {
 
 	plan analytic.Plan
 
-	// Re-plan evaluations reuse one evaluator per fitted-rates value
-	// (the same rebuild-on-change discipline as the service's
-	// per-shard evaluators).
-	ev      *analytic.Evaluator
-	evRates core.Rates
-
 	// Memoised regret evaluation: empty observations (session polls)
 	// and zero-delta telemetry leave the fitted rates bit-identical, so
 	// the optimization and both exact overhead evaluations would only
@@ -228,7 +222,7 @@ func (s *Session) Observe(o Observation) (Decision, error) {
 		d.CurrentOverhead, d.OptimalOverhead = s.memoCur, s.memoOpt
 		cand = s.memoCand
 	} else {
-		ev, err := s.evaluator(fitted)
+		ev, err := analytic.NewEvaluator(s.cfg.Costs, fitted)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -264,20 +258,6 @@ func (s *Session) Observe(o Observation) (Decision, error) {
 	d.Swaps = s.swaps
 	d.Drifts = s.fs.Drifts() + s.sil.Drifts()
 	return d, nil
-}
-
-// evaluator returns the session's evaluator for the fitted rates,
-// rebuilding it only when the rates moved since the last decision.
-func (s *Session) evaluator(r core.Rates) (*analytic.Evaluator, error) {
-	if s.ev != nil && s.evRates == r {
-		return s.ev, nil
-	}
-	ev, err := analytic.NewEvaluator(s.cfg.Costs, r)
-	if err != nil {
-		return nil, err
-	}
-	s.ev, s.evRates = ev, r
-	return ev, nil
 }
 
 // Rates returns the current fitted rates.

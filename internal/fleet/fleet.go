@@ -8,10 +8,9 @@
 // A campaign has three phases:
 //
 //  1. Plan — every distinct (mode, job node count) gets a resilience
-//     plan from the warm planners (analytic evaluator +
-//     optimize.ExactWithEvaluator for pattern mode, the memoized
-//     multilevel.Planner for the hierarchical modes), with the job's
-//     error rates weak-scaled from the platform's per-node rates.
+//     plan (optimize.Exact for pattern mode, multilevel.NewPlanner for
+//     the hierarchical modes), with the job's error rates weak-scaled
+//     from the platform's per-node rates.
 //  2. Simulate — each job's protected execution (fault injection on
 //     the exposure clocks of internal/sim, whole patterns as the unit
 //     of protected work) runs as one cell of a sched.RunCellsCtx

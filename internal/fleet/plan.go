@@ -1,18 +1,14 @@
 package fleet
 
 // Resilience planning for a fleet: every distinct (mode, node count)
-// observed in the job list gets one plan, computed by the repo's warm
-// planners — the memoized analytic evaluator + exact search for
-// pattern mode (the PR 2 service context), the memoized
-// multilevel.Planner for the hierarchical modes (the PR 6 context).
-// Thousands of jobs sharing a shape therefore pay for exactly one
-// cold plan.
+// observed in the job list gets one plan — optimize.Exact for pattern
+// mode, a multilevel.Planner for the hierarchical modes. Thousands of
+// jobs sharing a shape therefore pay for exactly one cold plan.
 
 import (
 	"fmt"
 	"sort"
 
-	"respat/internal/analytic"
 	"respat/internal/core"
 	"respat/internal/multilevel"
 	"respat/internal/optimize"
@@ -90,15 +86,7 @@ func planShapeFor(cfg *Config, s planShape) (jobPlan, error) {
 	}
 	switch s.mode {
 	case ModePattern:
-		ev, err := analytic.NewEvaluator(plat.Costs, plat.Rates)
-		if err != nil {
-			return jobPlan{}, err
-		}
-		first, err := analytic.Optimal(cfg.Family, plat.Costs, plat.Rates)
-		if err != nil {
-			return jobPlan{}, err
-		}
-		exact, err := optimize.ExactWithEvaluator(ev, first)
+		exact, err := optimize.Exact(cfg.Family, plat.Costs, plat.Rates)
 		if err != nil {
 			return jobPlan{}, err
 		}

@@ -11,10 +11,10 @@ import (
 
 // maxCachedLayouts bounds the two per-evaluator memo maps (chunk
 // layouts keyed by m, boundary tables keyed by the count vector). A
-// planner run probes a few hundred distinct keys at most; the cap only
-// matters for very long-lived evaluators (the service shards), which
-// simply start over when an adversarial request stream would otherwise
-// grow the maps without bound.
+// planner run over a typical caps box probes a few hundred distinct
+// keys; the cap bounds one plan's memo over a large box (the caps grow
+// with the first-order seed), which starts over instead of growing the
+// maps without bound.
 const maxCachedLayouts = 4096
 
 // Evaluator computes exact expected execution times for one validated

@@ -149,8 +149,8 @@ func TestPlannerWorkerDeterminism(t *testing.T) {
 }
 
 // TestPlannerWarmReuse asserts a planner can be reused across Plan
-// calls (the service's warm per-shard path) without drifting from a
-// cold run.
+// calls without drifting from a cold run. No production caller plans
+// twice on one planner, but the API allows it.
 func TestPlannerWarmReuse(t *testing.T) {
 	pl, err := platform.ByName("Hera")
 	if err != nil {

@@ -113,12 +113,13 @@ type wEval struct {
 // optimizeW, or in tests the golden-section oracle it replaced.
 type leafSearch func(ev *Evaluator, counts []int, m int) wEval
 
-// Planner is a reusable search context bound to one Params
-// configuration: it owns a memoized Evaluator (see the Evaluator doc
-// for what is cached) plus the enumeration scratch, so repeated Plan
-// calls — the service's warm per-shard planners, the harness study —
-// allocate almost nothing after the first. A Planner is not safe for
-// concurrent use; the parallel fan-out inside Plan spawns its own
+// Planner is a search context bound to one Params configuration: it
+// owns a memoized Evaluator (see the Evaluator doc for what is cached),
+// a pool of per-worker search contexts and the enumeration scratch,
+// which one Plan call's fan-out rounds share. A Planner may plan again
+// (a repeat allocates almost nothing), but no production caller plans
+// twice on one: each builds a Planner per plan. A Planner is not safe
+// for concurrent use; the parallel fan-out inside Plan spawns its own
 // per-worker evaluators.
 type Planner struct {
 	ev      *Evaluator
@@ -126,7 +127,7 @@ type Planner struct {
 	workers int
 	stats   SearchStats
 	// pool holds one searchCtx per fan-out worker, kept warm across
-	// rounds and Plan calls; pool[0] wraps the planner's own evaluator.
+	// rounds; pool[0] wraps the planner's own evaluator.
 	// poolNext hands out slots during a round (reset before each one).
 	pool     []*searchCtx
 	poolNext atomic.Int64
@@ -142,31 +143,24 @@ type Planner struct {
 }
 
 // NewPlanner validates p once and returns a planner bound to it with
-// the default fan-out width (GOMAXPROCS).
+// the default fan-out width (GOMAXPROCS). Production callers plan once
+// on each planner they build.
 func NewPlanner(p Params) (*Planner, error) {
 	ev, err := NewEvaluator(p)
 	if err != nil {
 		return nil, err
 	}
-	return PlannerFor(ev), nil
-}
-
-// PlannerFor wraps a caller-supplied evaluator (e.g. a service shard's
-// warm one). The planner takes over the evaluator's serialisation
-// contract: do not use ev concurrently with the planner.
-func PlannerFor(ev *Evaluator) *Planner {
 	L := len(ev.Params().Levels)
-	pl := &Planner{
+	return &Planner{
 		ev:      ev,
 		leaf:    optimizeW,
 		workers: runtime.GOMAXPROCS(0),
+		pool:    []*searchCtx{newSearchCtx(ev)},
 		branch:  make([]int, L-1),
 		counts:  make([]int, L),
 		seed:    make([]int, L-1),
 		caps:    make([]int, L-1),
-	}
-	pl.pool = []*searchCtx{newSearchCtx(ev)}
-	return pl
+	}, nil
 }
 
 // ensurePool grows the context pool to n slots (slot 0 wraps the
@@ -217,8 +211,8 @@ func (pl *Planner) Stats() SearchStats { return pl.stats }
 // Optimize finds the multilevel plan minimising the exact expected
 // overhead over the pattern length W, the per-level branching factors
 // k_1..k_{L-1} (n_l = k_l·n_{l+1}) and the chunk count m. It is
-// NewPlanner + Plan; callers planning repeatedly for one configuration
-// or wanting SearchStats should keep a Planner.
+// NewPlanner + Plan on a planner used once, as every production caller
+// uses one; a caller that wants SearchStats keeps the Planner.
 func Optimize(p Params) (Plan, error) {
 	pl, err := NewPlanner(p)
 	if err != nil {

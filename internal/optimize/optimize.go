@@ -92,22 +92,16 @@ func ExactFrom(first analytic.Plan, c core.Costs, r core.Rates) (ExactPlan, erro
 	return exactFrom(context.Background(), ev, first)
 }
 
-// ExactWithEvaluator is ExactFrom on a caller-supplied evaluator, for
-// callers that keep a long-lived evaluator per configuration (e.g. the
-// planning service's per-shard evaluators). ev must be bound to the
-// same (costs, rates) the first-order plan was computed for; the
-// caller is responsible for serialising access to ev (an Evaluator is
-// not safe for concurrent use).
-func ExactWithEvaluator(ev *analytic.Evaluator, first analytic.Plan) (ExactPlan, error) {
-	return exactFrom(context.Background(), ev, first)
-}
-
-// ExactWithEvaluatorCtx is ExactWithEvaluator under a cancellation
-// context: when ctx is cancelled or expires the integer (n, m) search
-// aborts — within one leaf W search — and returns ctx's error,
-// never a partial plan (there is a final ctx check before the plan is
-// assembled). The planning service threads each request's deadline
-// through here so an abandoned cold plan stops searching.
+// ExactWithEvaluatorCtx is ExactFrom on a caller-supplied evaluator
+// under a cancellation context. ev must be bound to the same (costs,
+// rates) the first-order plan was computed for, and must not be used
+// concurrently (an Evaluator is not safe for concurrent use); a caller
+// that keeps ev can probe it after the search. When ctx is cancelled
+// or expires the integer (n, m) search aborts — within one leaf W
+// search — and returns ctx's error, never a partial plan (there is a
+// final ctx check before the plan is assembled). The planning service
+// threads each request's deadline through here so an abandoned cold
+// plan stops searching.
 func ExactWithEvaluatorCtx(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan) (ExactPlan, error) {
 	return exactFrom(ctx, ev, first)
 }

@@ -5,23 +5,15 @@ import (
 	"context"
 	"sync"
 
-	"respat/internal/analytic"
-	"respat/internal/core"
-	"respat/internal/multilevel"
 	"respat/internal/obs"
 )
 
 // cache is the sharded LRU plan cache with singleflight request
 // coalescing. Values are fully marshalled JSON response bodies, so a
 // cache hit serves exactly the bytes a cold computation produced (the
-// cache is a pure memo; see DESIGN.md §3).
-//
-// Sharding serves two purposes: it splits the lock so unrelated
-// configurations do not contend, and it pins every configuration to one
-// shard (the key hash is deterministic), which lets each shard keep a
-// reusable *analytic.Evaluator warm for the configuration it last
-// served without violating the evaluator's not-concurrency-safe
-// contract.
+// cache is a pure memo; see DESIGN.md §3). Sharding splits the lock so
+// unrelated configurations do not contend; a shard's lock guards only
+// its LRU and in-flight map, never a computation.
 type cache struct {
 	shards []shard
 	mask   uint64 // len(shards) - 1; len is a power of two
@@ -35,20 +27,6 @@ type shard struct {
 	lru      *list.List            // front = most recently used
 	capacity int                   // max entries; > 0
 	inflight map[Key]*flight
-
-	// evalMu serialises use of the shard's reusable evaluators.
-	// Neither analytic.Evaluator nor multilevel.Evaluator is safe for
-	// concurrent use; holding evalMu for the whole computation honours
-	// that contract while letting other shards compute in parallel.
-	evalMu    sync.Mutex
-	evalCosts core.Costs
-	evalRates core.Rates
-	eval      *analytic.Evaluator
-	// mlKey identifies the configuration of the warm multilevel
-	// planner (Params holds a slice, so the canonical cache key is
-	// the equality witness).
-	mlKey     Key
-	mlPlanner *multilevel.Planner
 }
 
 // entry is one cached response.
@@ -238,38 +216,4 @@ func (s *shard) insertLocked(key Key, resp []byte) int {
 		evicted++
 	}
 	return evicted
-}
-
-// withEvaluator runs fn with the shard's reusable evaluator for
-// (costs, rates), rebuilding it only when the configuration changed
-// since the shard's last computation. The evaluator lock is held for
-// the duration of fn.
-func (s *shard) withEvaluator(costs core.Costs, rates core.Rates, fn func(*analytic.Evaluator) error) error {
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	if s.eval == nil || s.evalCosts != costs || s.evalRates != rates {
-		ev, err := analytic.NewEvaluator(costs, rates)
-		if err != nil {
-			return err
-		}
-		s.eval, s.evalCosts, s.evalRates = ev, costs, rates
-	}
-	return fn(s.eval)
-}
-
-// withMultilevelPlanner is withEvaluator for the multilevel planner:
-// the shard keeps one multilevel.Planner — and through it the memoized
-// evaluator, the worker-context pool and the search scratch — warm for
-// the configuration it last served, identified by its canonical key.
-func (s *shard) withMultilevelPlanner(key Key, p multilevel.Params, fn func(*multilevel.Planner) error) error {
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	if s.mlPlanner == nil || s.mlKey != key {
-		pl, err := multilevel.NewPlanner(p)
-		if err != nil {
-			return err
-		}
-		s.mlPlanner, s.mlKey = pl, key
-	}
-	return fn(s.mlPlanner)
 }

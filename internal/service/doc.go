@@ -5,18 +5,19 @@
 // re-planning sessions of internal/adapt, designed to serve plan
 // lookups at high request rates.
 //
-// Three mechanisms make the hot path cheap:
+// Two mechanisms make the hot path cheap:
 //
 //   - a sharded LRU cache of fully marshalled responses, keyed by a
 //     canonical fixed-width binary encoding of (family, Costs, Rates)
 //     (see Key) — a hit is one map lookup plus an LRU splice, with no
 //     allocation and no float formatting;
 //   - singleflight request coalescing — concurrent misses on the same
-//     key run the computation once and share the result;
-//   - per-shard evaluator reuse — a shard serves every request of the
-//     configurations hashing to it, so it keeps one
-//     *analytic.Evaluator warm under a shard-local lock, honouring the
-//     evaluator's not-concurrency-safe contract.
+//     key run the computation once and share the result.
+//
+// No warm state outlives a computation: each cold plan, evaluation and
+// adaptive decision builds its own evaluator or planner, and the
+// admission gate's ColdWorkers is the only limit on concurrent cold
+// plans.
 //
 // The cache is a pure memo: a cached response is byte-identical to what
 // a cold computation would produce (asserted by tests; see DESIGN.md

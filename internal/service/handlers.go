@@ -299,10 +299,23 @@ func requestBudget(r *http.Request, def time.Duration) (time.Duration, error) {
 	return min(d, maxRequestTimeout), nil
 }
 
-// degradable reports whether err should be answered with the
-// first-order degraded plan instead of an overload failure.
-func (s *Service) degradable(err error) bool {
-	return s.cfg.Degraded && (errors.Is(err, ErrShed) || errors.Is(err, ErrTooTight))
+// degrade answers a plan endpoint's failed cold plan: with the
+// first-order fallback when degraded mode is on and err is a shed or
+// too-tight plan, else with err.
+func (s *Service) degrade(tr *obs.Trace, d *disposition, err error, fallback func() ([]byte, error)) ([]byte, int, error) {
+	if !s.cfg.Degraded || !(errors.Is(err, ErrShed) || errors.Is(err, ErrTooTight)) {
+		return nil, http.StatusBadRequest, err
+	}
+	cc := tr.Begin(obs.StageColdCompute)
+	body, derr := fallback()
+	if derr != nil {
+		cc.End("error")
+		return nil, http.StatusBadRequest, err
+	}
+	cc.End("degraded")
+	d.out = outcomeDegraded
+	s.metrics.Degraded.Add(1)
+	return body, http.StatusOK, nil
 }
 
 func (s *Service) handlePlan(r *http.Request, d *disposition) ([]byte, int, error) {
@@ -312,7 +325,8 @@ func (s *Service) handlePlan(r *http.Request, d *disposition) ([]byte, int, erro
 	}
 	// The local cache answers regardless of ownership (it only holds
 	// keys this replica computed, typically while it owned them), then
-	// a peer-owned key forwards; PlanCtx handles the rest locally.
+	// a peer-owned key forwards, and the miss path plans the rest
+	// locally without looking the key up again.
 	key := EncodeKey(ModePlan, kind, costs, rates)
 	tm := obs.FromContext(r.Context()).Begin(obs.StageCacheLookup)
 	resp, ok := s.cache.get(key)
@@ -323,7 +337,7 @@ func (s *Service) handlePlan(r *http.Request, d *disposition) ([]byte, int, erro
 	if name, baseURL, ok := s.routePeer(r, key); ok {
 		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw, d)
 	}
-	body, err := s.PlanCtx(r.Context(), kind, costs, rates)
+	body, err := s.planCold(r.Context(), key, kind, costs, rates)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -335,8 +349,9 @@ func (s *Service) handlePlanExact(r *http.Request, d *disposition) ([]byte, int,
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Serving order: local cache, plan table (interpolation — never
-	// enters the cold gate), owning peer, local cold path.
+	// Serving order, each step at most once: local cache, plan table
+	// (interpolation — never enters the cold gate), owning peer, local
+	// miss path.
 	key := EncodeKey(ModePlanExact, kind, costs, rates)
 	tr := obs.FromContext(r.Context())
 	tm := tr.Begin(obs.StageCacheLookup)
@@ -351,20 +366,9 @@ func (s *Service) handlePlanExact(r *http.Request, d *disposition) ([]byte, int,
 	if name, baseURL, ok := s.routePeer(r, key); ok {
 		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw, d)
 	}
-	body, err := s.PlanExactCtx(r.Context(), kind, costs, rates)
+	body, err := s.planExactCold(r.Context(), key, kind, costs, rates)
 	if err != nil {
-		if s.degradable(err) {
-			cc := tr.Begin(obs.StageColdCompute)
-			body, derr := s.DegradedPlanExact(kind, costs, rates)
-			if derr == nil {
-				cc.End("degraded")
-				d.out = outcomeDegraded
-				s.metrics.Degraded.Add(1)
-				return body, http.StatusOK, nil
-			}
-			cc.End("error")
-		}
-		return nil, http.StatusBadRequest, err
+		return s.degrade(tr, d, err, func() ([]byte, error) { return s.DegradedPlanExact(kind, costs, rates) })
 	}
 	return body, http.StatusOK, nil
 }

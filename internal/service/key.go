@@ -13,13 +13,12 @@ import (
 // and multilevel plans for the same configuration never collide.
 type Mode byte
 
-// The service operations. ModeEvaluate never enters the cache (its
-// input includes an arbitrary pattern); its keys are used only to route
-// a request to a shard, so evaluator reuse still applies.
+// The cacheable service operations. A mode's value is its key byte,
+// which the key hash and so the shard and the ring owner depend on.
 const (
 	ModePlan Mode = iota
 	ModePlanExact
-	ModeEvaluate
+	_ // retired; keeps ModePlanMultilevel's keys on their shards and owners
 	ModePlanMultilevel
 )
 
@@ -30,8 +29,6 @@ func (m Mode) String() string {
 		return "plan"
 	case ModePlanExact:
 		return "plan_exact"
-	case ModeEvaluate:
-		return "evaluate"
 	case ModePlanMultilevel:
 		return "plan_multilevel"
 	default:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"respat/internal/core"
+	"respat/internal/multilevel"
 	"respat/internal/platform"
 )
 
@@ -124,7 +125,8 @@ func TestKeyGridNoCollisions(t *testing.T) {
 
 // TestKeyShardStable: the shard assignment of a key is a pure function
 // of its bytes, so a configuration is always served by the same shard
-// (the evaluator-reuse invariant).
+// and, in a cluster, the same ring owner. Each mode's key byte is
+// pinned too: renumbering a mode would move all its keys.
 func TestKeyShardStable(t *testing.T) {
 	c := newCache(16, 1024, &Metrics{})
 	hera, err := platform.ByName("Hera")
@@ -136,6 +138,23 @@ func TestKeyShardStable(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		if c.shard(EncodeKey(ModePlan, core.PDMV, hera.Costs, hera.Rates)) != want {
 			t.Fatal("shard assignment not stable")
+		}
+	}
+	p, err := multilevel.FromPlatform(hera, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mode Mode
+		key  Key
+		want byte
+	}{
+		{ModePlan, EncodeKey(ModePlan, core.PDMV, hera.Costs, hera.Rates), 0},
+		{ModePlanExact, EncodeKey(ModePlanExact, core.PDMV, hera.Costs, hera.Rates), 1},
+		{ModePlanMultilevel, EncodeMultilevelKey(p), 3},
+	} {
+		if byte(tc.mode) != tc.want || tc.key[0] != tc.want {
+			t.Errorf("%v: mode byte %d, key byte %d, want %d", tc.mode, byte(tc.mode), tc.key[0], tc.want)
 		}
 	}
 }

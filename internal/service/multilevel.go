@@ -53,9 +53,9 @@ type MultilevelPlanResponse struct {
 // PlanMultilevel returns the marshalled optimal multilevel plan for p,
 // cached like the other planning operations: the canonical key covers
 // the whole level vector, hits are allocation-free, and concurrent
-// misses coalesce onto one computation on the owning shard's warm
-// multilevel evaluator. The returned bytes are shared with the cache
-// and must not be mutated.
+// misses coalesce onto one computation, which runs on a planner of its
+// own. The returned bytes are shared with the cache and must not be
+// mutated.
 func (s *Service) PlanMultilevel(p multilevel.Params) ([]byte, error) {
 	return s.PlanMultilevelCtx(context.Background(), p)
 }
@@ -76,24 +76,23 @@ func (s *Service) PlanMultilevelCtx(ctx context.Context, p multilevel.Params) ([
 	if ok {
 		return resp, nil
 	}
-	if err := s.tooTight(ctx); err != nil {
-		return nil, err
-	}
 	return s.planMultilevelCold(ctx, key, p)
 }
 
 // planMultilevelCold is the miss path of PlanMultilevel, split out so
-// the hot path does not pay for the compute closure.
+// the hot path does not pay for the compute closure: the too-tight
+// check, then the gated search, coalesced on key.
 func (s *Service) planMultilevelCold(ctx context.Context, key Key, p multilevel.Params) ([]byte, error) {
-	sh := s.cache.shard(key)
+	if err := s.tooTight(ctx); err != nil {
+		return nil, err
+	}
 	return s.cache.getOrCompute(ctx, key, func(fctx context.Context) ([]byte, error) {
 		return s.gated(fctx, func(fctx context.Context) ([]byte, error) {
-			var plan multilevel.Plan
-			err := sh.withMultilevelPlanner(key, p, func(pl *multilevel.Planner) error {
-				var err error
-				plan, err = pl.PlanCtx(fctx)
-				return err
-			})
+			pl, err := multilevel.NewPlanner(p)
+			if err != nil {
+				return nil, err
+			}
+			plan, err := pl.PlanCtx(fctx)
 			if err != nil {
 				return nil, err
 			}
@@ -159,28 +158,16 @@ func (s *Service) handlePlanMultilevel(r *http.Request, d *disposition) ([]byte,
 	if name, baseURL, ok := s.routePeer(r, key); ok {
 		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw, d)
 	}
-	body, err := s.PlanMultilevelCtx(r.Context(), params)
+	body, err := s.planMultilevelCold(r.Context(), key, params)
 	if err != nil {
-		if s.degradable(err) {
-			cc := tr.Begin(obs.StageColdCompute)
-			body, derr := s.DegradedPlanMultilevel(params)
-			if derr == nil {
-				cc.End("degraded")
-				d.out = outcomeDegraded
-				s.metrics.Degraded.Add(1)
-				return body, http.StatusOK, nil
-			}
-			cc.End("error")
-		}
-		return nil, http.StatusBadRequest, err
+		return s.degrade(tr, d, err, func() ([]byte, error) { return s.DegradedPlanMultilevel(params) })
 	}
 	return body, http.StatusOK, nil
 }
 
 // parseMultilevelRequest decodes, resolves and validates a multilevel
 // plan request body. EncodeMultilevelKey requires validated params (the
-// level vector must fit the fixed-width key); PlanMultilevelCtx
-// re-validates, which is cheap.
+// level vector must fit the fixed-width key).
 func parseMultilevelRequest(raw []byte) (multilevel.Params, error) {
 	var b multilevelBody
 	if err := decodeMultilevelBody(raw, &b); err != nil {

@@ -221,8 +221,10 @@ func TestErrorBodyCarriesTraceID(t *testing.T) {
 // scenario: three in-process replicas, one forwarded request, one
 // stitched trace. The entry replica's half carries a peer_forward hop
 // span naming the owner and storing its Server-Timing; the owner's
-// half shares the trace ID and records who forwarded. The stitched
-// trace is retrievable from the entry replica's /debug/traces.
+// half shares the trace ID and records who forwarded. Each half looks
+// the key up once: one cache_lookup span, though the owner's request
+// is a miss that goes on to plan. The stitched trace is retrievable
+// from the entry replica's /debug/traces.
 func TestClusterStitchedTrace(t *testing.T) {
 	net := newFakeNet()
 	members := []Member{
@@ -305,6 +307,18 @@ func TestClusterStitchedTrace(t *testing.T) {
 	for _, sp := range remote.Spans {
 		if sp.Stage == obs.StagePeerForward.String() {
 			t.Fatalf("owner trace has a forward hop of its own: %+v", sp)
+		}
+	}
+	for _, half := range []obs.Record{entry, remote} {
+		lookups := 0
+		for _, sp := range half.Spans {
+			if sp.Stage == obs.StageCacheLookup.String() {
+				lookups++
+			}
+		}
+		if lookups != 1 {
+			t.Errorf("trace half forwarded from %q has %d cache_lookup spans, want 1: %+v",
+				half.ForwardedFrom, lookups, half.Spans)
 		}
 	}
 

@@ -157,6 +157,44 @@ func TestLongSearchInterrupted(t *testing.T) {
 	}
 }
 
+// TestColdPlansOnOneShardOverlap: the admission gate's ColdWorkers is
+// the only limit on concurrent cold plans. With one cache shard and two
+// workers, a cold exact plan must not wait for another configuration's
+// search on the same shard: the multi-second multilevel search of
+// TestLongSearchInterrupted.
+func TestColdPlansOnOneShardOverlap(t *testing.T) {
+	hera, err := platform.ByName("Hera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3, err := multilevel.FromPlatform(hera.ScaleRates(1e-4, 1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Shards: 1, ColdWorkers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	searched := make(chan error, 1)
+	go func() {
+		_, err := s.PlanMultilevelCtx(ctx, p3)
+		searched <- err
+	}()
+	waitFor(t, func() bool { return s.Metrics().Admitted.Load() == 1 })
+	start := time.Now()
+	_, err = s.PlanExact(core.PD, hera.Costs, hera.Rates)
+	elapsed := time.Since(start)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("cold exact plan took %v beside a running search, want < 1s", elapsed)
+	}
+	if err := <-searched; !errors.Is(err, context.Canceled) {
+		t.Fatalf("search = %v, want Canceled (it should outlast the exact plan)", err)
+	}
+}
+
 // TestPlanExactCancelledNotCached: a cancelled exact plan returns the
 // context error and leaves nothing behind — the next call computes
 // the full search and caches it.

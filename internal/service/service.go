@@ -19,8 +19,7 @@ import (
 // Config sizes a Service.
 type Config struct {
 	// Shards is the number of cache shards (rounded up to a power of
-	// two; default 16). More shards mean less lock contention and more
-	// evaluators kept warm.
+	// two; default 16). More shards mean less lock contention.
 	Shards int
 	// Capacity is the total number of cached plans across all shards
 	// (default 4096).
@@ -209,7 +208,8 @@ func hitMiss(ok bool) string {
 }
 
 // planCold is the miss path of Plan, split out so the hot path does not
-// pay for the compute closure.
+// pay for the compute closure. A caller that has looked key up already
+// calls it directly: it coalesces without a second lookup of its own.
 func (s *Service) planCold(ctx context.Context, key Key, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
 	return s.cache.getOrCompute(ctx, key, func(context.Context) ([]byte, error) {
 		plan, err := analytic.Optimal(kind, costs, rates)
@@ -227,8 +227,8 @@ func (s *Service) planCold(ctx context.Context, key Key, kind core.Kind, costs c
 }
 
 // PlanExact returns the marshalled exact-model plan (renewal-equation
-// optimum, no first-order truncation), cached like Plan. The exact
-// search reuses the owning shard's evaluator.
+// optimum, no first-order truncation), cached like Plan. Each cold
+// search runs on an evaluator of its own.
 func (s *Service) PlanExact(kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
 	return s.PlanExactCtx(context.Background(), kind, costs, rates)
 }
@@ -250,9 +250,6 @@ func (s *Service) PlanExactCtx(ctx context.Context, kind core.Kind, costs core.C
 	}
 	if resp, ok := s.planFromTable(ctx, kind, costs, rates); ok {
 		return resp, nil
-	}
-	if err := s.tooTight(ctx); err != nil {
-		return nil, err
 	}
 	return s.planExactCold(ctx, key, kind, costs, rates)
 }
@@ -296,20 +293,24 @@ func (s *Service) planFromTable(ctx context.Context, kind core.Kind, costs core.
 	return nil, false
 }
 
+// planExactCold is the miss path of PlanExact, after the cache and the
+// plan tables: the too-tight check, then the gated exact search,
+// coalesced on key.
 func (s *Service) planExactCold(ctx context.Context, key Key, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
-	sh := s.cache.shard(key)
+	if err := s.tooTight(ctx); err != nil {
+		return nil, err
+	}
 	return s.cache.getOrCompute(ctx, key, func(fctx context.Context) ([]byte, error) {
 		return s.gated(fctx, func(fctx context.Context) ([]byte, error) {
 			first, err := analytic.Optimal(kind, costs, rates)
 			if err != nil {
 				return nil, err
 			}
-			var plan optimize.ExactPlan
-			err = sh.withEvaluator(costs, rates, func(ev *analytic.Evaluator) error {
-				var err error
-				plan, err = optimize.ExactWithEvaluatorCtx(fctx, ev, first)
-				return err
-			})
+			ev, err := analytic.NewEvaluator(costs, rates)
+			if err != nil {
+				return nil, err
+			}
+			plan, err := optimize.ExactWithEvaluatorCtx(fctx, ev, first)
 			if err != nil {
 				return nil, err
 			}
@@ -425,23 +426,10 @@ func (s *Service) DegradedPlanExact(kind core.Kind, costs core.Costs, rates core
 
 // Evaluate returns the marshalled exact expected time of a
 // caller-supplied pattern. Arbitrary patterns are not cached (their
-// identity is not covered by the (family, Costs, Rates) key), but the
-// computation still reuses the evaluator of the shard owning the
-// (costs, rates) configuration.
+// identity is not covered by the (family, Costs, Rates) key), and each
+// call evaluates on an evaluator of its own.
 func (s *Service) Evaluate(p core.Pattern, costs core.Costs, rates core.Rates) ([]byte, error) {
-	if err := costs.Validate(); err != nil {
-		return nil, err
-	}
-	if err := rates.Validate(); err != nil {
-		return nil, err
-	}
-	sh := s.cache.shard(EncodeKey(ModeEvaluate, 0, costs, rates))
-	var t float64
-	err := sh.withEvaluator(costs, rates, func(ev *analytic.Evaluator) error {
-		var err error
-		t, err = ev.ExpectedTime(p)
-		return err
-	})
+	t, err := analytic.ExactExpectedTime(p, costs, rates)
 	if err != nil {
 		return nil, err
 	}

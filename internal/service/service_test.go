@@ -143,8 +143,7 @@ func TestEvaluateMatchesDirect(t *testing.T) {
 	if wantH := want/plan.Pattern.W - 1; math.Abs(got.Overhead-wantH) > 1e-15 {
 		t.Fatalf("overhead = %v, want %v", got.Overhead, wantH)
 	}
-	// Repeated evaluations through the reused shard evaluator stay
-	// bit-identical.
+	// Repeated evaluations stay bit-identical.
 	again, err := svc.Evaluate(plan.Pattern, hera.Costs, hera.Rates)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +195,7 @@ func TestServiceHammer(t *testing.T) {
 					return
 				}
 				// A slower exact-plan key exercises coalescing windows
-				// and the per-shard evaluator under contention.
+				// under contention.
 				if i%40 == g%40 {
 					if _, err := svc.PlanExact(core.PDM, hera.Costs, hera.Rates); err != nil {
 						errc <- err

@@ -34,7 +34,7 @@
 // SimulateFleet scales the validation from one pattern to a whole
 // cluster: a deterministic discrete-event simulation of open-loop job
 // arrivals against a shared node pool, with per-job plans from the
-// warm planners, per-job fault injection and SLO metrics
+// exact planners, per-job fault injection and SLO metrics
 // (internal/fleet, cmd/fleet).
 //
 // Lower-level capabilities (exact expected-time evaluation, exact-model
@@ -319,7 +319,7 @@ func CompareTwoLevel(p TwoLevelParams) (TwoLevelComparison, error) {
 
 // Fleet re-exports: the deterministic fleet-scale discrete-event
 // simulator (internal/fleet) behind cmd/fleet — open-loop job arrivals
-// against a shared cluster, per-job resilience plans from the warm
+// against a shared cluster, per-job resilience plans from the exact
 // planners, per-job fault injection on the internal/sim exposure
 // clocks, and SLO metrics.
 type (
@@ -351,7 +351,7 @@ const (
 )
 
 // SimulateFleet runs a fleet campaign: plan every distinct job shape
-// with a warm planner, simulate every job's fault-injected execution
+// once with the exact planners, simulate every job's fault-injected execution
 // in parallel, dispatch the jobs through the FIFO/backfill queue and
 // reduce the SLO metrics deterministically.
 func SimulateFleet(cfg FleetConfig) (FleetResult, error) { return fleet.Run(cfg) }
