@@ -10,7 +10,6 @@
 //	respatd -addr :8080 -shards 32 -cache-capacity 65536 -batch-workers 8
 //	respatd -addr :8080 -cold-workers 8 -cold-queue 32 -request-timeout 30s -degraded
 //	respatd -addr :8080 -self a -peers a=http://a:8080,b=http://b:8080,c=http://c:8080
-//	respatd -addr :8080 -plan-table hera-pdmv.json -plan-table atlas-pdv.json
 //
 // Endpoints (full reference with schemas: docs/api.md):
 //
@@ -44,9 +43,7 @@
 // is owned by one replica, peer-owned requests forward one hop, and a
 // background health checker (-health-interval) drops dead peers from
 // the ring deterministically. -ring-vnodes and -ring-seed must agree
-// across replicas. -plan-table (repeatable) loads precomputed plan
-// tables built by cmd/plantable; in-grid /v1/plan/exact requests are
-// answered by validated interpolation without entering the cold gate.
+// across replicas.
 package main
 
 import (
@@ -66,7 +63,6 @@ import (
 	"time"
 
 	"respat/internal/obs"
-	"respat/internal/plantable"
 	"respat/internal/service"
 )
 
@@ -96,8 +92,6 @@ func main() {
 		traceSeed   = flag.Uint64("trace-seed", 1, "trace-sampling seed (deterministic across runs)")
 		debugAddr   = flag.String("debug-addr", "", "separate listener for /debug/pprof and /debug/traces (empty = no debug listener)")
 	)
-	var tables tableFlags
-	flag.Var(&tables, "plan-table", "precomputed plan-table file (cmd/plantable output); repeatable")
 	flag.Parse()
 	cfg := service.Config{
 		Shards:         *shards,
@@ -126,19 +120,10 @@ func main() {
 		seed:           *ringSeed,
 		healthInterval: *healthInterval,
 	}
-	if err := run(*addr, *debugAddr, cfg, tables, cluster, *drainTimeout, *quiet); err != nil {
+	if err := run(*addr, *debugAddr, cfg, cluster, *drainTimeout, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "respatd:", err)
 		os.Exit(1)
 	}
-}
-
-// tableFlags collects the repeatable -plan-table flag.
-type tableFlags []string
-
-func (t *tableFlags) String() string { return strings.Join(*t, ",") }
-func (t *tableFlags) Set(v string) error {
-	*t = append(*t, v)
-	return nil
 }
 
 // clusterFlags bundles the replica-group flags.
@@ -173,14 +158,7 @@ func parsePeers(s string) ([]service.Member, error) {
 	return members, nil
 }
 
-func run(addr, debugAddr string, cfg service.Config, tables []string, cluster clusterFlags, drainTimeout time.Duration, quiet bool) error {
-	for _, path := range tables {
-		tbl, err := plantable.LoadFile(path)
-		if err != nil {
-			return fmt.Errorf("-plan-table %s: %w", path, err)
-		}
-		cfg.Tables = append(cfg.Tables, tbl)
-	}
+func run(addr, debugAddr string, cfg service.Config, cluster clusterFlags, drainTimeout time.Duration, quiet bool) error {
 	if (cluster.self == "") != (cluster.peers == "") {
 		return errors.New("-self and -peers must be given together")
 	}
@@ -233,8 +211,8 @@ func run(addr, debugAddr string, cfg service.Config, tables []string, cluster cl
 	if err != nil {
 		return err
 	}
-	logger.Printf("listening on %s (shards=%d capacity=%d batch-workers=%d max-sessions=%d cold-workers=%d cold-queue=%d request-timeout=%v degraded=%v plan-tables=%d)",
-		ln.Addr(), cfg.Shards, cfg.Capacity, cfg.BatchWorkers, cfg.MaxSessions, cfg.ColdWorkers, cfg.ColdQueue, cfg.DefaultTimeout, cfg.Degraded, len(cfg.Tables))
+	logger.Printf("listening on %s (shards=%d capacity=%d batch-workers=%d max-sessions=%d cold-workers=%d cold-queue=%d request-timeout=%v degraded=%v)",
+		ln.Addr(), cfg.Shards, cfg.Capacity, cfg.BatchWorkers, cfg.MaxSessions, cfg.ColdWorkers, cfg.ColdQueue, cfg.DefaultTimeout, cfg.Degraded)
 	return serve(ln, svc, logger, drainTimeout, quiet)
 }
 

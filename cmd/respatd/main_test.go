@@ -120,7 +120,7 @@ func TestRequestLog(t *testing.T) {
 
 // TestRunBadAddr: an unbindable address fails fast instead of serving.
 func TestRunBadAddr(t *testing.T) {
-	if err := run("256.256.256.256:99999", "", service.Config{}, nil, clusterFlags{}, time.Second, true); err == nil {
+	if err := run("256.256.256.256:99999", "", service.Config{}, clusterFlags{}, time.Second, true); err == nil {
 		t.Fatal("expected bind error")
 	}
 }
@@ -154,25 +154,17 @@ func TestParsePeers(t *testing.T) {
 // TestRunClusterValidation: -self without -peers (and vice versa) and
 // a self missing from the peer list fail fast.
 func TestRunClusterValidation(t *testing.T) {
-	if err := run("127.0.0.1:0", "", service.Config{}, nil,
+	if err := run("127.0.0.1:0", "", service.Config{},
 		clusterFlags{self: "a"}, time.Second, true); err == nil {
 		t.Fatal("-self without -peers accepted")
 	}
-	if err := run("127.0.0.1:0", "", service.Config{}, nil,
+	if err := run("127.0.0.1:0", "", service.Config{},
 		clusterFlags{peers: "a=http://a"}, time.Second, true); err == nil {
 		t.Fatal("-peers without -self accepted")
 	}
-	if err := run("127.0.0.1:0", "", service.Config{}, nil,
+	if err := run("127.0.0.1:0", "", service.Config{},
 		clusterFlags{self: "z", peers: "a=http://a,b=http://b"}, time.Second, true); err == nil {
 		t.Fatal("self outside the peer list accepted")
-	}
-}
-
-// TestRunBadTable: a missing plan-table file fails fast.
-func TestRunBadTable(t *testing.T) {
-	if err := run("127.0.0.1:0", "", service.Config{}, []string{"/does/not/exist.json"},
-		clusterFlags{}, time.Second, true); err == nil {
-		t.Fatal("missing plan table accepted")
 	}
 }
 

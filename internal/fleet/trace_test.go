@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,20 +38,69 @@ func TestParseTrace(t *testing.T) {
 }
 
 func TestParseTraceErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":       "# nothing but comments\n",
-		"one field":   "100\n",
-		"five fields": "0 1 1 pattern extra\n",
-		"bad arrival": "x 100\n",
-		"bad work":    "0 x\n",
-		"bad nodes":   "0 100 x\n",
-		"bad mode":    "0 100 1 daly\n",
-		"decreasing":  "100 1\n50 1\n",
+	// want is a fragment of the error: the line at fault, where there
+	// is one.
+	for name, tc := range map[string]struct{ in, want string }{
+		"empty":       {"# nothing but comments\n", "no jobs"},
+		"one field":   {"100\n", "line 1"},
+		"five fields": {"0 1 1 pattern extra\n", "line 1"},
+		"bad arrival": {"x 100\n", "line 1"},
+		"bad work":    {"0 x\n", "line 1"},
+		"bad nodes":   {"0 100 x\n", "line 1"},
+		"bad mode":    {"0 100 1 daly\n", "line 1"},
+		"decreasing":  {"100 1\n50 1\n", "line 2"},
+		"NaN between": {"10 100\nNaN 100\n0 100\n", "line 2"},
+		"+Inf work":   {"0 +Inf\n", "line 1"},
 	} {
-		if _, err := ParseTrace(strings.NewReader(in), ModePattern); err == nil {
-			t.Errorf("%s: ParseTrace accepted %q", name, in)
+		_, err := ParseTrace(strings.NewReader(tc.in), ModePattern)
+		if err == nil {
+			t.Errorf("%s: ParseTrace accepted %q", name, tc.in)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseTrace holds the job-trace parser to its schema: it never
+// panics; an accepted trace has finite arrivals and work and
+// non-decreasing arrivals; and the accepted jobs, rendered back into
+// the format (shortest float form, node count, mode name), parse to
+// the same jobs, bit for bit. Plain `go test` replays the seed corpus
+// in testdata/fuzz/FuzzParseTrace.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		jobs, err := ParseTrace(strings.NewReader(in), ModePattern)
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		for i, j := range jobs {
+			if !finite(j.Arrival) || !finite(j.Work) {
+				t.Fatalf("trace %q: job %d = %+v is not finite", in, i, j)
+			}
+			if i > 0 && j.Arrival < jobs[i-1].Arrival {
+				t.Fatalf("trace %q: job %d arrives at %v, before %v", in, i, j.Arrival, jobs[i-1].Arrival)
+			}
+			fmt.Fprintf(&out, "%s %s %d %s\n", strconv.FormatFloat(j.Arrival, 'g', -1, 64),
+				strconv.FormatFloat(j.Work, 'g', -1, 64), j.Nodes, j.Mode)
+		}
+		again, err := ParseTrace(strings.NewReader(out.String()), ModePattern)
+		if err != nil {
+			t.Fatalf("trace %q rendered as %q: %v", in, out.String(), err)
+		}
+		if !slices.EqualFunc(jobs, again, sameJob) {
+			t.Fatalf("trace %q rendered as %q parses to %+v, want %+v", in, out.String(), again, jobs)
+		}
+	})
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// sameJob compares jobs with floats by their bits, so -0 stays -0.
+func sameJob(a, b Job) bool {
+	return math.Float64bits(a.Arrival) == math.Float64bits(b.Arrival) &&
+		math.Float64bits(a.Work) == math.Float64bits(b.Work) &&
+		a.Nodes == b.Nodes && a.Mode == b.Mode
 }
 
 // TestTraceDrivenRunMatchesDefaultMode checks a trace campaign runs

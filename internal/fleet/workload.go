@@ -7,6 +7,7 @@ package fleet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -71,9 +72,9 @@ func synthesize(cfg *Config) []Job {
 //	<arrival-seconds> <work-seconds> [nodes [mode]]
 //
 // whitespace-separated, with '#' starting a comment and blank lines
-// skipped. Arrivals must be non-decreasing; nodes defaults to 1 and
-// mode (pattern | twolevel | multilevel) to def. The full schema is
-// documented in docs/api.md.
+// skipped. Arrival and work must be finite and arrivals
+// non-decreasing; nodes defaults to 1 and mode (pattern | twolevel |
+// multilevel) to def. The full schema is documented in docs/api.md.
 func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 	var jobs []Job
 	sc := bufio.NewScanner(r)
@@ -91,11 +92,11 @@ func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 		if len(fields) < 2 || len(fields) > 4 {
 			return nil, fmt.Errorf("fleet: trace line %d: %d fields, want 2-4", lineNo, len(fields))
 		}
-		arrival, err := strconv.ParseFloat(fields[0], 64)
+		arrival, err := parseFinite(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("fleet: trace line %d: arrival %q: %w", lineNo, fields[0], err)
 		}
-		work, err := strconv.ParseFloat(fields[1], 64)
+		work, err := parseFinite(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("fleet: trace line %d: work %q: %w", lineNo, fields[1], err)
 		}
@@ -126,4 +127,15 @@ func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 		return nil, fmt.Errorf("fleet: trace holds no jobs")
 	}
 	return jobs, nil
+}
+
+// parseFinite parses a trace time field. strconv.ParseFloat accepts
+// "NaN" and "Inf", but neither is a time: a NaN arrival fails every
+// comparison and would slip past the non-decreasing check.
+func parseFinite(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		err = errors.New("not finite")
+	}
+	return x, err
 }

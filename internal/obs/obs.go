@@ -38,8 +38,6 @@ const (
 	StageDecode Stage = iota
 	// StageCacheLookup is one probe of the sharded plan cache.
 	StageCacheLookup
-	// StageTable is a plan-table interpolation attempt.
-	StageTable
 	// StageGateWait is time spent acquiring a cold-plan worker slot.
 	StageGateWait
 	// StageColdCompute is the planner computation itself.
@@ -54,8 +52,8 @@ const (
 )
 
 var stageNames = [StageCount]string{
-	"decode", "cache_lookup", "table", "gate_wait",
-	"cold_compute", "peer_forward", "encode",
+	"decode", "cache_lookup", "gate_wait", "cold_compute",
+	"peer_forward", "encode",
 }
 
 func (s Stage) String() string {

@@ -237,9 +237,9 @@ func TestServerTiming(t *testing.T) {
 func TestStageHistogramFeedsOnRecord(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	h := tr.Start("plan", "", "")
-	h.Begin(StageTable).End("ok")
+	h.Begin(StageColdCompute).End("ok")
 	h.Finish(200, "")
-	snap := tr.StageHistogram(StageTable).Snapshot()
+	snap := tr.StageHistogram(StageColdCompute).Snapshot()
 	if snap.Count != 1 {
 		t.Fatalf("stage histogram count = %d", snap.Count)
 	}

@@ -349,18 +349,14 @@ func (s *Service) handlePlanExact(r *http.Request, d *disposition) ([]byte, int,
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Serving order, each step at most once: local cache, plan table
-	// (interpolation — never enters the cold gate), owning peer, local
-	// miss path.
+	// Serving order, each step at most once: local cache, owning peer,
+	// local miss path.
 	key := EncodeKey(ModePlanExact, kind, costs, rates)
 	tr := obs.FromContext(r.Context())
 	tm := tr.Begin(obs.StageCacheLookup)
 	resp, ok := s.cache.get(key)
 	tm.End(hitMiss(ok))
 	if ok {
-		return resp, http.StatusOK, nil
-	}
-	if resp, ok := s.planFromTable(r.Context(), kind, costs, rates); ok {
 		return resp, http.StatusOK, nil
 	}
 	if name, baseURL, ok := s.routePeer(r, key); ok {

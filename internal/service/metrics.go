@@ -37,11 +37,9 @@ type Metrics struct {
 	// Distributed-serving counters (see cluster.go and DESIGN.md §2.9).
 	// Forwarded counts requests relayed to the owning peer;
 	// ForwardErrors counts relays that failed in transit (502 to the
-	// client); TableHits counts exact-plan requests answered by a
-	// precomputed plan table instead of the cold path.
+	// client).
 	Forwarded     atomic.Int64
 	ForwardErrors atomic.Int64
-	TableHits     atomic.Int64
 
 	endpoints [epCount]endpointMetrics // indexed by endpointID
 }
@@ -162,11 +160,10 @@ type Snapshot struct {
 	ColdPlanP90Ns  float64 `json:"coldPlanP90Ns"`
 
 	// Distributed serving (cluster.go): peer forwards, failed
-	// forwards, plan-table answers, and peers currently excluded from
-	// the ring by the health checker.
+	// forwards, and peers currently excluded from the ring by the
+	// health checker.
 	Forwarded     int64 `json:"forwarded"`
 	ForwardErrors int64 `json:"forwardErrors"`
-	TableHits     int64 `json:"tableHits"`
 	PeersDown     int   `json:"peersDown"`
 
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
@@ -193,7 +190,6 @@ func (m *Metrics) snapshot(cacheEntries, sessions int, g *gate, peersDown int) S
 		ColdPlanP90Ns:    g.estimate() * 1e9,
 		Forwarded:        m.Forwarded.Load(),
 		ForwardErrors:    m.ForwardErrors.Load(),
-		TableHits:        m.TableHits.Load(),
 		PeersDown:        peersDown,
 		Endpoints:        make(map[string]EndpointSnapshot, len(m.endpoints)),
 	}

@@ -58,7 +58,6 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	// Cluster.
 	p.Counter("respat_forwarded_total", "Requests relayed to the key-owning peer.", float64(m.Forwarded.Load()))
 	p.Counter("respat_forward_errors_total", "Peer relays that failed in transit (HTTP 502).", float64(m.ForwardErrors.Load()))
-	p.Counter("respat_table_hits_total", "Exact-plan requests answered by plan-table interpolation.", float64(m.TableHits.Load()))
 	p.Gauge("respat_peers_down", "Peers currently excluded from the ring by the health checker.", float64(s.peersDown()))
 
 	// Sessions and in-flight work.

@@ -13,7 +13,6 @@ import (
 	"respat/internal/core"
 	"respat/internal/obs"
 	"respat/internal/optimize"
-	"respat/internal/plantable"
 )
 
 // Config sizes a Service.
@@ -60,14 +59,6 @@ type Config struct {
 	// for the gate's cold-plan p90: the Retry-After and too-tight
 	// estimate (chaos/testing hook; default time.Now).
 	Now func() time.Time
-	// Tables holds precomputed plan tables (internal/plantable),
-	// consulted on the exact-plan path after the cache and before the
-	// admission gate: an in-grid request is answered by interpolation
-	// in microseconds and never competes for a cold-plan slot. Load
-	// tables at startup (cmd/respatd -plan-table, or cmd/plantable to
-	// build them); the slice is read concurrently and must not be
-	// mutated after New.
-	Tables []*plantable.Table
 	// Tracer samples and records per-request traces (internal/obs).
 	// nil disables tracing entirely; every trace call site is nil-safe,
 	// so the hot path pays nothing beyond one atomic add per request.
@@ -158,12 +149,6 @@ type PlanResponse struct {
 	// the exact-model overhead of the served first-order plan minus its
 	// own first-order prediction.
 	DegradedDelta float64 `json:"degradedDelta,omitempty"`
-	// Interpolated marks a plan-table answer: W and Overhead are
-	// multilinear interpolations of precomputed exact plans (within
-	// the table's validated error bound), (n, m) the nearest grid
-	// corner's layout. Absent on normal responses, so cached bytes are
-	// unchanged.
-	Interpolated bool `json:"interpolated,omitempty"`
 }
 
 // EvaluateResponse is the body served for /v1/evaluate.
@@ -199,7 +184,7 @@ func (s *Service) PlanCtx(ctx context.Context, kind core.Kind, costs core.Costs,
 	return s.planCold(ctx, key, kind, costs, rates)
 }
 
-// hitMiss labels a cache or table probe's span outcome.
+// hitMiss labels a cache probe's span outcome.
 func hitMiss(ok bool) string {
 	if ok {
 		return "hit"
@@ -248,54 +233,11 @@ func (s *Service) PlanExactCtx(ctx context.Context, kind core.Kind, costs core.C
 	if ok {
 		return resp, nil
 	}
-	if resp, ok := s.planFromTable(ctx, kind, costs, rates); ok {
-		return resp, nil
-	}
 	return s.planExactCold(ctx, key, kind, costs, rates)
 }
 
-// planFromTable answers an exact-plan request from the first loaded
-// plan table covering it: multilinear interpolation over precomputed
-// exact optima, validated at build time against the table's error
-// bound. Table answers are marshalled per request and never cached —
-// the cache stays a pure memo of real computations, and a table hit is
-// already microseconds of arithmetic. Out-of-grid configurations fall
-// through to the ordinary cold path (admission gate included)
-// unchanged.
-func (s *Service) planFromTable(ctx context.Context, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, bool) {
-	if len(s.cfg.Tables) == 0 {
-		return nil, false
-	}
-	tm := obs.FromContext(ctx).Begin(obs.StageTable)
-	for _, t := range s.cfg.Tables {
-		ans, ok := t.Lookup(kind, costs, rates)
-		if !ok {
-			continue
-		}
-		b, err := marshalResponse(PlanResponse{
-			Kind:         kind.String(),
-			Exact:        true,
-			Interpolated: true,
-			N:            ans.N,
-			M:            ans.M,
-			W:            ans.W,
-			Overhead:     ans.Overhead,
-		})
-		if err != nil {
-			tm.End("miss")
-			return nil, false
-		}
-		s.metrics.TableHits.Add(1)
-		tm.End("hit")
-		return b, true
-	}
-	tm.End("miss")
-	return nil, false
-}
-
-// planExactCold is the miss path of PlanExact, after the cache and the
-// plan tables: the too-tight check, then the gated exact search,
-// coalesced on key.
+// planExactCold is the miss path of PlanExact: the too-tight check,
+// then the gated exact search, coalesced on key.
 func (s *Service) planExactCold(ctx context.Context, key Key, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
 	if err := s.tooTight(ctx); err != nil {
 		return nil, err
