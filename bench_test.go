@@ -314,7 +314,7 @@ func BenchmarkMultilevelPlan(b *testing.B) {
 
 // BenchmarkMultilevelEvaluator measures one exact expected-time
 // evaluation of a 3-level spec through a reused evaluator — the inner
-// loop of the multilevel planner's golden-section search.
+// loop of the multilevel planner's leaf W search.
 func BenchmarkMultilevelEvaluator(b *testing.B) {
 	hera := mustPlatform(b, "Hera")
 	params, err := multilevel.FromPlatform(hera, 3)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"respat/internal/core"
 	"respat/internal/fleet"
@@ -48,9 +49,19 @@ func main() {
 	flag.Parse()
 	if err := run(os.Stdout, *platName, *nodes, *mode, *family, *levels, *rate,
 		*numJobs, *jobWork, *workSpread, *jobNodes, *trace, *backfill, *seed, *workers, *format); err != nil {
-		fmt.Fprintln(os.Stderr, "fleet:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a run error for stderr with one "fleet:" prefix:
+// errors from package fleet already carry it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "fleet: ") {
+		msg = "fleet: " + msg
+	}
+	return msg
 }
 
 func run(w io.Writer, platName string, nodes int, mode, family string, levels int,

@@ -180,9 +180,9 @@ func runMultilevel(platName string, levels, campaignWorkers int) error {
 	// wall time) can be checked without a profiler.
 	for _, row := range rows {
 		st := row.PlanStats
-		fmt.Printf("planner %s L=%d: %v (seedProbes=%d leafProbes=%d candidates=%d pruned=%d screened=%d evaluated=%d leaves=%d workers=%d fallback=%v)\n",
+		fmt.Printf("planner %s L=%d: %v (seedProbes=%d boundProbes=%d leafProbes=%d candidates=%d pruned=%d screened=%d evaluated=%d leaves=%d fallback=%v)\n",
 			row.Platform, row.Levels, row.PlanTime.Round(10*time.Microsecond),
-			st.SeedProbes, st.LeafProbes, st.Candidates, st.Pruned, st.Screened, st.Evaluated, st.Leaves, st.Workers, st.Fallback)
+			st.SeedProbes, st.BoundProbes, st.LeafProbes, st.Candidates, st.Pruned, st.Screened, st.Evaluated, st.Leaves, st.Fallback)
 	}
 	return nil
 }

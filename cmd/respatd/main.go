@@ -67,63 +67,62 @@ import (
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		shards       = flag.Int("shards", 16, "plan-cache shards (rounded up to a power of two)")
-		capacity     = flag.Int("cache-capacity", 4096, "total cached plans across all shards")
-		batchWorkers = flag.Int("batch-workers", runtime.GOMAXPROCS(0), "concurrent items per /v1/batch request (0 = GOMAXPROCS)")
-		maxSessions  = flag.Int("max-sessions", 1024, "cap on live adaptive sessions (/v1/observe)")
-		coldWorkers  = flag.Int("cold-workers", runtime.GOMAXPROCS(0), "concurrent cold plans: exact + multilevel searches (0 = GOMAXPROCS)")
-		coldQueue    = flag.Int("cold-queue", 0, "cold plans allowed to wait for a worker before shedding with 429 (0 = 4x cold-workers)")
-		reqTimeout   = flag.Duration("request-timeout", time.Minute, "default per-request deadline budget; X-Request-Timeout overrides (0 = unbounded)")
-		degraded     = flag.Bool("degraded", false, "serve the first-order plan (flagged degraded) instead of failing shed or too-tight exact requests")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
-		quiet        = flag.Bool("quiet", false, "disable per-request logging")
-
-		self           = flag.String("self", "", "this replica's name in -peers (empty = standalone)")
-		peers          = flag.String("peers", "", "replica set as name=url,name=url,... (must include -self)")
-		ringVNodes     = flag.Int("ring-vnodes", 0, "virtual nodes per replica (0 = default; must agree across replicas)")
-		ringSeed       = flag.Uint64("ring-seed", 1, "consistent-hash placement seed (must agree across replicas)")
-		healthInterval = flag.Duration("health-interval", 5*time.Second, "peer health-check period (0 = no background checks)")
-
-		traceSample = flag.Int("trace-sample", 64, "sample 1 in N requests into a trace (1 = all, 0 = only forwarded trace IDs)")
-		traceRing   = flag.Int("trace-ring", 256, "completed traces retained for /debug/traces")
-		traceSlow   = flag.Duration("trace-slow", 0, "log sampled traces slower than this (0 = no slow log)")
-		traceSeed   = flag.Uint64("trace-seed", 1, "trace-sampling seed (deterministic across runs)")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for /debug/pprof and /debug/traces (empty = no debug listener)")
-	)
-	flag.Parse()
-	cfg := service.Config{
-		Shards:         *shards,
-		Capacity:       *capacity,
-		BatchWorkers:   *batchWorkers,
-		MaxSessions:    *maxSessions,
-		ColdWorkers:    *coldWorkers,
-		ColdQueue:      *coldQueue,
-		DefaultTimeout: *reqTimeout,
-		Degraded:       *degraded,
-		// The tracer is always constructed: -trace-sample 0 disables the
-		// sampler but forwarded trace IDs are still honoured, so a
-		// cluster trace never loses a hop to one replica's configuration.
-		Tracer: obs.New(obs.Config{
-			SampleEvery:   *traceSample,
-			Ring:          *traceRing,
-			SlowThreshold: *traceSlow,
-			Seed:          *traceSeed,
-			Log:           log.New(os.Stderr, "respatd: ", log.LstdFlags),
-		}),
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		os.Exit(2) // flag.CommandLine has already reported the error
 	}
-	cluster := clusterFlags{
-		self:           *self,
-		peers:          *peers,
-		vnodes:         *ringVNodes,
-		seed:           *ringSeed,
-		healthInterval: *healthInterval,
-	}
-	if err := run(*addr, *debugAddr, cfg, cluster, *drainTimeout, *quiet); err != nil {
+	if err := run(o.addr, o.debugAddr, o.cfg, o.cluster, o.drainTimeout, o.quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "respatd:", err)
 		os.Exit(1)
 	}
+}
+
+// options is respatd's parsed command line.
+type options struct {
+	addr, debugAddr string
+	cfg             service.Config
+	cluster         clusterFlags
+	drainTimeout    time.Duration
+	quiet           bool
+}
+
+// parseFlags defines respatd's flags on fs and parses args into
+// options.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.cfg.Shards, "shards", 16, "plan-cache shards (rounded up to a power of two)")
+	fs.IntVar(&o.cfg.Capacity, "cache-capacity", 4096, "total cached plans across all shards")
+	fs.IntVar(&o.cfg.BatchWorkers, "batch-workers", runtime.GOMAXPROCS(0), "concurrent items per /v1/batch request (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 1024, "cap on live adaptive sessions (/v1/observe)")
+	fs.IntVar(&o.cfg.ColdWorkers, "cold-workers", runtime.GOMAXPROCS(0), "concurrent cold plans: exact + multilevel searches (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.ColdQueue, "cold-queue", 0, "cold plans allowed to wait for a worker before shedding with 429 (0 = 4x cold-workers)")
+	fs.DurationVar(&o.cfg.DefaultTimeout, "request-timeout", time.Minute, "default per-request deadline budget; X-Request-Timeout overrides (0 = unbounded)")
+	fs.BoolVar(&o.cfg.Degraded, "degraded", false, "serve the first-order plan (flagged degraded) instead of failing shed or too-tight exact requests")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown drain window")
+	fs.BoolVar(&o.quiet, "quiet", false, "disable per-request logging")
+
+	fs.StringVar(&o.cluster.self, "self", "", "this replica's name in -peers (empty = standalone)")
+	fs.StringVar(&o.cluster.peers, "peers", "", "replica set as name=url,name=url,... (must include -self)")
+	fs.IntVar(&o.cluster.vnodes, "ring-vnodes", 0, "virtual nodes per replica (0 = default; must agree across replicas)")
+	fs.Uint64Var(&o.cluster.seed, "ring-seed", 1, "consistent-hash placement seed (must agree across replicas)")
+	fs.DurationVar(&o.cluster.healthInterval, "health-interval", 5*time.Second, "peer health-check period (0 = no background checks)")
+
+	var trace obs.Config
+	fs.IntVar(&trace.SampleEvery, "trace-sample", 64, "sample 1 in N requests into a trace (1 = all, 0 = only forwarded trace IDs)")
+	fs.IntVar(&trace.Ring, "trace-ring", 256, "completed traces retained for /debug/traces")
+	fs.DurationVar(&trace.SlowThreshold, "trace-slow", 0, "log sampled traces slower than this (0 = no slow log)")
+	fs.Uint64Var(&trace.Seed, "trace-seed", 1, "trace-sampling seed (deterministic across runs)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for /debug/pprof and /debug/traces (empty = no debug listener)")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	// The tracer is always constructed: -trace-sample 0 disables the
+	// sampler but forwarded trace IDs are still honoured, so a cluster
+	// trace never loses a hop to one replica's configuration.
+	trace.Log = log.New(os.Stderr, "respatd: ", log.LstdFlags)
+	o.cfg.Tracer = obs.New(trace)
+	return o, nil
 }
 
 // clusterFlags bundles the replica-group flags.
@@ -159,16 +158,39 @@ func parsePeers(s string) ([]service.Member, error) {
 }
 
 func run(addr, debugAddr string, cfg service.Config, cluster clusterFlags, drainTimeout time.Duration, quiet bool) error {
-	if (cluster.self == "") != (cluster.peers == "") {
-		return errors.New("-self and -peers must be given together")
-	}
 	logger := log.New(os.Stderr, "respatd: ", log.LstdFlags)
-	svc := service.New(cfg)
-	var stopHealth context.CancelFunc
+	ln, svc, stop, err := start(addr, debugAddr, cfg, cluster, logger)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	return serve(ln, svc, logger, drainTimeout, quiet)
+}
+
+// start builds the service, joins it to its replica group, opens the
+// debug and API listeners and logs the service's effective
+// configuration. stop ends the peer health checks and closes the debug
+// listener; a failing start has already undone what it began.
+func start(addr, debugAddr string, cfg service.Config, cluster clusterFlags, logger *log.Logger) (ln net.Listener, svc *service.Service, stop func(), err error) {
+	if (cluster.self == "") != (cluster.peers == "") {
+		return nil, nil, nil, errors.New("-self and -peers must be given together")
+	}
+	svc = service.New(cfg)
+	var stops []func()
+	stopAll := func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+	}
+	defer func() {
+		if err != nil {
+			stopAll()
+		}
+	}()
 	if cluster.self != "" {
 		members, err := parsePeers(cluster.peers)
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 		if err := svc.EnableCluster(service.ClusterConfig{
 			Self:    cluster.self,
@@ -176,11 +198,11 @@ func run(addr, debugAddr string, cfg service.Config, cluster clusterFlags, drain
 			VNodes:  cluster.vnodes,
 			Seed:    cluster.seed,
 		}); err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 		if cluster.healthInterval > 0 {
-			var hctx context.Context
-			hctx, stopHealth = context.WithCancel(context.Background())
+			hctx, stopHealth := context.WithCancel(context.Background())
+			stops = append(stops, stopHealth)
 			go func() {
 				tick := time.NewTicker(cluster.healthInterval)
 				defer tick.Stop()
@@ -197,23 +219,27 @@ func run(addr, debugAddr string, cfg service.Config, cluster clusterFlags, drain
 		logger.Printf("cluster: self=%s members=%d vnodes=%d seed=%d health-interval=%v",
 			cluster.self, len(members), cluster.vnodes, cluster.seed, cluster.healthInterval)
 	}
-	if stopHealth != nil {
-		defer stopHealth()
-	}
 	if debugAddr != "" {
 		stopDebug, err := serveDebug(debugAddr, svc, logger)
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
-		defer stopDebug()
+		stops = append(stops, stopDebug)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err = net.Listen("tcp", addr)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	logger.Printf("listening on %s (shards=%d capacity=%d batch-workers=%d max-sessions=%d cold-workers=%d cold-queue=%d request-timeout=%v degraded=%v)",
-		ln.Addr(), cfg.Shards, cfg.Capacity, cfg.BatchWorkers, cfg.MaxSessions, cfg.ColdWorkers, cfg.ColdQueue, cfg.DefaultTimeout, cfg.Degraded)
-	return serve(ln, svc, logger, drainTimeout, quiet)
+	logger.Printf("listening on %s (%s)", ln.Addr(), describeConfig(svc.Config()))
+	return ln, svc, stopAll, nil
+}
+
+// describeConfig renders a service configuration for the startup log
+// line. start passes the service's effective configuration, so a flag
+// left at 0 ("use the default") shows the value the service runs with.
+func describeConfig(cfg service.Config) string {
+	return fmt.Sprintf("shards=%d capacity=%d batch-workers=%d max-sessions=%d cold-workers=%d cold-queue=%d request-timeout=%v degraded=%v",
+		cfg.Shards, cfg.Capacity, cfg.BatchWorkers, cfg.MaxSessions, cfg.ColdWorkers, cfg.ColdQueue, cfg.DefaultTimeout, cfg.Degraded)
 }
 
 // serveDebug starts the profiling/debug listener: net/http/pprof under

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -122,6 +124,37 @@ func TestRequestLog(t *testing.T) {
 func TestRunBadAddr(t *testing.T) {
 	if err := run("256.256.256.256:99999", "", service.Config{}, clusterFlags{}, time.Second, true); err == nil {
 		t.Fatal("expected bind error")
+	}
+}
+
+// TestDefaultFlagsLogEffectiveConfig: with default flags the startup
+// line reports the cold-plan gate the service runs, not the flags'
+// zero "use the default" values (-cold-queue 0 means 4x cold-workers).
+func TestDefaultFlagsLogEffectiveConfig(t *testing.T) {
+	o, err := parseFlags(flag.NewFlagSet("respatd", flag.ContinueOnError), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cfg.ColdQueue != 0 {
+		t.Fatalf("default -cold-queue = %d; this test wants the 0 default", o.cfg.ColdQueue)
+	}
+	var buf strings.Builder
+	ln, _, stop, err := start("127.0.0.1:0", o.debugAddr, o.cfg, o.cluster, log.New(&buf, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	stop()
+	line := buf.String()
+	for _, name := range []string{"cold-workers", "cold-queue"} {
+		_, after, ok := strings.Cut(line, " "+name+"=")
+		if !ok {
+			t.Fatalf("log line %q has no %s field", line, name)
+		}
+		var v int
+		if _, err := fmt.Sscanf(after, "%d", &v); err != nil || v <= 0 {
+			t.Fatalf("log line %q: %s = %d, want > 0", line, name, v)
+		}
 	}
 }
 

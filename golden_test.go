@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"runtime"
 	"testing"
 
 	"respat/internal/analytic"
@@ -26,30 +27,36 @@ import (
 // and runtime output family. The digests hash values field by field
 // (floats as raw bits), never Go type names, so they survive
 // refactorings that move a type but change no output bit. A mismatch
-// means some output changed; the digest names the family.
+// means some output changed; the digest names the family. No output
+// depends on the CPU count, so each digest is computed under
+// GOMAXPROCS 1 and 4.
 var goldenDigests = map[string]string{
 	"sim.Run":           "839e8dd325baea3d35bb589f5490eb9027ff3ccf09d39f499f46746cb0110d0d",
 	"sim.TraceOne":      "08b2a1173dfdadd15450ca587a0219e37ae222d6d8a5c9725b60337f1fed3d24",
 	"sim.JobSim":        "ced9bd84792a29b19a05bad02addbfd626f51f9b207d2cbcd537955f40b48015",
 	"sim.RunMultilevel": "09b2b8ee71cc8fa507c2c4498c9c475d29618414c6fe564239840f4ea2a0c50b",
 	"fleet.Run":         "196af2abcc20632853cb4052187a35db6f496a103ab3b8af7f577ac9636e7004",
-	"harness":           "5eb1d6f7197dd24ca7674e3e91aeb812496d4f7666735a9191eae46570d5578a",
+	"harness":           "1ef961eea24c12fd6b160184e21febcf3ff31b0ec3c92e14681f56f8e62bab3d",
 	"engine":            "05b7020de9135369b796e5963222fe99f975234db1da407063275ce7893d5b97",
 }
 
 func TestOutputGoldenDigests(t *testing.T) {
-	got := map[string]string{
-		"sim.Run":           digestSimRun(t),
-		"sim.TraceOne":      digestTraceOne(t),
-		"sim.JobSim":        digestJobSims(t),
-		"sim.RunMultilevel": digestRunMultilevel(t),
-		"fleet.Run":         digestFleet(t),
-		"harness":           digestHarness(t),
-		"engine":            digestEngines(t),
-	}
-	for name, want := range goldenDigests {
-		if got[name] != want {
-			t.Errorf("%s: digest %s, want %s", name, got[name], want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := map[string]string{
+			"sim.Run":           digestSimRun(t),
+			"sim.TraceOne":      digestTraceOne(t),
+			"sim.JobSim":        digestJobSims(t),
+			"sim.RunMultilevel": digestRunMultilevel(t),
+			"fleet.Run":         digestFleet(t),
+			"harness":           digestHarness(t),
+			"engine":            digestEngines(t),
+		}
+		for name, want := range goldenDigests {
+			if got[name] != want {
+				t.Errorf("GOMAXPROCS=%d: %s: digest %s, want %s", procs, name, got[name], want)
+			}
 		}
 	}
 }

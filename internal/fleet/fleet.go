@@ -105,20 +105,29 @@ type Job struct {
 
 // Validate checks one job against the cluster size.
 func (j Job) Validate(clusterNodes int) error {
+	if err := j.check(clusterNodes); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	return nil
+}
+
+// check is Validate without the package prefix, for callers that name
+// the job's trace line or position in front of the reason.
+func (j Job) check(clusterNodes int) error {
 	if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
-		return fmt.Errorf("fleet: job arrival = %v, need finite >= 0", j.Arrival)
+		return fmt.Errorf("job arrival = %v, need finite >= 0", j.Arrival)
 	}
 	if j.Work <= 0 || math.IsNaN(j.Work) || math.IsInf(j.Work, 0) {
-		return fmt.Errorf("fleet: job work = %v, need finite > 0", j.Work)
+		return fmt.Errorf("job work = %v, need finite > 0", j.Work)
 	}
 	if j.Nodes <= 0 {
-		return fmt.Errorf("fleet: job nodes = %d, need > 0", j.Nodes)
+		return fmt.Errorf("job nodes = %d, need > 0", j.Nodes)
 	}
 	if j.Nodes > clusterNodes {
-		return fmt.Errorf("fleet: job needs %d nodes, cluster has %d", j.Nodes, clusterNodes)
+		return fmt.Errorf("job needs %d nodes, cluster has %d", j.Nodes, clusterNodes)
 	}
 	if j.Mode < 0 || j.Mode >= numModes {
-		return fmt.Errorf("fleet: job mode %d out of range", int(j.Mode))
+		return fmt.Errorf("job mode %d out of range", int(j.Mode))
 	}
 	return nil
 }
@@ -219,11 +228,14 @@ func (cfg Config) Validate() error {
 	if cfg.Trace != nil {
 		last := math.Inf(-1)
 		for i, j := range cfg.Trace {
-			if err := j.Validate(nodes); err != nil {
-				return fmt.Errorf("trace job %d: %w", i, err)
+			// Jobs are numbered from 1 in trace order; a trace read by
+			// ParseTrace has already passed every check but the
+			// cluster size, naming its line.
+			if err := j.check(nodes); err != nil {
+				return fmt.Errorf("fleet: trace job %d: %w", i+1, err)
 			}
 			if j.Arrival < last {
-				return fmt.Errorf("fleet: trace job %d arrives at %v, before job %d at %v", i, j.Arrival, i-1, last)
+				return fmt.Errorf("fleet: trace job %d arrives at %v, before job %d at %v", i+1, j.Arrival, i, last)
 			}
 			last = j.Arrival
 		}

@@ -51,19 +51,27 @@ func TestParseTraceErrors(t *testing.T) {
 		"decreasing":  {"100 1\n50 1\n", "line 2"},
 		"NaN between": {"10 100\nNaN 100\n0 100\n", "line 2"},
 		"+Inf work":   {"0 +Inf\n", "line 1"},
+		// Jobs that fail Job.Validate on any cluster.
+		"negative arrival": {"-1 100\n", "line 1"},
+		"negative work":    {"0 100\n10 -5\n", "line 2"},
+		"zero work":        {"0 0\n", "line 1"},
+		"zero nodes":       {"# header\n0 100 0\n", "line 2"},
 	} {
 		_, err := ParseTrace(strings.NewReader(tc.in), ModePattern)
 		if err == nil {
 			t.Errorf("%s: ParseTrace accepted %q", name, tc.in)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %q", name, err, tc.want)
+		} else if n := strings.Count(err.Error(), "fleet:"); n != 1 {
+			t.Errorf("%s: error %q carries the package prefix %d times", name, err, n)
 		}
 	}
 }
 
 // FuzzParseTrace holds the job-trace parser to its schema: it never
-// panics; an accepted trace has finite arrivals and work and
-// non-decreasing arrivals; and the accepted jobs, rendered back into
+// panics; an accepted trace's jobs pass Job.Validate on a cluster of
+// any size and arrive in non-decreasing order; and the accepted jobs,
+// rendered back into
 // the format (shortest float form, node count, mode name), parse to
 // the same jobs, bit for bit. Plain `go test` replays the seed corpus
 // in testdata/fuzz/FuzzParseTrace.
@@ -75,8 +83,8 @@ func FuzzParseTrace(f *testing.F) {
 		}
 		var out strings.Builder
 		for i, j := range jobs {
-			if !finite(j.Arrival) || !finite(j.Work) {
-				t.Fatalf("trace %q: job %d = %+v is not finite", in, i, j)
+			if err := j.Validate(math.MaxInt); err != nil {
+				t.Fatalf("trace %q: job %d = %+v: %v", in, i, j, err)
 			}
 			if i > 0 && j.Arrival < jobs[i-1].Arrival {
 				t.Fatalf("trace %q: job %d arrives at %v, before %v", in, i, j.Arrival, jobs[i-1].Arrival)
@@ -93,8 +101,6 @@ func FuzzParseTrace(f *testing.F) {
 		}
 	})
 }
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // sameJob compares jobs with floats by their bits, so -0 stays -0.
 func sameJob(a, b Job) bool {

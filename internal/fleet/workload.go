@@ -72,9 +72,11 @@ func synthesize(cfg *Config) []Job {
 //	<arrival-seconds> <work-seconds> [nodes [mode]]
 //
 // whitespace-separated, with '#' starting a comment and blank lines
-// skipped. Arrival and work must be finite and arrivals
-// non-decreasing; nodes defaults to 1 and mode (pattern | twolevel |
-// multilevel) to def. The full schema is documented in docs/api.md.
+// skipped. Arrivals must be finite, >= 0 and non-decreasing, work
+// finite and > 0, and nodes > 0; nodes defaults to 1 and mode
+// (pattern | twolevel | multilevel) to def. An error names the line at
+// fault. Only the cluster-size check is left to Config.Validate, which
+// knows the cluster. The full schema is documented in docs/api.md.
 func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 	var jobs []Job
 	sc := bufio.NewScanner(r)
@@ -111,9 +113,12 @@ func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 		if len(fields) == 4 {
 			m, err := ParseMode(fields[3])
 			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", lineNo, err)
+				return nil, fmt.Errorf("fleet: trace line %d: unknown mode %q (have pattern, twolevel, multilevel)", lineNo, fields[3])
 			}
 			job.Mode = m
+		}
+		if err := job.check(math.MaxInt); err != nil {
+			return nil, fmt.Errorf("fleet: trace line %d: %w", lineNo, err)
 		}
 		if len(jobs) > 0 && job.Arrival < jobs[len(jobs)-1].Arrival {
 			return nil, fmt.Errorf("fleet: trace line %d: arrival %v before previous %v", lineNo, job.Arrival, jobs[len(jobs)-1].Arrival)

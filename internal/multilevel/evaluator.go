@@ -9,12 +9,11 @@ import (
 	"respat/internal/xmath"
 )
 
-// maxCachedLayouts bounds the two per-evaluator memo maps (chunk
-// layouts keyed by m, boundary tables keyed by the count vector). A
-// planner run over a typical caps box probes a few hundred distinct
-// keys; the cap bounds one plan's memo over a large box (the caps grow
-// with the first-order seed), which starts over instead of growing the
-// maps without bound.
+// maxCachedLayouts bounds the per-evaluator chunk-layout memo (keyed
+// by m). A planner run over a typical caps box probes a few dozen
+// distinct m values; the cap bounds one plan's memo over a large box
+// (the caps grow with the first-order seed), which starts over instead
+// of growing the map without bound.
 const maxCachedLayouts = 4096
 
 // Evaluator computes exact expected execution times for one validated
@@ -23,37 +22,32 @@ const maxCachedLayouts = 4096
 // evaluators already in the repo: at L = 1 it reduces to package
 // analytic's renewal equations (every error recovers from the single
 // level), at L = 2 with λs = 0 to package twolevel. It is also the
-// planner's memoized probe context: every W-independent invariant of a
-// spec is derived once and cached —
+// planner's probe context: the W-independent invariants of a spec are
+// derived once —
 //
 //   - per-m chunk-layout invariants (the Theorem 3 fractions and the
-//     interior-verification contract), as in analytic.Evaluator;
-//   - per-(n_1..n_L) boundary tables (which checkpoint levels close
-//     each level-1 interval and which replay sums reset there), so the
-//     renewal recursion runs without a single integer division;
-//   - the per-level cost/share vectors, hoisted out of Params.
+//     interior-verification contract), memoized as in
+//     analytic.Evaluator;
+//   - the per-level cost/share vectors, hoisted out of Params;
 //
-// A planner probing many W values at a fixed (counts, m) layout
-// therefore pays O(1) transcendental work and zero allocations per
-// probe, and re-probing a layout costs two map hits.
+// and the level boundaries are tracked by per-level countdown
+// counters, so the renewal recursion runs without a single integer
+// division per interval. A planner probing many W values at a fixed
+// (counts, m) layout therefore pays O(1) transcendental work and zero
+// allocations per probe, and re-probing a layout costs one map hit.
 //
-// An Evaluator is not safe for concurrent use (the caches and the
-// per-level replay scratch are mutated); give each goroutine its own.
+// An Evaluator is not safe for concurrent use (the layout memo is
+// mutated); give each goroutine its own.
 type Evaluator struct {
 	p       Params
 	meanRec float64
 	// Hoisted per-level constants: ckpts[l] = C_{l+1}, shares[l] =
 	// q_{l+1}; rec1 = R_1. Values are copied verbatim from p.Levels, so
 	// arithmetic against them is bit-identical to indexing the structs.
-	ckpts  [MaxLevels]float64
-	shares [MaxLevels]float64
-	rec1   float64
-	// back[l] accumulates Σ E_k since the last level-(l+1) boundary,
-	// the replay a level-(l+1) error forces; reused across evaluations
-	// so a planner probe allocates nothing.
-	back    [MaxLevels]float64
+	ckpts   [MaxLevels]float64
+	shares  [MaxLevels]float64
+	rec1    float64
 	layouts map[int]*chunkLayout
-	tables  map[[MaxLevels]int]*boundaryTable
 }
 
 // chunkLayout caches the W-independent Theorem 3 invariants of one
@@ -63,19 +57,6 @@ type chunkLayout struct {
 	edgeFrac, intFrac float64
 	recall            float64
 	interiorCost      float64
-}
-
-// boundaryTable caches the W- and m-independent boundary structure of
-// one level-count vector n_1..n_L: per level-1 interval t, the number
-// of checkpoint levels written at the boundary closing it and a
-// bitmask of the replay sums that reset there. Both are pure functions
-// of the counts, precomputed so the renewal recursion's inner loop is
-// free of modulo arithmetic (the old per-t boundaryLevel walk was ~20%
-// of planner CPU).
-type boundaryTable struct {
-	n1     int
-	bLevel []uint8 // boundaryLevel(strides, t): # of levels checkpointed after t
-	reset  []uint8 // bit l set ⇒ back[l] resets after interval t
 }
 
 // NewEvaluator validates p once and returns an evaluator bound to it.
@@ -110,41 +91,6 @@ func (e *Evaluator) layout(m int) (*chunkLayout, error) {
 	}
 	e.layouts[m] = cl
 	return cl, nil
-}
-
-// table returns the cached boundary table for a validated count
-// vector.
-func (e *Evaluator) table(counts []int) *boundaryTable {
-	var key [MaxLevels]int
-	copy(key[:], counts)
-	if bt, ok := e.tables[key]; ok {
-		return bt
-	}
-	n1 := counts[0]
-	L := len(counts)
-	bt := &boundaryTable{
-		n1:     n1,
-		bLevel: make([]uint8, n1),
-		reset:  make([]uint8, n1),
-	}
-	for t := 0; t < n1; t++ {
-		level := 1
-		var mask uint8
-		for l := 1; l < L; l++ {
-			stride := n1 / counts[l]
-			if (t+1)%stride == 0 {
-				level = l + 1
-				mask |= 1 << uint(l)
-			}
-		}
-		bt.bLevel[t] = uint8(level)
-		bt.reset[t] = mask
-	}
-	if e.tables == nil || len(e.tables) >= maxCachedLayouts {
-		e.tables = make(map[[MaxLevels]int]*boundaryTable)
-	}
-	e.tables[key] = bt
-	return bt
 }
 
 // attempt holds the per-attempt invariants of one level-1 interval:
@@ -221,39 +167,54 @@ func (e *Evaluator) intervalAttempt(cl *chunkLayout, w1 float64) attempt {
 }
 
 // evalSpec is the planner-facing fast path of ExpectedTime: the
-// renewal recursion over a prefetched chunk layout and boundary table,
-// for pattern length w. It performs the floating-point operations of
-// the recursion in exactly the order the pre-table implementation did,
-// so results are bit-identical; the tables only replace the per-t
-// modulo walks with byte lookups.
-func (e *Evaluator) evalSpec(cl *chunkLayout, bt *boundaryTable, w float64) float64 {
-	a := e.intervalAttempt(cl, w/float64(bt.n1))
+// renewal recursion over a prefetched chunk layout, for a validated
+// count vector and pattern length w. Level boundaries are tracked by
+// per-level countdown counters: left[l] is the number of level-1
+// intervals until the next level-(l+1) boundary, reset to the stride
+// n_1/n_{l+1} when it runs out. Strides nest (each n_l is a multiple
+// of n_{l+1}), so the boundary closing interval t writes every level
+// up to the highest one due. The floating-point operations run in
+// exactly the order of the direct implementation, so results are
+// bit-identical; the counters only replace the per-t modulo walks.
+func (e *Evaluator) evalSpec(cl *chunkLayout, counts []int, w float64) float64 {
+	n1 := counts[0]
+	a := e.intervalAttempt(cl, w/float64(n1))
 	if a.pi <= 0 {
 		return math.Inf(1)
 	}
 	L := len(e.p.Levels)
-	back := &e.back
-	for l := 0; l < L; l++ {
-		back[l] = 0
+	// back[l] accumulates Σ E_k since the last level-(l+1) boundary,
+	// the replay a level-(l+1) error forces.
+	var back [MaxLevels]float64
+	var stride, left [MaxLevels]int
+	for l := 1; l < L; l++ {
+		stride[l] = n1 / counts[l]
+		left[l] = stride[l]
 	}
 	var total xmath.Accumulator
-	for t := 0; t < bt.n1; t++ {
+	for t := 0; t < n1; t++ {
 		replay := 0.0
 		for l := 1; l < L; l++ { // B_1 = 0: a level-1 error retries in place
 			replay += e.shares[l] * back[l]
 		}
 		et := (a.s0 + a.pfq*replay + a.sdp*e.rec1) / a.pi
-		for l := 0; l < int(bt.bLevel[t]); l++ {
+		level := 1
+		for l := 1; l < L; l++ {
+			left[l]--
+			if left[l] == 0 {
+				level = l + 1
+			}
+		}
+		for l := 0; l < level; l++ {
 			et += e.ckpts[l]
 		}
 		if math.IsNaN(et) || math.IsInf(et, 1) {
 			return math.Inf(1)
 		}
 		total.Add(et)
-		rm := bt.reset[t]
 		for l := 1; l < L; l++ {
-			if rm&(1<<uint(l)) != 0 {
-				back[l] = 0
+			if left[l] == 0 {
+				back[l], left[l] = 0, stride[l]
 			} else {
 				back[l] += et
 			}
@@ -283,7 +244,7 @@ func (e *Evaluator) ExpectedTime(s Spec) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.evalSpec(cl, e.table(s.Counts), s.W), nil
+	return e.evalSpec(cl, s.Counts, s.W), nil
 }
 
 // Overhead returns the exact expected overhead E(P)/W - 1 of spec s,

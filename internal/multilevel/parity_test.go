@@ -13,7 +13,7 @@ import (
 // plannerGolden pins the planner's output bits across the Table 2
 // platforms and L ∈ {1,2,3}. The plans — level vectors and m — are
 // the pre-overhaul sequential nested convex search's (commit 62df4f4,
-// before the pruned parallel search landed), so this table is the
+// before the pruned search landed), so this table is the
 // contract that the overhaul changed how the optimum is found, not
 // what it is. The W and H bits were re-captured when the leaf W search
 // moved from golden section to xmath.MinimizeFrom, after
@@ -66,7 +66,7 @@ func samePlan(t *testing.T, label string, got, want Plan) {
 	}
 }
 
-// TestPlannerGoldenParity asserts the pruned parallel planner returns
+// TestPlannerGoldenParity asserts the pruned planner returns
 // plans bit-identical to (a) the captured pre-overhaul outputs and (b)
 // a live run of the sequential nested convex reference, across the
 // Table 2 platforms and hierarchy depths.
@@ -101,50 +101,6 @@ func TestPlannerGoldenParity(t *testing.T) {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
 		samePlan(t, label+" vs reference", got, ref)
-	}
-}
-
-// TestPlannerWorkerDeterminism asserts the fan-out width never touches
-// the returned plan or the search counts: the screen and refine sets
-// are pure functions of the configuration, every candidate's value is
-// computed by the same deterministic leaf search on whichever worker
-// claims it, and the reduction is an index-order scan.
-func TestPlannerWorkerDeterminism(t *testing.T) {
-	for _, name := range []string{"Hera", "Coastal"} {
-		pl, err := platform.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := FromPlatform(pl, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var base Plan
-		var baseStats SearchStats
-		for i, workers := range []int{1, 2, 3, 8} {
-			pln, err := NewPlanner(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pln.workers = workers
-			got, err := pln.Plan()
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			st := pln.Stats()
-			if st.Workers != workers {
-				t.Fatalf("%s: stats.Workers = %d, want %d", name, st.Workers, workers)
-			}
-			st.Workers = 0 // every other count is the same for any width
-			if i == 0 {
-				base, baseStats = got, st
-				continue
-			}
-			samePlan(t, name+" across worker counts", got, base)
-			if st != baseStats {
-				t.Fatalf("%s workers=%d: stats %+v, with one worker %+v", name, workers, st, baseStats)
-			}
-		}
 	}
 }
 
@@ -414,12 +370,13 @@ func TestPlannerLeafOracleParity(t *testing.T) {
 	}
 }
 
-// TestCandidateSearchParity asserts the planner's two descending m
+// TestCandidateSearchParity asserts the planner's descending m
 // searches equal the ternary searches they replaced, on the inputs the
 // planner feeds them: the first-order bound of every candidate in the
-// caps box (descending from the seed's m), and the exact m search of
-// the seed vector (from the seed's m) and of sampled box candidates
-// (from the incumbent's m).
+// caps box, in enumeration order with each descent starting at the
+// previous candidate's argmin (the seed's bound from the seed's m), and
+// the exact m search of the seed vector (from the seed's m) and of
+// sampled box candidates (from the incumbent's m).
 func TestCandidateSearchParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 4))
 	for _, s := range []float64{2, 10, 100} {
@@ -434,7 +391,8 @@ func TestCandidateSearchParity(t *testing.T) {
 				if _, err := pl.Plan(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if pl.Stats().Fallback {
+				st := pl.Stats()
+				if st.Fallback {
 					continue // the nested fallback runs no descent
 				}
 				seedM, _ := firstOrderSeed(p, pl.seed, pl.counts)
@@ -443,26 +401,42 @@ func TestCandidateSearchParity(t *testing.T) {
 					maxM = 1
 				}
 				counts := make([]int, levels)
-				box := pl.Stats().Candidates
-				branch := make([]int, levels-1)
-				for idx := 0; idx < box; idx++ {
-					pl.decode(idx, branch)
-					got := firstOrderBound(p, branch, counts, maxM, seedM)
+				ternary := func(branch []int) (int, float64) {
 					fillCounts(counts, branch)
-					_, prod := xmath.MinimizeConvexInt(func(m int) float64 {
+					m, prod := xmath.MinimizeConvexInt(func(m int) float64 {
 						oef, orw := p.FirstOrder(counts, m)
 						return oef * orw
 					}, 1, maxM)
-					if want := 2 * math.Sqrt(prod); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s: bound of %v = %v, ternary %v", label, branch, got, want)
-					}
+					return m, 2 * math.Sqrt(prod)
 				}
-				sc := pl.pool[0]
-				incumbent := sc.evalCandidate(pl.seed, maxM, seedM, optimizeW)
-				sameLeaf(t, label, sc, pl.seed, maxM, incumbent)
+				check := func(branch []int, start int) (m, probes int) {
+					got, m, probes := firstOrderBound(p, branch, counts, maxM, start)
+					wantM, want := ternary(branch)
+					if m != wantM || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: bound of %v from m=%d: m=%d %v, ternary m=%d %v",
+							label, branch, start, m, got, wantM, want)
+					}
+					return m, probes
+				}
+				start, boundProbes := check(pl.seed, seedM)
+				seedIdx := pl.candidateIndex(pl.seed)
+				branch := make([]int, levels-1)
+				for idx := 0; idx < st.Candidates; idx++ {
+					if idx == seedIdx {
+						continue
+					}
+					pl.decode(idx, branch)
+					m, probes := check(branch, start)
+					start, boundProbes = m, boundProbes+probes
+				}
+				if boundProbes != st.BoundProbes {
+					t.Fatalf("%s: %d bound probes in enumeration order, stats %d", label, boundProbes, st.BoundProbes)
+				}
+				incumbent := pl.evalCandidate(pl.seed, maxM, seedM)
+				sameLeaf(t, label, pl.ev, pl.seed, maxM, incumbent)
 				for j := 0; j < 3; j++ {
-					pl.decode(rng.IntN(box), branch)
-					sameLeaf(t, label, sc, branch, maxM, sc.evalCandidate(branch, maxM, incumbent.m, optimizeW))
+					pl.decode(rng.IntN(st.Candidates), branch)
+					sameLeaf(t, label, pl.ev, branch, maxM, pl.evalCandidate(branch, maxM, incumbent.m))
 				}
 			}
 		}
@@ -471,18 +445,18 @@ func TestCandidateSearchParity(t *testing.T) {
 
 // sameLeaf asserts got (a descending exact m search of branch) equals
 // the ternary search over [1, maxM] in m, W and H bits.
-func sameLeaf(t *testing.T, label string, sc *searchCtx, branch []int, maxM int, got wEval) {
+func sameLeaf(t *testing.T, label string, ev *Evaluator, branch []int, maxM int, got wEval) {
 	t.Helper()
 	counts := make([]int, len(branch)+1)
 	fillCounts(counts, branch)
 	m, _ := xmath.MinimizeConvexInt(func(m int) float64 {
-		e := optimizeW(sc.ev, counts, m)
+		e := optimizeW(ev, counts, m)
 		if e.err != nil {
 			return math.Inf(1)
 		}
 		return e.h
 	}, 1, maxM)
-	want := optimizeW(sc.ev, counts, m)
+	want := optimizeW(ev, counts, m)
 	if got.m != m || math.Float64bits(got.w) != math.Float64bits(want.w) || math.Float64bits(got.h) != math.Float64bits(want.h) {
 		t.Fatalf("%s: m search of %v: m=%d W=%v H=%v, ternary m=%d W=%v H=%v",
 			label, branch, got.m, got.w, got.h, m, want.w, want.h)

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
-	"respat/internal/sched"
 	"respat/internal/xmath"
 )
 
@@ -18,7 +15,7 @@ import (
 const MaxBranch = 4096
 
 // maxEnumCandidates bounds the level-vector box the planner will
-// enumerate for the pruned parallel search. Realistic platforms yield
+// enumerate for the pruned search. Realistic platforms yield
 // a few hundred candidates; when the first-order caps blow the box
 // past this bound (degenerate near-zero-rate regimes) the planner
 // falls back to the sequential nested convex search, which is
@@ -75,6 +72,11 @@ type SearchStats struct {
 	// Pruned is how many candidates the first-order lower bound
 	// skipped without an exact evaluation.
 	Pruned int
+	// BoundProbes is the number of first-order oef·orw evaluations the
+	// bound-and-prune pass ran (the seed's own bound included): each
+	// candidate's m descent starts at the previous candidate's argmin,
+	// a few probes per candidate.
+	BoundProbes int
 	// Screened is how many candidates were placed by a single coarse
 	// exact W search at the incumbent's chunk count.
 	Screened int
@@ -87,11 +89,8 @@ type SearchStats struct {
 	Leaves int
 	// LeafProbes is the number of exact evaluator probes the
 	// full-precision leaf W searches ran (screening excluded): ~14 per
-	// leaf from the first-order period. Like every count here it is
-	// the same for any worker count.
+	// leaf from the first-order period.
 	LeafProbes int
-	// Workers is the fan-out width the exact evaluations ran under.
-	Workers int
 	// Fallback reports that the box exceeded maxEnumCandidates and the
 	// sequential nested convex search ran instead.
 	Fallback bool
@@ -115,22 +114,20 @@ type leafSearch func(ev *Evaluator, counts []int, m int) wEval
 
 // Planner is a search context bound to one Params configuration: it
 // owns a memoized Evaluator (see the Evaluator doc for what is cached),
-// a pool of per-worker search contexts and the enumeration scratch,
-// which one Plan call's fan-out rounds share. A Planner may plan again
-// (a repeat allocates almost nothing), but no production caller plans
-// twice on one: each builds a Planner per plan. A Planner is not safe
-// for concurrent use; the parallel fan-out inside Plan spawns its own
-// per-worker evaluators.
+// the per-candidate m-search memo and the enumeration scratch. A
+// Planner may plan again (a repeat allocates almost nothing), but no
+// production caller plans twice on one: each builds a Planner per
+// plan. A Plan call runs on the calling goroutine, so callers that
+// plan many configurations parallelise across planners (the service's
+// ColdWorkers, the harness's CampaignWorkers). A Planner is not safe
+// for concurrent use.
 type Planner struct {
-	ev      *Evaluator
-	leaf    leafSearch
-	workers int
-	stats   SearchStats
-	// pool holds one searchCtx per fan-out worker, kept warm across
-	// rounds; pool[0] wraps the planner's own evaluator.
-	// poolNext hands out slots during a round (reset before each one).
-	pool     []*searchCtx
-	poolNext atomic.Int64
+	ev    *Evaluator
+	leaf  leafSearch
+	stats SearchStats
+	// memo holds one candidate's exact m-search leaves, keyed by m
+	// (cleared, not reallocated, between candidates).
+	memo map[int]wEval
 	// scratch, reused across Plan calls
 	branch  []int
 	counts  []int
@@ -139,12 +136,10 @@ type Planner struct {
 	surv    []int
 	refine  []int
 	screenH []float64
-	results []wEval
 }
 
-// NewPlanner validates p once and returns a planner bound to it with
-// the default fan-out width (GOMAXPROCS). Production callers plan once
-// on each planner they build.
+// NewPlanner validates p once and returns a planner bound to it.
+// Production callers plan once on each planner they build.
 func NewPlanner(p Params) (*Planner, error) {
 	ev, err := NewEvaluator(p)
 	if err != nil {
@@ -152,57 +147,14 @@ func NewPlanner(p Params) (*Planner, error) {
 	}
 	L := len(ev.Params().Levels)
 	return &Planner{
-		ev:      ev,
-		leaf:    optimizeW,
-		workers: runtime.GOMAXPROCS(0),
-		pool:    []*searchCtx{newSearchCtx(ev)},
-		branch:  make([]int, L-1),
-		counts:  make([]int, L),
-		seed:    make([]int, L-1),
-		caps:    make([]int, L-1),
+		ev:     ev,
+		leaf:   optimizeW,
+		memo:   make(map[int]wEval),
+		branch: make([]int, L-1),
+		counts: make([]int, L),
+		seed:   make([]int, L-1),
+		caps:   make([]int, L-1),
 	}, nil
-}
-
-// ensurePool grows the context pool to n slots (slot 0 wraps the
-// planner's evaluator; extra slots own fresh ones, since an Evaluator
-// is not safe for concurrent use). Growth happens sequentially between
-// fan-out rounds, so the handout inside a round is a plain atomic.
-func (pl *Planner) ensurePool(n int) error {
-	for len(pl.pool) < n {
-		ev, err := NewEvaluator(pl.ev.Params())
-		if err != nil {
-			return err
-		}
-		pl.pool = append(pl.pool, newSearchCtx(ev))
-	}
-	return nil
-}
-
-// runRound fans the n cells out over the context pool: each worker
-// claims one pooled context and threads it through the cells it runs.
-// Every cell checks the request context first, so an abandoned plan
-// (ctx cancelled) aborts within one candidate evaluation instead of
-// finishing the round.
-func (pl *Planner) runRound(ctx context.Context, n int, cell func(ctx *searchCtx, i int) error) error {
-	workers := pl.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if err := pl.ensurePool(workers); err != nil {
-		return err
-	}
-	pl.poolNext.Store(0)
-	return sched.RunCellsCtx(n, pl.workers, func() (*searchCtx, error) {
-		return pl.pool[pl.poolNext.Add(1)-1], nil
-	}, func(sc *searchCtx, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return cell(sc, i)
-	})
 }
 
 // Stats returns the search statistics of the most recent Plan call.
@@ -249,36 +201,33 @@ func FirstOrderPlan(p Params) (Plan, error) {
 	return Plan{Spec: UniformSpec(w, seed, m), Overhead: 2 * math.Sqrt(oef*orw)}, nil
 }
 
-// Plan runs the pruned parallel search:
+// Plan runs the pruned search:
 //
 //  1. a first-order stage minimises the oef·orw product of Definition
 //     1 (no renewal recursion; a few hundred O(L) probes, see
 //     firstOrderSeed) to locate the search region and caps the
 //     per-dimension box, exactly as the nested search did;
-//  2. the seed vector is evaluated exactly (sequentially, on the
-//     planner's own evaluator) to obtain the incumbent — its overhead,
-//     its optimal chunk count m* and the screening reference;
+//  2. the seed vector is evaluated exactly to obtain the incumbent —
+//     its overhead, its optimal chunk count m* and the screening
+//     reference;
 //  3. every other level-vector candidate in the box is bounded by its
 //     m-minimised first-order overhead 2·sqrt(oef·orw); candidates
 //     whose bound exceeds pruneSlack × the seed's own first-order
 //     overhead are pruned without touching the exact model;
-//  4. the survivors fan out over sched.RunCellsCtx — one pooled warm
-//     Evaluator per worker, each cell writing only its own slot — for
-//     a screening pass: one coarse exact W search at the incumbent's
-//     m*, enough to rank level vectors (the exact overhead is nearly
-//     flat in m near m*);
+//  4. the survivors are screened in index order: one coarse exact W
+//     search at the incumbent's m*, enough to rank level vectors (the
+//     exact overhead is nearly flat in m near m*);
 //  5. survivors whose screen lands within refineMargin of the best
-//     screen fan out again for the full m/W search — the same leaves
-//     the nested convex search would have run — and a sequential
-//     index-order scan with strict-less tie-breaking picks the winner.
+//     screen run the full m/W search — the same leaves the nested
+//     convex search would have run — in index order, and strict-less
+//     tie-breaking picks the winner.
 //
-// Every candidate's exact value is computed by the same deterministic
-// leaf W search regardless of which worker runs it, the
-// screen and refine sets are pure functions of deterministic values,
-// and the reduction order is fixed — so the returned Plan is
-// bit-identical for any worker count. Bit-parity with the
-// sequential nested convex search of the pre-pruning planner is
-// asserted across the Table 2 grid by TestPlannerGoldenParity.
+// Every step runs on the calling goroutine. The screen and refine sets
+// are pure functions of deterministic values and the reduction is an
+// index-order scan, so the returned Plan is a pure function of the
+// configuration. Bit-parity with the sequential nested convex search
+// of the pre-pruning planner is asserted across the Table 2 grid by
+// TestPlannerGoldenParity.
 func (pl *Planner) Plan() (Plan, error) {
 	return pl.PlanCtx(context.Background())
 }
@@ -292,7 +241,7 @@ func (pl *Planner) Plan() (Plan, error) {
 // deterministic reduction.
 func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	p := pl.ev.Params()
-	pl.stats = SearchStats{Workers: pl.workers}
+	pl.stats = SearchStats{}
 	if err := ctx.Err(); err != nil {
 		return Plan{}, err
 	}
@@ -325,12 +274,11 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	}
 	pl.stats.Candidates = box
 
-	// Incumbent: the seed vector, evaluated exactly on the warm
-	// evaluator before any pruning decision, so the screen/refine
-	// thresholds are pure functions of the configuration (never of
-	// scheduling).
+	// Incumbent: the seed vector, evaluated exactly before any pruning
+	// decision, so the screen/refine thresholds are pure functions of
+	// the configuration.
 	seedIdx := pl.candidateIndex(pl.seed)
-	incumbent := pl.pool[0].evalCandidate(pl.seed, maxM, seedM, pl.leaf)
+	incumbent := pl.evalCandidate(pl.seed, maxM, seedM)
 	if incumbent.err != nil {
 		return Plan{}, incumbent.err
 	}
@@ -345,81 +293,74 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 		return optimizeNested(ctx, pl.ev, pl.leaf, maxM, pl.caps, &pl.stats)
 	}
 
-	// Bound-and-prune pass (sequential, O(L·log m) per candidate).
-	// First-order is compared against first-order, so the model's
-	// absolute error cancels; only a >5% ranking error could prune the
-	// exact optimum.
-	seedBound := firstOrderBound(p, pl.seed, pl.counts, maxM, seedM)
+	// Bound-and-prune pass (O(L) per probe). First-order is compared
+	// against first-order, so the model's absolute error cancels; only
+	// a >5% ranking error could prune the exact optimum. Each
+	// candidate's m descent starts at the previous candidate's argmin:
+	// consecutive candidates differ in one branching factor, which
+	// moves the argmin by a step or two, and the product is unimodal in
+	// m, so the start changes the probe count, never the argmin.
+	seedBound, startM, probes := firstOrderBound(p, pl.seed, pl.counts, maxM, seedM)
+	pl.stats.BoundProbes = probes
 	pl.surv = pl.surv[:0]
 	for idx := 0; idx < box; idx++ {
 		if idx == seedIdx {
 			continue
 		}
 		pl.decode(idx, pl.branch)
-		if firstOrderBound(p, pl.branch, pl.counts, maxM, seedM) > pruneSlack*seedBound {
+		bound, m, probes := firstOrderBound(p, pl.branch, pl.counts, maxM, startM)
+		pl.stats.BoundProbes += probes
+		startM = m
+		if bound > pruneSlack*seedBound {
 			pl.stats.Pruned++
 			continue
 		}
 		pl.surv = append(pl.surv, idx)
 	}
 
-	// Screening fan-out: place every survivor with one coarse W search
-	// at the incumbent's m*. Screen failures park at +Inf (the
-	// candidate simply never refines).
-	surv := pl.surv
-	pl.screenH = resize(pl.screenH, len(surv))
-	screenH := pl.screenH
-	pl.stats.Screened = len(surv)
-	pl.stats.Leaves += len(surv)
-	err := pl.runRound(ctx, len(surv), func(ctx *searchCtx, i int) error {
-		branch := ctx.scratchBranch(len(pl.caps))
-		pl.decode(surv[i], branch)
-		screenH[i] = ctx.screenCandidate(branch, incumbent.m)
-		return nil
-	})
-	if err != nil {
-		return Plan{}, err
+	// Screening: place every survivor with one coarse W search at the
+	// incumbent's m*. Screen failures park at +Inf (the candidate
+	// simply never refines).
+	pl.screenH = resize(pl.screenH, len(pl.surv))
+	pl.stats.Screened = len(pl.surv)
+	pl.stats.Leaves += len(pl.surv)
+	for i, idx := range pl.surv {
+		if err := ctx.Err(); err != nil {
+			return Plan{}, err
+		}
+		pl.decode(idx, pl.branch)
+		pl.screenH[i] = pl.screenCandidate(pl.branch, incumbent.m)
 	}
 
 	// Refine set: survivors within refineMargin of the best screen
 	// (the incumbent's exact overhead is itself a screen value — a
 	// candidate must at least approach it to earn the full m search).
 	minScreen := incumbent.h
-	for _, h := range screenH {
+	for _, h := range pl.screenH {
 		if h < minScreen {
 			minScreen = h
 		}
 	}
 	pl.refine = pl.refine[:0]
-	for i, idx := range surv {
-		if screenH[i] <= minScreen*(1+refineMargin) {
+	for i, idx := range pl.surv {
+		if pl.screenH[i] <= minScreen*(1+refineMargin) {
 			pl.refine = append(pl.refine, idx)
 		}
 	}
 
-	// Refinement fan-out: the full m/W search, identical leaves to the
-	// nested convex search.
-	refine := pl.refine
-	pl.results = resize(pl.results, len(refine))
-	results := pl.results
-	pl.stats.Evaluated += len(refine)
-	err = pl.runRound(ctx, len(refine), func(ctx *searchCtx, i int) error {
-		branch := ctx.scratchBranch(len(pl.caps))
-		pl.decode(refine[i], branch)
-		results[i] = ctx.evalCandidate(branch, maxM, incumbent.m, pl.leaf)
-		return nil
-	})
-	if err != nil {
-		return Plan{}, err
-	}
-
-	// Deterministic reduction: ascending candidate index (refine is
-	// built in index order), strict less, so ties go to the
-	// lexicographically-first candidate regardless of worker count.
+	// Refinement: the full m/W search, identical leaves to the nested
+	// convex search, reduced in ascending candidate index (refine is
+	// built in index order) with strict less, so ties go to the
+	// lexicographically-first candidate.
+	pl.stats.Evaluated += len(pl.refine)
 	bestIdx := seedIdx
 	best := incumbent
-	for i, idx := range refine {
-		e := results[i]
+	for _, idx := range pl.refine {
+		if err := ctx.Err(); err != nil {
+			return Plan{}, err
+		}
+		pl.decode(idx, pl.branch)
+		e := pl.evalCandidate(pl.branch, maxM, incumbent.m)
 		pl.stats.Leaves += e.leaves
 		pl.stats.LeafProbes += e.probes
 		if e.err != nil || math.IsNaN(e.h) {
@@ -432,9 +373,9 @@ func (pl *Planner) PlanCtx(ctx context.Context) (Plan, error) {
 	if math.IsInf(best.h, 1) || math.IsNaN(best.h) {
 		return Plan{}, fmt.Errorf("multilevel: optimisation diverged")
 	}
-	// Final cancellation check: a cancelled search may have parked
-	// arbitrary leaves at +Inf, so its reduction must never be served
-	// as if it were the full search's.
+	// Final cancellation check: a search cancelled inside a leaf may
+	// have parked leaves at +Inf, so its reduction must never be
+	// served as if it were the full search's.
 	if err := ctx.Err(); err != nil {
 		return Plan{}, err
 	}
@@ -460,53 +401,24 @@ func (pl *Planner) decode(idx int, branch []int) {
 	}
 }
 
-// searchCtx is the per-worker state of the exact stage: a private
-// evaluator (evaluators are not concurrency-safe), the per-candidate
-// m-search memo and the counts scratch. Reusing the memo map across
-// candidates (cleared, not reallocated) keeps the fan-out
-// allocation-lean.
-type searchCtx struct {
-	ev     *Evaluator
-	memo   map[int]wEval
-	counts []int
-	branch []int
-}
-
-func newSearchCtx(ev *Evaluator) *searchCtx {
-	L := len(ev.Params().Levels)
-	return &searchCtx{
-		ev:     ev,
-		memo:   make(map[int]wEval),
-		counts: make([]int, L),
-		branch: make([]int, L-1),
-	}
-}
-
-func (sc *searchCtx) scratchBranch(n int) []int {
-	if cap(sc.branch) < n {
-		sc.branch = make([]int, n)
-	}
-	return sc.branch[:n]
-}
-
 // evalCandidate runs the capped convex integer search over m for one
 // level-vector candidate, descending from startM (the seed's or the
 // incumbent's chunk count, which neighbouring candidates share to
 // within a step or two), with the leaf W search at every m. Leaves
 // are memoized per candidate so the descent's final lookup never
 // recomputes a leaf.
-func (sc *searchCtx) evalCandidate(branch []int, maxM, startM int, leaf leafSearch) wEval {
-	fillCounts(sc.counts, branch)
-	clear(sc.memo)
+func (pl *Planner) evalCandidate(branch []int, maxM, startM int) wEval {
+	fillCounts(pl.counts, branch)
+	clear(pl.memo)
 	probes := 0
 	at := func(m int) wEval {
-		if e, ok := sc.memo[m]; ok {
+		if e, ok := pl.memo[m]; ok {
 			return e
 		}
-		e := leaf(sc.ev, sc.counts, m)
+		e := pl.leaf(pl.ev, pl.counts, m)
 		e.m = m
 		probes += e.probes
-		sc.memo[m] = e
+		pl.memo[m] = e
 		return e
 	}
 	m, _ := xmath.MinimizeConvexIntFrom(func(m int) float64 {
@@ -517,7 +429,7 @@ func (sc *searchCtx) evalCandidate(branch []int, maxM, startM int, leaf leafSear
 		return e.h
 	}, 1, maxM, startM)
 	e := at(m)
-	e.leaves, e.probes = len(sc.memo), probes
+	e.leaves, e.probes = len(pl.memo), probes
 	return e
 }
 
@@ -525,9 +437,9 @@ func (sc *searchCtx) evalCandidate(branch []int, maxM, startM int, leaf leafSear
 // coarse exact W search at a fixed chunk count (the incumbent's m*),
 // returning its approximate overhead; failures park at +Inf so the
 // candidate simply never earns the full search.
-func (sc *searchCtx) screenCandidate(branch []int, m int) float64 {
-	fillCounts(sc.counts, branch)
-	e := screenW(sc.ev, sc.counts, m)
+func (pl *Planner) screenCandidate(branch []int, m int) float64 {
+	fillCounts(pl.counts, branch)
+	e := screenW(pl.ev, pl.counts, m)
 	if e.err != nil || math.IsNaN(e.h) {
 		return math.Inf(1)
 	}
@@ -548,16 +460,18 @@ func fillCounts(counts, branch []int) {
 // 2·sqrt(oef·orw) of a level-vector candidate — the W-optimal overhead
 // of the Definition 1 model, a lower-bound proxy for the exact
 // overhead used only to prune (with pruneSlack headroom), never to
-// rank survivors. The m search descends from the seed's chunk count
-// seedM: the product is unimodal in m (see firstOrderSeed), so the
-// descent lands on the ternary search's argmin.
-func firstOrderBound(p Params, branch, counts []int, maxM, seedM int) float64 {
+// rank survivors — with its argmin m and the number of first-order
+// probes it ran. The m search descends from startM: the product is
+// unimodal in m (see firstOrderSeed), so the descent lands on the
+// ternary search's argmin from any start.
+func firstOrderBound(p Params, branch, counts []int, maxM, startM int) (bound float64, m, probes int) {
 	fillCounts(counts, branch)
-	_, prod := xmath.MinimizeConvexIntFrom(func(m int) float64 {
+	m, prod := xmath.MinimizeConvexIntFrom(func(m int) float64 {
+		probes++
 		oef, orw := p.FirstOrder(counts, m)
 		return oef * orw
-	}, 1, maxM, seedM)
-	return 2 * math.Sqrt(prod)
+	}, 1, maxM, startM)
+	return 2 * math.Sqrt(prod), m, probes
 }
 
 // firstOrderSeed minimises the first-order product oef·orw (whose
@@ -651,8 +565,7 @@ func firstOrderSeed(p Params, seed, counts []int) (m, probes int) {
 // sqrt(oef/orw), kept to two orders of magnitude either side of it. A
 // diverging probe reads as +Inf (evalSpec), so only a leaf with no
 // finite probe comes back non-finite. Probes run through the
-// evaluator's prefetched chunk layout and boundary table, so each one
-// is pure arithmetic.
+// evaluator's prefetched chunk layout, so each one is pure arithmetic.
 func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 	p := ev.Params()
 	oef, orw := p.FirstOrder(counts, m)
@@ -664,11 +577,10 @@ func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 	if err != nil {
 		return wEval{err: err}
 	}
-	bt := ev.table(counts)
 	probes := 0
 	h := func(w float64) float64 {
 		probes++
-		return ev.evalSpec(cl, bt, w)/w - 1
+		return ev.evalSpec(cl, counts, w)/w - 1
 	}
 	w, hMin := xmath.MinimizeFrom(h, guess, guess/100, guess*100)
 	return wEval{w: w, h: hMin, probes: probes}
@@ -694,9 +606,8 @@ func screenW(ev *Evaluator, counts []int, m int) wEval {
 	if err != nil {
 		return wEval{err: err}
 	}
-	bt := ev.table(counts)
 	h := func(w float64) float64 {
-		return ev.evalSpec(cl, bt, w)/w - 1
+		return ev.evalSpec(cl, counts, w)/w - 1
 	}
 	w, hMin := xmath.MinimizeGolden(h, guess/100, guess*100, guess*1e-4)
 	return wEval{w: w, h: hMin, m: m}

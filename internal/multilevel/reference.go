@@ -17,11 +17,11 @@ import (
 //     ternary search is logarithmic in the caps where enumeration is
 //     linear;
 //   - wrapped by optimizeReference (a test helper), it is the
-//     golden-parity oracle: the pruned parallel Plan must return a
+//     golden-parity oracle: the pruned Plan must return a
 //     bit-identical Plan on the Table 2 grid, which pins the overhaul
 //     to the pre-optimization planner's outputs.
 //
-// Leaves run through the same leaf search as the parallel path, so the
+// Leaves run through the same leaf search as the pruned path, so the
 // two searches share every floating-point operation and differ only in
 // how they walk the box.
 func optimizeNested(ctx context.Context, ev *Evaluator, leaf leafSearch, maxM int, caps []int, stats *SearchStats) (Plan, error) {

@@ -80,9 +80,8 @@ func optimizeWGolden(ev *Evaluator, counts []int, m int) wEval {
 	if err != nil {
 		return wEval{err: err}
 	}
-	bt := ev.table(counts)
 	h := func(w float64) float64 {
-		return ev.evalSpec(cl, bt, w)/w - 1
+		return ev.evalSpec(cl, counts, w)/w - 1
 	}
 	w, hMin := xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
 	return wEval{w: w, h: hMin}

@@ -71,8 +71,9 @@ func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float
 }
 
 // Exact finds the exact-model optimal plan of family k by searching the
-// integer (n, m) space (a ternary search over n, a descent over m from
-// the first-order optimum) with the inner W optimised by optimizeW.
+// integer (n, m) space (a ternary search over n, a descent over m
+// warm-started from the nearest n already searched) with the inner W
+// optimised by optimizeW.
 func Exact(k core.Kind, c core.Costs, r core.Rates) (ExactPlan, error) {
 	first, err := analytic.Optimal(k, c, r)
 	if err != nil {
@@ -145,17 +146,31 @@ func exactSearch(ctx context.Context, ev *analytic.Evaluator, first analytic.Pla
 		memo[key] = e
 		return e
 	}
-	// m descends from the first-order m* (the exact argmin near the
-	// optimal n is a step or two away); n keeps the ternary search,
-	// since its m-minimised overhead need not be unimodal.
+	// m descends from the argmin of the nearest n already searched
+	// (the first n from the first-order m*): the exact argmin moves by
+	// a step or two between neighbouring n, so the descent is short,
+	// and where the overhead is unimodal in m it lands on the ternary
+	// search's argmin from any start (TestExactTernaryParity). n keeps
+	// the ternary search, since its m-minimised overhead need not be
+	// unimodal.
+	var searched [][2]int // (n, argmin m) in search order
 	bestM := func(n int) (int, eval) {
+		start, dist := first.M, -1
+		for _, s := range searched {
+			if d := max(n-s[0], s[0]-n); dist < 0 || d < dist {
+				start, dist = s[1], d
+			}
+		}
 		m, _ := xmath.MinimizeConvexIntFrom(func(m int) float64 {
 			e := at(n, m)
 			if e.err != nil {
 				return math.Inf(1)
 			}
 			return e.h
-		}, 1, maxM, first.M)
+		}, 1, maxM, start)
+		if dist != 0 {
+			searched = append(searched, [2]int{n, m})
+		}
 		return m, at(n, m)
 	}
 	n, _ := xmath.MinimizeConvexInt(func(n int) float64 {

@@ -115,9 +115,15 @@ func New(cfg Config) *Service {
 	s := &Service{cfg: cfg.withDefaults(), started: time.Now()}
 	s.tracer = s.cfg.Tracer
 	s.cache = newCache(s.cfg.Shards, s.cfg.Capacity, &s.metrics)
+	s.cfg.Shards = len(s.cache.shards)
 	s.gate = newGate(s.cfg.ColdWorkers, s.cfg.ColdQueue)
 	return s
 }
+
+// Config returns the configuration the service runs with: the Config
+// New was given, with every default filled in and Shards rounded up to
+// a power of two.
+func (s *Service) Config() Config { return s.cfg }
 
 // Tracer exposes the service's tracer (nil when tracing is disabled);
 // cmd/respatd mounts /debug/traces on the debug listener through it.
