@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -19,12 +20,13 @@ import (
 	"respat/internal/harness"
 	"respat/internal/multilevel"
 	"respat/internal/platform"
+	"respat/internal/service"
 	"respat/internal/sim"
 	"respat/internal/stats"
 )
 
-// goldenDigests pins SHA-256 digests of every simulated, traced, fleet
-// and runtime output family. The digests hash values field by field
+// goldenDigests pins SHA-256 digests of every simulated, traced, fleet,
+// served, ablation and runtime output family. The digests hash values field by field
 // (floats as raw bits), never Go type names, so they survive
 // refactorings that move a type but change no output bit. A mismatch
 // means some output changed; the digest names the family. No output
@@ -38,6 +40,8 @@ var goldenDigests = map[string]string{
 	"fleet.Run":         "196af2abcc20632853cb4052187a35db6f496a103ab3b8af7f577ac9636e7004",
 	"harness":           "1ef961eea24c12fd6b160184e21febcf3ff31b0ec3c92e14681f56f8e62bab3d",
 	"engine":            "05b7020de9135369b796e5963222fe99f975234db1da407063275ce7893d5b97",
+	"service":           "109bddef3fc47892966285c76e441e4b352ee5fb4eb71e81de35cc4003d328dd",
+	"ablation":          "fc0638dd56e7ef9e54c9f34f81f694ab1abd7f0ee96d1f193180f566300fd968",
 }
 
 func TestOutputGoldenDigests(t *testing.T) {
@@ -52,6 +56,8 @@ func TestOutputGoldenDigests(t *testing.T) {
 			"fleet.Run":         digestFleet(t),
 			"harness":           digestHarness(t),
 			"engine":            digestEngines(t),
+			"service":           digestService(t),
+			"ablation":          digestAblation(t),
 		}
 		for name, want := range goldenDigests {
 			if got[name] != want {
@@ -323,6 +329,85 @@ func digestHarness(t *testing.T) string {
 	for _, r := range mlRows {
 		r.PlanTime = 0 // wall time, not an output of the model
 		d.put(fmt.Sprintf("%v", r))
+	}
+	return d.sum()
+}
+
+// digestService hashes the response bytes a fresh service serves for
+// 64 seeded Table 2 configurations, each with both rates and the disk
+// checkpoint and recovery costs scattered x0.5-x2 (the serving
+// benchmark's key shape): for every family the first-order, exact and
+// degraded exact plans and the exact evaluation of the first-order
+// pattern, then the multilevel and degraded multilevel plans at L=2
+// and L=3.
+func digestService(t *testing.T) string {
+	svc := service.New(service.Config{})
+	r := rand.New(rand.NewPCG(22, 64))
+	scatter := func(x float64) float64 { return x * math.Exp((r.Float64()*2-1)*math.Ln2) }
+	plats := platform.Table2()
+	d := newDigester()
+	body := func(b []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.put(string(b))
+	}
+	for i := 0; i < 64; i++ {
+		p := plats[r.IntN(len(plats))]
+		p.Rates.FailStop = scatter(p.Rates.FailStop)
+		p.Rates.Silent = scatter(p.Rates.Silent)
+		p.Costs.DiskCkpt = scatter(p.Costs.DiskCkpt)
+		p.Costs.DiskRec = scatter(p.Costs.DiskRec)
+		d.put(i, p.Name)
+		for _, k := range core.Kinds() {
+			body(svc.Plan(k, p.Costs, p.Rates))
+			body(svc.PlanExact(k, p.Costs, p.Rates))
+			body(svc.DegradedPlanExact(k, p.Costs, p.Rates))
+			first, err := analytic.Optimal(k, p.Costs, p.Rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body(svc.Evaluate(first.Pattern, p.Costs, p.Rates))
+		}
+		for _, levels := range []int{2, 3} {
+			params, err := multilevel.FromPlatform(p, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body(svc.PlanMultilevel(params))
+			body(svc.DegradedPlanMultilevel(params))
+		}
+	}
+	return d.sum()
+}
+
+// pattern hashes a concrete pattern.
+func (d *digester) pattern(p core.Pattern) {
+	d.put(p.W, p.InteriorGuaranteed, len(p.Alpha))
+	for i, a := range p.Alpha {
+		d.put(a, len(p.Beta[i]))
+		for _, b := range p.Beta[i] {
+			d.put(b)
+		}
+	}
+}
+
+// digestAblation hashes the first-order against exact-model comparison
+// of every Table 2 platform and family.
+func digestAblation(t *testing.T) string {
+	rows, err := harness.Ablation(platform.Table2(), core.Kinds(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDigester()
+	for _, r := range rows {
+		c := r.Cmp
+		f, e := c.FirstOrder, c.Exact
+		d.put(r.Platform, c.Kind, f.Kind, f.N, f.M, f.RationalN, f.RationalM, f.W, f.Overhead)
+		d.pattern(f.Pattern)
+		d.put(e.Kind, e.N, e.M, e.W, e.Overhead)
+		d.pattern(e.Pattern)
+		d.put(c.FirstOrderExactOverhead, c.Regret)
 	}
 	return d.sum()
 }
