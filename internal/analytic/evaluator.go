@@ -10,12 +10,9 @@ import (
 
 // Evaluator evaluates exact renewal-equation expected times for one
 // fixed (costs, rates) configuration. It validates the configuration
-// once at construction and caches the W-independent invariants of every
-// Theorem 4 layout it sees, so planners that probe many pattern lengths
-// at the same (n, m) — e.g. the leaf W search of optimize.Exact, ~14
-// probes from the first-order period — pay for validation and layout
-// construction once and for ≤ 2 distinct chunk-size evaluations per
-// probe instead of O(m).
+// once at construction, so planners that probe many pattern lengths —
+// e.g. the leaf W search of optimize.Exact, ~14 probes from the
+// first-order period — pay for validation once.
 //
 // The fast path exploits the structure of the optimal interior layout:
 // all n segments are equal, and the Theorem 3 chunk row has only two
@@ -25,32 +22,11 @@ import (
 // handled by ExpectedTime, which shares the validated configuration but
 // walks every chunk.
 //
-// An Evaluator is not safe for concurrent use: the layout cache is
-// mutated by EvalLayout. Give each goroutine its own Evaluator.
+// An Evaluator is immutable after NewEvaluator and safe for concurrent
+// use.
 type Evaluator struct {
-	costs   core.Costs
-	rates   core.Rates
-	layouts map[layoutKey]*layoutInfo
-}
-
-type layoutKey struct {
-	kind core.Kind
-	n, m int
-}
-
-// layoutInfo caches the W-independent invariants of family kind's
-// Theorem 4 layout with n segments of m chunks.
-type layoutInfo struct {
-	n, m int
-	// edgeFrac and intFrac are the Theorem 3 chunk fractions of the
-	// first/last and interior chunks of a segment (intFrac is unused
-	// when m <= 2).
-	edgeFrac, intFrac float64
-	// recall is the detection recall of interior verifications
-	// (costs.Recall for the partial families, 1 otherwise).
-	recall float64
-	// interiorCost is the cost of one interior verification.
-	interiorCost float64
+	costs core.Costs
+	rates core.Rates
 }
 
 // NewEvaluator validates the costs and rates once and returns an
@@ -71,95 +47,102 @@ func (e *Evaluator) Costs() core.Costs { return e.costs }
 // Rates returns the configuration's error rates.
 func (e *Evaluator) Rates() core.Rates { return e.rates }
 
-// layout returns the cached invariants of family k at (n, m), clamping
-// the dimensions the family fixes exactly as core.Layout does.
-func (e *Evaluator) layout(k core.Kind, n, m int) (*layoutInfo, error) {
-	n, m = clampNM(k, n, m)
-	if n <= 0 || m <= 0 {
-		return nil, fmt.Errorf("%w: n=%d m=%d", core.ErrInvalidPattern, n, m)
-	}
-	key := layoutKey{kind: k, n: n, m: m}
-	if li, ok := e.layouts[key]; ok {
-		return li, nil
-	}
-	li := &layoutInfo{n: n, m: m, recall: 1, interiorCost: e.costs.GuarVer}
-	if k.PartialVerifs() {
-		li.recall = e.costs.Recall
-		li.interiorCost = e.costs.PartVer
-	}
-	li.edgeFrac, li.intFrac = core.ChunkFractions(m, li.recall)
-	if e.layouts == nil {
-		e.layouts = make(map[layoutKey]*layoutInfo)
-	}
-	e.layouts[key] = li
-	return li, nil
+// ChunkLayout is the W-independent shape of one segment of a Theorem 4
+// layout: m chunks sized by the Theorem 3 fractions, with interior
+// verifications of a given cost and recall. Its Attempt is the
+// Proposition 3 chunk walk both exact evaluators share: Evaluator runs
+// it once per probe for all n (identical) segments, and the multilevel
+// evaluator once per probe for its (identical) level-1 intervals.
+type ChunkLayout struct {
+	m int
+	// edgeFrac and intFrac are the Theorem 3 chunk fractions of the
+	// first/last and interior chunks (intFrac is unused when m <= 2).
+	edgeFrac, intFrac float64
+	// recall and interiorCost describe one interior verification.
+	recall, interiorCost float64
 }
 
-// EvalLayout returns the exact expected execution time E(P) of family
-// k's Theorem 4 layout with n segments of m chunks at pattern length w.
-// It agrees with ExactExpectedTime(Layout(k, w, n, m, recall), c, r) up
-// to floating-point rounding, but reuses the cached layout so repeated
-// probes at the same (n, m) only rescale W.
-func (e *Evaluator) EvalLayout(k core.Kind, n, m int, w float64) (float64, error) {
-	li, err := e.layout(k, n, m)
-	if err != nil {
-		return 0, err
-	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return 0, fmt.Errorf("%w: W=%v", core.ErrInvalidPattern, w)
-	}
-	c, r := e.costs, e.rates
-	wi := w / float64(li.n)
-	pi := math.Exp(-(r.FailStop + r.Silent) * wi) // Π_i, same for all segments
+// NewChunkLayout returns the layout of m >= 1 chunks whose interior
+// verifications cost interiorCost and detect with recall recall.
+func NewChunkLayout(m int, interiorCost, recall float64) ChunkLayout {
+	edge, inner := core.ChunkFractions(m, recall)
+	return ChunkLayout{m: m, edgeFrac: edge, intFrac: inner, recall: recall, interiorCost: interiorCost}
+}
 
-	// Per-distinct-chunk-size quantities: the only transcendental work
-	// of the whole evaluation.
-	wEdge := li.edgeFrac * wi
+// Attempt walks one attempt at a segment of work w under rates r, the
+// segment closed by a guaranteed verification of cost guarVer, and
+// returns the first-attempt spending s0 with the replay of earlier
+// work factored out, and pfq, the probability-weighted chance a
+// fail-stop interrupts the attempt: the attempt's spending including
+// a replay worth x is s0 + pfq·x. A fail-stop costs the time it loses
+// plus rec. Only the two distinct chunk sizes need transcendental
+// work; the per-chunk recurrences are plain arithmetic.
+func (cl ChunkLayout) Attempt(r core.Rates, w, guarVer, rec float64) (s0, pfq float64) {
+	wEdge := cl.edgeFrac * w
 	pfE := probAtLeastOne(r.FailStop, wEdge)
 	psE := probAtLeastOne(r.Silent, wEdge)
 	lostE := ExpectedLost(r.FailStop, wEdge)
 	var wInt, pfI, psI, lostI float64
-	if li.m > 2 {
-		wInt = li.intFrac * wi
+	if cl.m > 2 {
+		wInt = cl.intFrac * w
 		pfI = probAtLeastOne(r.FailStop, wInt)
 		psI = probAtLeastOne(r.Silent, wInt)
 		lostI = ExpectedLost(r.FailStop, wInt)
 	}
 
-	// First-attempt spending of one segment, with the replay of earlier
-	// segments factored out: S_i = s0 + pfq·Σ_{k<i} E_k, where pfq is
-	// the total probability-weighted chance a fail-stop interrupts the
-	// attempt. All segments are identical, so this runs once.
-	var s0 xmath.Accumulator
-	pfq := 0.0
+	var s xmath.Accumulator
 	prodPf := 1.0 // Π_{k<j}(1 - p^f_k)
 	prodPs := 1.0 // Π_{k<j}(1 - p^s_k)
 	g := 0.0      // probability of an earlier silent error missed so far
-	for j := 0; j < li.m; j++ {
+	for j := 0; j < cl.m; j++ {
 		wj, pf, ps, lost := wInt, pfI, psI, lostI
-		if j == 0 || j == li.m-1 {
+		if j == 0 || j == cl.m-1 {
 			wj, pf, ps, lost = wEdge, pfE, psE, lostE
 		}
 		q := prodPf * (prodPs + g)
-		verif := li.interiorCost
-		if j == li.m-1 {
-			verif = c.GuarVer
+		verif := cl.interiorCost
+		if j == cl.m-1 {
+			verif = guarVer
 		}
 		if pf > 0 {
-			s0.Add(q * pf * (lost + c.DiskRec))
+			s.Add(q * pf * (lost + rec))
 			pfq += q * pf
 		}
-		s0.Add(q * (1 - pf) * (wj + verif))
-		g = (g + prodPs*ps) * (1 - li.recall)
+		s.Add(q * (1 - pf) * (wj + verif))
+		g = (g + prodPs*ps) * (1 - cl.recall)
 		prodPs *= 1 - ps
 		prodPf *= 1 - pf
 	}
+	return s.Value(), pfq
+}
 
-	s0v := s0.Value()
+// EvalLayout returns the exact expected execution time E(P) of family
+// k's Theorem 4 layout with n segments of m chunks at pattern length w.
+// It agrees with ExactExpectedTime(Layout(k, w, n, m, recall), c, r) up
+// to floating-point rounding, but walks the chunks of one segment only,
+// since all segments are identical.
+func (e *Evaluator) EvalLayout(k core.Kind, n, m int, w float64) (float64, error) {
+	n, m = clampNM(k, n, m)
+	if n <= 0 || m <= 0 {
+		return 0, fmt.Errorf("%w: n=%d m=%d", core.ErrInvalidPattern, n, m)
+	}
+	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return 0, fmt.Errorf("%w: W=%v", core.ErrInvalidPattern, w)
+	}
+	c, r := e.costs, e.rates
+	wi := w / float64(n)
+	pi := math.Exp(-(r.FailStop + r.Silent) * wi) // Π_i, same for all segments
+
+	// First-attempt spending of one segment, with the replay of earlier
+	// segments factored out: S_i = s0 + pfq·Σ_{k<i} E_k. All segments
+	// are identical, so the walk runs once.
+	cost, recall := interiorVerifCost(k, c)
+	s0, pfq := NewChunkLayout(m, cost, recall).Attempt(r, wi, c.GuarVer, c.DiskRec)
+
 	var total xmath.Accumulator
 	prevSum := 0.0 // Σ_{k<i} E_k
-	for i := 0; i < li.n; i++ {
-		ei := c.MemCkpt + ((1-pi)*c.MemRec+s0v+pfq*prevSum)/pi
+	for i := 0; i < n; i++ {
+		ei := c.MemCkpt + ((1-pi)*c.MemRec+s0+pfq*prevSum)/pi
 		if math.IsInf(ei, 1) || math.IsNaN(ei) {
 			return 0, fmt.Errorf("analytic: expected time diverged at segment %d", i)
 		}

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"respat/internal/core"
@@ -91,33 +92,91 @@ func TestEvaluatorGoldenParity(t *testing.T) {
 	}
 }
 
-// TestEvaluatorLayoutCacheReuse asserts that repeated probes at the
-// same (family, n, m) agree bit-for-bit with the first (the cache only
-// stores W-independent invariants).
-func TestEvaluatorLayoutCacheReuse(t *testing.T) {
+// TestEvaluatorConcurrentUse asserts the concurrency contract: one
+// fresh Evaluator shared by 8 goroutines returns, through EvalLayout
+// and ExpectedTime, the bits a sequential pass on a second evaluator
+// returns at every point of a (family, n, m, W) grid. The shared
+// evaluator starts fresh, so one that memoised layouts would write its
+// memo from every goroutine at once, which go test -race reports. Each
+// goroutine starts at its own offset in the grid and so re-evaluates
+// every layout after others: no evaluation may leave state behind.
+func TestEvaluatorConcurrentUse(t *testing.T) {
 	hera, err := platform.ByName("Hera")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(hera.Costs, hera.Rates)
-	if err != nil {
-		t.Fatal(err)
+	type point struct {
+		k    core.Kind
+		n, m int
+		w    float64
+		pat  core.Pattern
 	}
-	first, err := ev.EvalLayout(core.PDMV, 3, 4, 20000)
-	if err != nil {
-		t.Fatal(err)
+	var grid []point
+	for _, k := range core.Kinds() {
+		for n := 1; n <= 4; n++ {
+			for m := 1; m <= 6; m++ {
+				for _, w := range []float64{3000, 20000, 90000} {
+					pat, err := core.Layout(k, w, n, m, hera.Costs.Recall)
+					if err != nil {
+						t.Fatal(err)
+					}
+					grid = append(grid, point{k, n, m, w, pat})
+				}
+			}
+		}
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := ev.EvalLayout(core.PDMV, 3, 4+i, 15000+float64(i)); err != nil {
+	eval := func(ev *Evaluator, p point) ([2]float64, error) {
+		layout, err := ev.EvalLayout(p.k, p.n, p.m, p.w)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		general, err := ev.ExpectedTime(p.pat)
+		return [2]float64{layout, general}, err
+	}
+	newEv := func() *Evaluator {
+		ev, err := NewEvaluator(hera.Costs, hera.Rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+
+	seq := newEv()
+	want := make([][2]float64, len(grid))
+	for i, p := range grid {
+		if want[i], err = eval(seq, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	again, err := ev.EvalLayout(core.PDMV, 3, 4, 20000)
-	if err != nil {
-		t.Fatal(err)
+	const workers = 8
+	shared := newEv()
+	got := make([][][2]float64, workers)
+	var wg sync.WaitGroup
+	for g := range workers {
+		got[g] = make([][2]float64, len(grid))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range grid {
+				i := (j + g*len(grid)/workers) % len(grid)
+				var err error
+				if got[g][i], err = eval(shared, grid[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
-	if first != again {
-		t.Errorf("cached re-evaluation drifted: %v vs %v", first, again)
+	wg.Wait()
+	for g := range got {
+		for i, p := range grid {
+			for f, name := range []string{"EvalLayout", "ExpectedTime"} {
+				if math.Float64bits(got[g][i][f]) != math.Float64bits(want[i][f]) {
+					t.Fatalf("goroutine %d: %s %v n=%d m=%d W=%v: %v, sequential %v",
+						g, name, p.k, p.n, p.m, p.w, got[g][i][f], want[i][f])
+				}
+			}
+		}
 	}
 }
 

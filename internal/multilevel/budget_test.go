@@ -8,9 +8,9 @@ import (
 )
 
 // Budgets for cold Hera plans. L=3 is the BenchmarkMultilevelPlan
-// configuration. On a 2-vCPU Xeon VM it measures ~0.2 ms / 21 allocs
+// configuration. On a 2-vCPU Xeon VM it measures ~0.2 ms / 16 allocs
 // with an 815-probe seed, against ~4.6 ms when the seed ran a nested
-// ternary search (83,248 first-order probes); L=4 measures 22 allocs
+// ternary search (83,248 first-order probes); L=4 measures 17 allocs
 // with a 2,672-probe seed, against ~180 ms (3.66M probes). A plan runs
 // on the calling goroutine with no per-candidate table or worker
 // context, so its allocations are a fixed set of scratch slices and
@@ -25,8 +25,9 @@ import (
 // loudly if the cold path regresses; the allocation budgets sit at
 // about twice the current counts, and the probe budgets bound exact
 // counts, so they catch a seed, bound or leaf regression on any
-// machine. The bench gate in scripts/bench.sh enforces the tighter
-// release targets (5ms, 1000 allocs).
+// machine. The bench gate in scripts/bench.sh holds BenchmarkMultilevelPlan
+// to a tighter latency target (5 ms) and a looser allocation one
+// (1,000 allocs).
 var planBudgets = []struct {
 	levels        int
 	seedProbes    int

@@ -1,20 +1,11 @@
 package multilevel
 
 import (
-	"fmt"
 	"math"
 
 	"respat/internal/analytic"
-	"respat/internal/core"
 	"respat/internal/xmath"
 )
-
-// maxCachedLayouts bounds the per-evaluator chunk-layout memo (keyed
-// by m). A planner run over a typical caps box probes a few dozen
-// distinct m values; the cap bounds one plan's memo over a large box
-// (the caps grow with the first-order seed), which starts over instead
-// of growing the map without bound.
-const maxCachedLayouts = 4096
 
 // Evaluator computes exact expected execution times for one validated
 // Params configuration via a renewal recursion that conditions on
@@ -22,41 +13,26 @@ const maxCachedLayouts = 4096
 // evaluators already in the repo: at L = 1 it reduces to package
 // analytic's renewal equations (every error recovers from the single
 // level), at L = 2 with λs = 0 to package twolevel. It is also the
-// planner's probe context: the W-independent invariants of a spec are
-// derived once —
+// planner's probe context: the per-level cost/share vectors are
+// hoisted out of Params once, a level-1 interval's chunks walk
+// analytic.ChunkLayout's Proposition 3 kernel, and the level
+// boundaries are tracked by per-level countdown counters, so the
+// renewal recursion runs without a single integer division per
+// interval. A planner probing many W values at a fixed (counts, m)
+// layout derives the layout once and pays O(1) transcendental work and
+// zero allocations per probe.
 //
-//   - per-m chunk-layout invariants (the Theorem 3 fractions and the
-//     interior-verification contract), memoized as in
-//     analytic.Evaluator;
-//   - the per-level cost/share vectors, hoisted out of Params;
-//
-// and the level boundaries are tracked by per-level countdown
-// counters, so the renewal recursion runs without a single integer
-// division per interval. A planner probing many W values at a fixed
-// (counts, m) layout therefore pays O(1) transcendental work and zero
-// allocations per probe, and re-probing a layout costs one map hit.
-//
-// An Evaluator is not safe for concurrent use (the layout memo is
-// mutated); give each goroutine its own.
+// An Evaluator is immutable after NewEvaluator and safe for concurrent
+// use.
 type Evaluator struct {
 	p       Params
 	meanRec float64
 	// Hoisted per-level constants: ckpts[l] = C_{l+1}, shares[l] =
 	// q_{l+1}; rec1 = R_1. Values are copied verbatim from p.Levels, so
 	// arithmetic against them is bit-identical to indexing the structs.
-	ckpts   [MaxLevels]float64
-	shares  [MaxLevels]float64
-	rec1    float64
-	layouts map[int]*chunkLayout
-}
-
-// chunkLayout caches the W-independent Theorem 3 invariants of one
-// m-chunk level-1 interval.
-type chunkLayout struct {
-	m                 int
-	edgeFrac, intFrac float64
-	recall            float64
-	interiorCost      float64
+	ckpts  [MaxLevels]float64
+	shares [MaxLevels]float64
+	rec1   float64
 }
 
 // NewEvaluator validates p once and returns an evaluator bound to it.
@@ -75,22 +51,12 @@ func NewEvaluator(p Params) (*Evaluator, error) {
 // Params returns the bound configuration.
 func (e *Evaluator) Params() Params { return e.p }
 
-// layout returns the cached chunk invariants for m chunks.
-func (e *Evaluator) layout(m int) (*chunkLayout, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("multilevel: m = %d, need >= 1", m)
-	}
-	if cl, ok := e.layouts[m]; ok {
-		return cl, nil
-	}
+// layout returns the Theorem 3 chunk layout of a level-1 interval of
+// m >= 1 chunks under the configuration's interior-verification
+// contract.
+func (e *Evaluator) layout(m int) analytic.ChunkLayout {
 	cost, recall := e.p.interiorVerif()
-	cl := &chunkLayout{m: m, recall: recall, interiorCost: cost}
-	cl.edgeFrac, cl.intFrac = core.ChunkFractions(m, recall)
-	if e.layouts == nil || len(e.layouts) >= maxCachedLayouts {
-		e.layouts = make(map[int]*chunkLayout)
-	}
-	e.layouts[m] = cl
-	return cl, nil
+	return analytic.NewChunkLayout(m, cost, recall)
 }
 
 // attempt holds the per-attempt invariants of one level-1 interval:
@@ -99,63 +65,22 @@ func (e *Evaluator) layout(m int) (*chunkLayout, error) {
 // interruption probability, the silent-detection probability and the
 // zero-error success probability Π.
 type attempt struct {
-	s0   float64 // expected spending per attempt, replay excluded
-	pfq  float64 // P(attempt interrupted by a fail-stop)
-	sdp  float64 // P(attempt ends in a detected silent error)
-	pi   float64 // P(attempt completes error-free)
-	work float64 // w1, the interval work
+	s0  float64 // expected spending per attempt, replay excluded
+	pfq float64 // P(attempt interrupted by a fail-stop)
+	sdp float64 // P(attempt ends in a detected silent error)
+	pi  float64 // P(attempt completes error-free)
 }
 
 // intervalAttempt computes the attempt invariants of one level-1
-// interval of work w1 with the cached m-chunk layout. The inner loop
-// is the Proposition 3 chunk walk of analytic.Evaluator: the Theorem 3
-// row has at most two distinct chunk sizes, so the transcendental work
-// is O(1) and the remaining per-chunk recurrences are plain
-// arithmetic.
-func (e *Evaluator) intervalAttempt(cl *chunkLayout, w1 float64) attempt {
+// interval of work w1 laid out as cl.
+func (e *Evaluator) intervalAttempt(cl analytic.ChunkLayout, w1 float64) attempt {
 	r := e.p.Rates
-	a := attempt{work: w1, pi: math.Exp(-(r.FailStop + r.Silent) * w1)}
-
-	wEdge := cl.edgeFrac * w1
-	pfE := probAtLeastOne(r.FailStop, wEdge)
-	psE := probAtLeastOne(r.Silent, wEdge)
-	lostE := analytic.ExpectedLost(r.FailStop, wEdge)
-	var wInt, pfI, psI, lostI float64
-	if cl.m > 2 {
-		wInt = cl.intFrac * w1
-		pfI = probAtLeastOne(r.FailStop, wInt)
-		psI = probAtLeastOne(r.Silent, wInt)
-		lostI = analytic.ExpectedLost(r.FailStop, wInt)
-	}
-
-	var s0 xmath.Accumulator
-	prodPf := 1.0 // Π_{k<j}(1 - p^f_k)
-	prodPs := 1.0 // Π_{k<j}(1 - p^s_k)
-	g := 0.0      // probability of an earlier silent error missed so far
-	for j := 0; j < cl.m; j++ {
-		wj, pf, ps, lost := wInt, pfI, psI, lostI
-		if j == 0 || j == cl.m-1 {
-			wj, pf, ps, lost = wEdge, pfE, psE, lostE
-		}
-		q := prodPf * (prodPs + g)
-		verif := cl.interiorCost
-		if j == cl.m-1 {
-			verif = e.p.GuarVer
-		}
-		if pf > 0 {
-			// A fail-stop of level l costs R_l on top of the lost time;
-			// the level split is independent of when the error strikes,
-			// so the expectation Σ q_l·R_l folds in here and the
-			// level-conditioned replay is added by the caller via pfq.
-			s0.Add(q * pf * (lost + e.meanRec))
-			a.pfq += q * pf
-		}
-		s0.Add(q * (1 - pf) * (wj + verif))
-		g = (g + prodPs*ps) * (1 - cl.recall)
-		prodPs *= 1 - ps
-		prodPf *= 1 - pf
-	}
-	a.s0 = s0.Value()
+	a := attempt{pi: math.Exp(-(r.FailStop + r.Silent) * w1)}
+	// A fail-stop of level l costs R_l on top of the lost time; the
+	// level split is independent of when the error strikes, so the
+	// expectation Σ q_l·R_l is the recovery cost of the walk and the
+	// level-conditioned replay is added by the caller via pfq.
+	a.s0, a.pfq = cl.Attempt(r, w1, e.p.GuarVer, e.meanRec)
 	// Every attempt ends in exactly one of: success, fail-stop, or a
 	// detected silent error (the closing guaranteed verification makes
 	// detection certain).
@@ -167,7 +92,7 @@ func (e *Evaluator) intervalAttempt(cl *chunkLayout, w1 float64) attempt {
 }
 
 // evalSpec is the planner-facing fast path of ExpectedTime: the
-// renewal recursion over a prefetched chunk layout, for a validated
+// renewal recursion over a derived chunk layout, for a validated
 // count vector and pattern length w. Level boundaries are tracked by
 // per-level countdown counters: left[l] is the number of level-1
 // intervals until the next level-(l+1) boundary, reset to the stride
@@ -176,7 +101,7 @@ func (e *Evaluator) intervalAttempt(cl *chunkLayout, w1 float64) attempt {
 // up to the highest one due. The floating-point operations run in
 // exactly the order of the direct implementation, so results are
 // bit-identical; the counters only replace the per-t modulo walks.
-func (e *Evaluator) evalSpec(cl *chunkLayout, counts []int, w float64) float64 {
+func (e *Evaluator) evalSpec(cl analytic.ChunkLayout, counts []int, w float64) float64 {
 	n1 := counts[0]
 	a := e.intervalAttempt(cl, w/float64(n1))
 	if a.pi <= 0 {
@@ -240,11 +165,7 @@ func (e *Evaluator) ExpectedTime(s Spec) (float64, error) {
 	if err := s.Validate(len(e.p.Levels)); err != nil {
 		return 0, err
 	}
-	cl, err := e.layout(s.M)
-	if err != nil {
-		return 0, err
-	}
-	return e.evalSpec(cl, s.Counts, s.W), nil
+	return e.evalSpec(e.layout(s.M), s.Counts, s.W), nil
 }
 
 // Overhead returns the exact expected overhead E(P)/W - 1 of spec s,
@@ -266,12 +187,4 @@ func ExpectedTime(p Params, s Spec) (float64, error) {
 		return 0, err
 	}
 	return ev.ExpectedTime(s)
-}
-
-// probAtLeastOne returns 1 - e^{-λw} computed stably.
-func probAtLeastOne(lambda, w float64) float64 {
-	if lambda <= 0 || w <= 0 {
-		return 0
-	}
-	return -math.Expm1(-lambda * w)
 }

@@ -113,8 +113,8 @@ type wEval struct {
 type leafSearch func(ev *Evaluator, counts []int, m int) wEval
 
 // Planner is a search context bound to one Params configuration: it
-// owns a memoized Evaluator (see the Evaluator doc for what is cached),
-// the per-candidate m-search memo and the enumeration scratch. A
+// owns an Evaluator, the per-candidate m-search memo and the
+// enumeration scratch. A
 // Planner may plan again (a repeat allocates almost nothing), but no
 // production caller plans twice on one: each builds a Planner per
 // plan. A Plan call runs on the calling goroutine, so callers that
@@ -564,8 +564,8 @@ func firstOrderSeed(p Params, seed, counts []int) (m, probes int) {
 // over W: xmath.MinimizeFrom seeded at the leaf's first-order period
 // sqrt(oef/orw), kept to two orders of magnitude either side of it. A
 // diverging probe reads as +Inf (evalSpec), so only a leaf with no
-// finite probe comes back non-finite. Probes run through the
-// evaluator's prefetched chunk layout, so each one is pure arithmetic.
+// finite probe comes back non-finite. The leaf's chunk layout is
+// derived once, so each probe is pure arithmetic.
 func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 	p := ev.Params()
 	oef, orw := p.FirstOrder(counts, m)
@@ -573,10 +573,7 @@ func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 	if math.IsInf(guess, 1) || math.IsNaN(guess) || guess <= 0 {
 		return wEval{err: fmt.Errorf("multilevel: no finite period guess for n=%v m=%d", counts, m)}
 	}
-	cl, err := ev.layout(m)
-	if err != nil {
-		return wEval{err: err}
-	}
+	cl := ev.layout(m)
 	probes := 0
 	h := func(w float64) float64 {
 		probes++
@@ -602,10 +599,7 @@ func screenW(ev *Evaluator, counts []int, m int) wEval {
 	if math.IsInf(guess, 1) || math.IsNaN(guess) || guess <= 0 {
 		return wEval{err: fmt.Errorf("multilevel: no finite period guess for n=%v m=%d", counts, m)}
 	}
-	cl, err := ev.layout(m)
-	if err != nil {
-		return wEval{err: err}
-	}
+	cl := ev.layout(m)
 	h := func(w float64) float64 {
 		return ev.evalSpec(cl, counts, w)/w - 1
 	}

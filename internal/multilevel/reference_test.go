@@ -76,10 +76,7 @@ func optimizeWGolden(ev *Evaluator, counts []int, m int) wEval {
 	if math.IsInf(guess, 1) || math.IsNaN(guess) || guess <= 0 {
 		return wEval{err: fmt.Errorf("multilevel: no finite period guess for n=%v m=%d", counts, m)}
 	}
-	cl, err := ev.layout(m)
-	if err != nil {
-		return wEval{err: err}
-	}
+	cl := ev.layout(m)
 	h := func(w float64) float64 {
 		return ev.evalSpec(cl, counts, w)/w - 1
 	}

@@ -122,15 +122,14 @@ func ExpectedTime(p Pattern, c Costs, r Rates) (float64, error) {
 }
 
 // Evaluator is a reusable exact expected-time evaluator bound to one
-// (costs, rates) configuration: it validates once, caches the layout
-// invariants of every (family, n, m) it sees, and evaluates repeated
-// pattern-length probes with a constant number of transcendental
+// (costs, rates) configuration: it validates once and evaluates a
+// Theorem 4 layout with a constant number of transcendental
 // operations. Use it instead of ExpectedTime in planning loops.
 type Evaluator = analytic.Evaluator
 
 // NewEvaluator validates the configuration once and returns an
-// evaluator bound to it. An Evaluator is not safe for concurrent use;
-// give each goroutine its own.
+// evaluator bound to it. An Evaluator is immutable and safe for
+// concurrent use.
 func NewEvaluator(c Costs, r Rates) (*Evaluator, error) {
 	return analytic.NewEvaluator(c, r)
 }
@@ -273,7 +272,8 @@ func MultilevelExpectedTime(p MultilevelParams, s MultilevelSpec) (float64, erro
 }
 
 // NewMultilevelEvaluator validates the configuration once and returns
-// an evaluator bound to it; not safe for concurrent use.
+// an evaluator bound to it; it is immutable and safe for concurrent
+// use.
 func NewMultilevelEvaluator(p MultilevelParams) (*MultilevelEvaluator, error) {
 	return multilevel.NewEvaluator(p)
 }
