@@ -35,8 +35,8 @@ func (p ExactPlan) String() string {
 // (n, m) over the pattern length W: xmath.MinimizeFrom seeded at the
 // first-order period W* = sqrt(oef/orw) of Theorems 1-4, which lands
 // within a few percent of the exact optimum (§6.2.2), and kept to two
-// orders of magnitude either side of it. The probes only rescale W
-// against the evaluator's cached (n, m) layout. A probe whose expected
+// orders of magnitude either side of it. Each probe is one
+// Evaluator.EvalLayout at the leaf's (n, m). A probe whose expected
 // time diverges reads as +Inf, so a large-W overflow cannot discard a
 // leaf whose minimum is finite; the leaf fails only when no probe was
 // finite.
@@ -95,9 +95,9 @@ func ExactFrom(first analytic.Plan, c core.Costs, r core.Rates) (ExactPlan, erro
 
 // ExactWithEvaluatorCtx is ExactFrom on a caller-supplied evaluator
 // under a cancellation context. ev must be bound to the same (costs,
-// rates) the first-order plan was computed for, and must not be used
-// concurrently (an Evaluator is not safe for concurrent use); a caller
-// that keeps ev can probe it after the search. When ctx is cancelled
+// rates) the first-order plan was computed for; it is immutable, so a
+// caller may share it across searches and probe it during or after
+// one. When ctx is cancelled
 // or expires the integer (n, m) search aborts — within one leaf W
 // search — and returns ctx's error, never a partial plan (there is a
 // final ctx check before the plan is assembled). The planning service
@@ -115,6 +115,12 @@ func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan)
 // leafSearch minimises one (n, m) leaf's exact overhead over W:
 // optimizeW, or in tests the golden-section oracle it replaced.
 type leafSearch func(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, err error)
+
+// maxNProbes bounds the n a ternary search over [1, MaxSplit] probes:
+// xmath.MinimizeConvexInt probes two points per step that cuts a third
+// of the range and at most three in its final scan, 43 in all. It sizes
+// exactSearch's list of searched n, which then stays on the stack.
+const maxNProbes = 43
 
 // exactSearch is exactFrom over a given leaf search, so tests can run
 // the same (n, m) walk with an oracle leaf.
@@ -153,7 +159,8 @@ func exactSearch(ctx context.Context, ev *analytic.Evaluator, first analytic.Pla
 	// search's argmin from any start (TestExactTernaryParity). n keeps
 	// the ternary search, since its m-minimised overhead need not be
 	// unimodal.
-	var searched [][2]int // (n, argmin m) in search order
+	var probed [maxNProbes][2]int
+	searched := probed[:0] // (n, argmin m) in search order
 	bestM := func(n int) (int, eval) {
 		start, dist := first.M, -1
 		for _, s := range searched {
