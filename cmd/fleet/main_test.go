@@ -93,14 +93,15 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunTraceErrors: a bad two-line trace fails run with an error
 // that main prints with one "fleet:" prefix and that names the job at
-// fault: by trace line for a field the parser rejects and for a job no
-// cluster could run, and by position for a job too wide for this
-// cluster, which only the fleet run can check.
+// fault by its trace line: for a field the parser rejects, for a job no
+// cluster could run, and for a job too wide for this cluster, which
+// only the fleet run can check and which a comment line sets apart
+// from its position.
 func TestRunTraceErrors(t *testing.T) {
 	for name, tc := range map[string]struct{ trace, want string }{
 		"NaN work":      {"0 30000 4\n600 NaN 4\n", "trace line 2: work"},
 		"negative work": {"0 30000 4\n600 -5 4\n", "trace line 2: job work = -5"},
-		"too wide":      {"0 30000 4\n600 30000 64\n", "trace job 2: job needs 64 nodes, cluster has 16"},
+		"too wide":      {"# arrival work nodes\n0 30000 4\n600 30000 64\n", "trace line 3: job needs 64 nodes, cluster has 16"},
 	} {
 		path := filepath.Join(t.TempDir(), "trace.txt")
 		if err := os.WriteFile(path, []byte(tc.trace), 0o644); err != nil {

@@ -101,6 +101,9 @@ type Job struct {
 	Nodes int
 	// Mode selects the job's resilience model.
 	Mode Mode
+	// line is the 1-based trace line ParseTrace read the job from, so
+	// Config.Validate can name it; 0 for a job built in code.
+	line int
 }
 
 // Validate checks one job against the cluster size.
@@ -228,10 +231,13 @@ func (cfg Config) Validate() error {
 	if cfg.Trace != nil {
 		last := math.Inf(-1)
 		for i, j := range cfg.Trace {
-			// Jobs are numbered from 1 in trace order; a trace read by
-			// ParseTrace has already passed every check but the
-			// cluster size, naming its line.
+			// A trace read by ParseTrace has passed every check but
+			// the cluster size; its jobs are named by their trace
+			// line, jobs built in code by their position from 1.
 			if err := j.check(nodes); err != nil {
+				if j.line > 0 {
+					return fmt.Errorf("fleet: trace line %d: %w", j.line, err)
+				}
 				return fmt.Errorf("fleet: trace job %d: %w", i+1, err)
 			}
 			if j.Arrival < last {

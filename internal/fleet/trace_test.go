@@ -22,10 +22,10 @@ func TestParseTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Job{
-		{Arrival: 0, Work: 360000, Nodes: 1, Mode: ModePattern},
-		{Arrival: 1800, Work: 360000, Nodes: 16, Mode: ModePattern},
-		{Arrival: 3600, Work: 720000, Nodes: 64, Mode: ModeMultilevel},
-		{Arrival: 3600, Work: 360000, Nodes: 8, Mode: ModeTwoLevel},
+		{Arrival: 0, Work: 360000, Nodes: 1, Mode: ModePattern, line: 3},
+		{Arrival: 1800, Work: 360000, Nodes: 16, Mode: ModePattern, line: 4},
+		{Arrival: 3600, Work: 720000, Nodes: 64, Mode: ModeMultilevel, line: 5},
+		{Arrival: 3600, Work: 360000, Nodes: 8, Mode: ModeTwoLevel, line: 6},
 	}
 	if len(jobs) != len(want) {
 		t.Fatalf("got %d jobs, want %d", len(jobs), len(want))

@@ -76,7 +76,8 @@ func synthesize(cfg *Config) []Job {
 // finite and > 0, and nodes > 0; nodes defaults to 1 and mode
 // (pattern | twolevel | multilevel) to def. An error names the line at
 // fault. Only the cluster-size check is left to Config.Validate, which
-// knows the cluster. The full schema is documented in docs/api.md.
+// knows the cluster; each job keeps its line, so that check names the
+// line too. The full schema is documented in docs/api.md.
 func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 	var jobs []Job
 	sc := bufio.NewScanner(r)
@@ -102,7 +103,7 @@ func ParseTrace(r io.Reader, def Mode) ([]Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: trace line %d: work %q: %w", lineNo, fields[1], err)
 		}
-		job := Job{Arrival: arrival, Work: work, Nodes: 1, Mode: def}
+		job := Job{Arrival: arrival, Work: work, Nodes: 1, Mode: def, line: lineNo}
 		if len(fields) >= 3 {
 			n, err := strconv.Atoi(fields[2])
 			if err != nil {
