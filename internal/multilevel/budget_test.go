@@ -25,9 +25,9 @@ import (
 // loudly if the cold path regresses; the allocation budgets sit at
 // about twice the current counts, and the probe budgets bound exact
 // counts, so they catch a seed, bound or leaf regression on any
-// machine. The bench gate in scripts/bench.sh holds BenchmarkMultilevelPlan
-// to a tighter latency target (5 ms) and a looser allocation one
-// (1,000 allocs).
+// machine. The bench gate in scripts/bench.sh holds
+// BenchmarkMultilevelPlan to a tighter latency target (5 ms) and a
+// looser allocation one (1,000 allocs).
 var planBudgets = []struct {
 	levels        int
 	seedProbes    int

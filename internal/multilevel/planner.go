@@ -114,13 +114,12 @@ type leafSearch func(ev *Evaluator, counts []int, m int) wEval
 
 // Planner is a search context bound to one Params configuration: it
 // owns an Evaluator, the per-candidate m-search memo and the
-// enumeration scratch. A
-// Planner may plan again (a repeat allocates almost nothing), but no
-// production caller plans twice on one: each builds a Planner per
-// plan. A Plan call runs on the calling goroutine, so callers that
-// plan many configurations parallelise across planners (the service's
-// ColdWorkers, the harness's CampaignWorkers). A Planner is not safe
-// for concurrent use.
+// enumeration scratch. A Planner may plan again (a repeat allocates
+// almost nothing), but no production caller plans twice on one: each
+// builds a Planner per plan. A Plan call runs on the calling
+// goroutine, so callers that plan many configurations parallelise
+// across planners (the service's ColdWorkers, the harness's
+// CampaignWorkers). A Planner is not safe for concurrent use.
 type Planner struct {
 	ev    *Evaluator
 	leaf  leafSearch

@@ -97,12 +97,11 @@ func ExactFrom(first analytic.Plan, c core.Costs, r core.Rates) (ExactPlan, erro
 // under a cancellation context. ev must be bound to the same (costs,
 // rates) the first-order plan was computed for; it is immutable, so a
 // caller may share it across searches and probe it during or after
-// one. When ctx is cancelled
-// or expires the integer (n, m) search aborts — within one leaf W
-// search — and returns ctx's error, never a partial plan (there is a
-// final ctx check before the plan is assembled). The planning service
-// threads each request's deadline through here so an abandoned cold
-// plan stops searching.
+// one. When ctx is cancelled or expires the integer (n, m) search
+// aborts — within one leaf W search — and returns ctx's error, never a
+// partial plan (there is a final ctx check before the plan is
+// assembled). The planning service threads each request's deadline
+// through here so an abandoned cold plan stops searching.
 func ExactWithEvaluatorCtx(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan) (ExactPlan, error) {
 	return exactFrom(ctx, ev, first)
 }
