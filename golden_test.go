@@ -333,18 +333,32 @@ func digestHarness(t *testing.T) string {
 	return d.sum()
 }
 
+// servedConfigs returns 64 seeded Table 2 configurations, each with
+// both rates and the disk checkpoint and recovery costs scattered
+// x0.5-x2 (the serving benchmark's key shape).
+func servedConfigs() []platform.Platform {
+	r := rand.New(rand.NewPCG(22, 64))
+	scatter := func(x float64) float64 { return x * math.Exp((r.Float64()*2-1)*math.Ln2) }
+	plats := platform.Table2()
+	out := make([]platform.Platform, 64)
+	for i := range out {
+		p := plats[r.IntN(len(plats))]
+		p.Rates.FailStop = scatter(p.Rates.FailStop)
+		p.Rates.Silent = scatter(p.Rates.Silent)
+		p.Costs.DiskCkpt = scatter(p.Costs.DiskCkpt)
+		p.Costs.DiskRec = scatter(p.Costs.DiskRec)
+		out[i] = p
+	}
+	return out
+}
+
 // digestService hashes the response bytes a fresh service serves for
-// 64 seeded Table 2 configurations, each with both rates and the disk
-// checkpoint and recovery costs scattered x0.5-x2 (the serving
-// benchmark's key shape): for every family the first-order, exact and
+// the servedConfigs: for every family the first-order, exact and
 // degraded exact plans and the exact evaluation of the first-order
 // pattern, then the multilevel and degraded multilevel plans at L=2
 // and L=3.
 func digestService(t *testing.T) string {
 	svc := service.New(service.Config{})
-	r := rand.New(rand.NewPCG(22, 64))
-	scatter := func(x float64) float64 { return x * math.Exp((r.Float64()*2-1)*math.Ln2) }
-	plats := platform.Table2()
 	d := newDigester()
 	body := func(b []byte, err error) {
 		if err != nil {
@@ -352,12 +366,7 @@ func digestService(t *testing.T) string {
 		}
 		d.put(string(b))
 	}
-	for i := 0; i < 64; i++ {
-		p := plats[r.IntN(len(plats))]
-		p.Rates.FailStop = scatter(p.Rates.FailStop)
-		p.Rates.Silent = scatter(p.Rates.Silent)
-		p.Costs.DiskCkpt = scatter(p.Costs.DiskCkpt)
-		p.Costs.DiskRec = scatter(p.Costs.DiskRec)
+	for i, p := range servedConfigs() {
 		d.put(i, p.Name)
 		for _, k := range core.Kinds() {
 			body(svc.Plan(k, p.Costs, p.Rates))

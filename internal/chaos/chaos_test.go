@@ -24,11 +24,35 @@ func planBody(i int) string {
 		60+i)
 }
 
-func exactRequest(i int) *http.Request {
-	req := httptest.NewRequest("POST", "/v1/plan/exact", strings.NewReader(planBody(i)))
+// multilevelBody builds a /v1/plan/multilevel body for the i-th
+// synthetic two-level configuration, one cache key per i.
+func multilevelBody(i int) string {
+	return fmt.Sprintf(
+		`{"params":{"Levels":[{"Ckpt":15,"Rec":15,"Share":0.2},{"Ckpt":%d,"Rec":300,"Share":0.8}],`+
+			`"GuarVer":15,"PartVer":0.15,"Recall":0.8,"Rates":{"FailStop":1e-6,"Silent":3e-6}}}`,
+		300+i)
+}
+
+// route is a plan route whose cold plans pass the admission gate, with
+// the body of its i-th synthetic configuration.
+type route struct {
+	name, path string
+	body       func(i int) string
+}
+
+func (rt route) request(i int) *http.Request {
+	req := httptest.NewRequest("POST", rt.path, strings.NewReader(rt.body(i)))
 	req.Header.Set("Content-Type", "application/json")
 	return req
 }
+
+// gatedRoutes are the two routes a shed or too-tight plan degrades on.
+var gatedRoutes = []route{
+	{"exact", "/v1/plan/exact", planBody},
+	{"multilevel", "/v1/plan/multilevel", multilevelBody},
+}
+
+func exactRequest(i int) *http.Request { return gatedRoutes[0].request(i) }
 
 // metricsSnapshot fetches and decodes GET /metrics.
 func metricsSnapshot(t *testing.T, h http.Handler) service.Snapshot {
@@ -166,10 +190,17 @@ func TestHitLatencyBoundedUnderOverload(t *testing.T) {
 	}
 }
 
-// TestDegradedByteStable: in degraded mode, shed requests serve the
-// first-order fallback with "degraded":true, and repeated degraded
-// responses for one configuration are byte-identical.
+// TestDegradedByteStable: in degraded mode, shed requests on either
+// gated route serve the first-order fallback with "degraded":true, and
+// repeated degraded responses for one configuration are
+// byte-identical.
 func TestDegradedByteStable(t *testing.T) {
+	for _, rt := range gatedRoutes {
+		t.Run(rt.name, func(t *testing.T) { testDegradedByteStable(t, rt) })
+	}
+}
+
+func testDegradedByteStable(t *testing.T, rt route) {
 	inj := &Injector{PlannerDelay: 50 * time.Millisecond, Seed: 3}
 	svc := service.New(inj.Apply(service.Config{ColdWorkers: 1, ColdQueue: 1, Degraded: true}))
 	h := svc.Handler()
@@ -180,15 +211,15 @@ func TestDegradedByteStable(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, exactRequest(100+i))
+			h.ServeHTTP(rec, rt.request(100+i))
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond) // let both occupy slot + queue
+	waitSaturated(t, h)
 
 	var bodies [][]byte
 	for try := 0; try < 5; try++ {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, exactRequest(0))
+		h.ServeHTTP(rec, rt.request(0))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("degraded request returned %d: %s", rec.Code, rec.Body.String())
 		}
@@ -202,7 +233,10 @@ func TestDegradedByteStable(t *testing.T) {
 			t.Errorf("degraded response %d differs: %s vs %s", i+1, b, bodies[0])
 		}
 	}
-	var resp service.PlanResponse
+	var resp struct {
+		Degraded      bool
+		DegradedDelta float64
+	}
 	if err := json.Unmarshal(bodies[0], &resp); err != nil {
 		t.Fatalf("decode degraded response: %v", err)
 	}
@@ -217,23 +251,31 @@ func TestDegradedByteStable(t *testing.T) {
 	}
 
 	// Degraded responses are never cached: once the overload clears,
-	// the same configuration computes the exact plan.
+	// the same configuration computes the healthy plan, byte-identical
+	// to a fresh service's.
 	WaitGoroutines(runtime.NumGoroutine(), 2*time.Second)
 	time.Sleep(120 * time.Millisecond) // let the two slow plans finish
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, exactRequest(0))
+	h.ServeHTTP(rec, rt.request(0))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-overload request returned %d", rec.Code)
 	}
-	var exact service.PlanResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &exact); err != nil {
-		t.Fatal(err)
+	healthy := httptest.NewRecorder()
+	service.New(service.Config{}).Handler().ServeHTTP(healthy, rt.request(0))
+	if !bytes.Equal(rec.Body.Bytes(), healthy.Body.Bytes()) {
+		t.Errorf("post-overload response %s, want the healthy plan %s (degraded body cached?)", rec.Body, healthy.Body)
 	}
-	if exact.Degraded {
-		t.Error("post-overload response is still degraded: degraded body was cached")
-	}
-	if !exact.Exact {
-		t.Error("post-overload response is not the exact plan")
+}
+
+// waitSaturated waits until a cold plan waits in the gate's queue,
+// which a plan joins only once every worker slot is taken.
+func waitSaturated(t *testing.T, h http.Handler) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); metricsSnapshot(t, h).ColdQueueDepth == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no cold plan queued within 5 s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -307,17 +349,24 @@ func TestRetryAfterClampedUnderClockSkew(t *testing.T) {
 	}
 }
 
-// TestTooTightDegrades: in degraded mode, a request whose budget is
-// below the cold-plan p90 gets the first-order answer at once, without
-// taking a worker slot. The p90 counts the injected planner latency,
-// as the cold_compute span and the client do.
+// TestTooTightDegrades: in degraded mode, a request on either gated
+// route whose budget is below the cold-plan p90 gets the first-order
+// answer at once, without taking a worker slot. The p90 counts the
+// injected planner latency, as the cold_compute span and the client
+// do.
 func TestTooTightDegrades(t *testing.T) {
+	for _, rt := range gatedRoutes {
+		t.Run(rt.name, func(t *testing.T) { testTooTightDegrades(t, rt) })
+	}
+}
+
+func testTooTightDegrades(t *testing.T, rt route) {
 	inj := &Injector{PlannerDelay: 50 * time.Millisecond, Seed: 13}
 	svc := service.New(inj.Apply(service.Config{ColdWorkers: 1, ColdQueue: 1, Degraded: true}))
 	h := svc.Handler()
 	for i := 0; i < 3; i++ {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, exactRequest(100+i))
+		h.ServeHTTP(rec, rt.request(100+i))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("warming plan %d returned %d", i, rec.Code)
 		}
@@ -327,7 +376,7 @@ func TestTooTightDegrades(t *testing.T) {
 		t.Errorf("coldPlanP90Ns = %v after three 50 ms plans, want at least 50 ms", before.ColdPlanP90Ns)
 	}
 
-	req := exactRequest(0)
+	req := rt.request(0)
 	req.Header.Set(service.TimeoutHeader, "10ms")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
