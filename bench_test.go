@@ -534,28 +534,77 @@ func BenchmarkServicePlanHot(b *testing.B) {
 // handler — body decode, canonical key, cache lookup, response write —
 // the rung between BenchmarkServicePlanHot (no HTTP, no decode) and
 // the latency a client observes. Each sub-benchmark replays one
-// perfbench-shaped body of its endpoint; the tracer samples as in
-// BenchmarkServicePlanHot.
+// perfbench-shaped body of its plan route (httpPlanHits).
 func BenchmarkServiceHTTPPlanHit(b *testing.B) {
-	hera := mustPlatform(b, "Hera")
+	for _, c := range httpPlanHits(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c.serve()
+			}
+		})
+	}
+}
+
+// httpPlanHitAllocs bounds the allocations of a cache hit through the
+// HTTP handler: the body limit's reader, the request body's buffer, the
+// decoded kind string or level slice, the Content-Type header value and
+// the response's trailing newline.
+const httpPlanHitAllocs = 5
+
+// TestHTTPPlanHitAllocs is the CI guard on a cache hit through the HTTP
+// handler: on each plan route it allocates at most httpPlanHitAllocs
+// times. The handler's disposition stays on the stack; when it moved to
+// the heap, every request on every endpoint paid one more allocation.
+func TestHTTPPlanHitAllocs(t *testing.T) {
+	for _, c := range httpPlanHits(t) {
+		allocs := testing.AllocsPerRun(200, c.serve)
+		t.Logf("%s: %v allocs per hit", c.name, allocs)
+		if allocs > httpPlanHitAllocs {
+			t.Errorf("%s: an HTTP cache hit allocates %v times, budget %d", c.name, allocs, httpPlanHitAllocs)
+		}
+	}
+}
+
+// httpPlanHit replays one request that hits the cache behind an HTTP
+// handler.
+type httpPlanHit struct {
+	name  string
+	serve func()
+}
+
+// httpPlanHits returns one warmed hit per plan route, each replaying a
+// perfbench-shaped body: Hera's PDMV costs and rates on /v1/plan and
+// /v1/plan/exact, Hera's L=3 params on /v1/plan/multilevel. The tracer
+// samples as in BenchmarkServicePlanHot, so every replay takes the
+// unsampled branch.
+func httpPlanHits(tb testing.TB) []httpPlanHit {
+	tb.Helper()
+	hera, err := platform.ByName("Hera")
+	if err != nil {
+		tb.Fatal(err)
+	}
 	params, err := multilevel.FromPlatform(hera, 3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	svc := service.New(service.Config{
 		Tracer: obs.New(obs.Config{SampleEvery: 1 << 20}),
 	})
 	h := svc.Handler()
+	plan := service.PlanRequest{Kind: core.PDMV.String(), Costs: &hera.Costs, Rates: &hera.Rates}
+	var hits []httpPlanHit
 	for _, c := range []struct {
 		name, path string
 		body       any
 	}{
-		{"exact", "/v1/plan/exact", service.PlanRequest{Kind: core.PDMV.String(), Costs: &hera.Costs, Rates: &hera.Rates}},
+		{"plan", "/v1/plan", plan},
+		{"exact", "/v1/plan/exact", plan},
 		{"multilevel", "/v1/plan/multilevel", service.MultilevelPlanRequest{Params: &params}},
 	} {
 		raw, err := json.Marshal(c.body)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		body := &replayBody{}
 		req := httptest.NewRequest(http.MethodPost, c.path, nil)
@@ -565,17 +614,13 @@ func BenchmarkServiceHTTPPlanHit(b *testing.B) {
 			req.Body = body
 			h.ServeHTTP(w, req)
 			if w.status != http.StatusOK {
-				b.Fatalf("%s: status %d", c.path, w.status)
+				tb.Fatalf("%s: status %d", c.path, w.status)
 			}
 		}
-		serve() // the cold plan; every timed request hits
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				serve()
-			}
-		})
+		serve() // the cold plan; every later replay hits
+		hits = append(hits, httpPlanHit{c.name, serve})
 	}
+	return hits
 }
 
 // replayBody is a request body that rewinds, so one request serves

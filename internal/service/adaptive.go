@@ -272,51 +272,45 @@ func (s *Service) adaptiveSession(req ObserveRequest) (*adapt.Session, error) {
 }
 
 // handleObserve is POST /v1/observe.
-func (s *Service) handleObserve(r *http.Request, d *disposition) ([]byte, int, error) {
+func (s *Service) handleObserve(r *http.Request) ([]byte, int, disposition, error) {
 	var req ObserveRequest
 	if err := decodeBody(r, &req); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, disposition{}, err
 	}
 	body, err := s.Observe(req)
 	if err != nil {
-		return nil, adaptiveStatus(err), err
+		return nil, adaptiveStatus(err), disposition{}, err
 	}
-	return body, http.StatusOK, nil
+	return body, http.StatusOK, disposition{}, nil
 }
 
 // handleAdaptive is GET /v1/adaptive?session=NAME.
-func (s *Service) handleAdaptive(r *http.Request, d *disposition) ([]byte, int, error) {
+func (s *Service) handleAdaptive(r *http.Request) ([]byte, int, disposition, error) {
 	name := r.URL.Query().Get("session")
 	if name == "" {
-		return nil, http.StatusBadRequest, errors.New("missing session query parameter")
+		return nil, http.StatusBadRequest, disposition{}, errors.New("missing session query parameter")
 	}
 	body, err := s.Adaptive(name)
 	if err != nil {
-		return nil, adaptiveStatus(err), err
+		return nil, adaptiveStatus(err), disposition{}, err
 	}
-	return body, http.StatusOK, nil
+	return body, http.StatusOK, disposition{}, nil
 }
 
 // handleAdaptiveDelete is DELETE /v1/adaptive?session=NAME.
-func (s *Service) handleAdaptiveDelete(r *http.Request, d *disposition) ([]byte, int, error) {
+func (s *Service) handleAdaptiveDelete(r *http.Request) ([]byte, int, disposition, error) {
 	name := r.URL.Query().Get("session")
 	if name == "" {
-		return nil, http.StatusBadRequest, errors.New("missing session query parameter")
+		return nil, http.StatusBadRequest, disposition{}, errors.New("missing session query parameter")
 	}
 	if !s.DropSession(name) {
-		return nil, http.StatusNotFound, errSessionNotFound(name)
+		return nil, http.StatusNotFound, disposition{}, errSessionNotFound(name)
 	}
-	return marshalResponseStatic(map[string]string{"status": "deleted", "session": name})
-}
-
-// marshalResponseStatic marshals a response that cannot fail and
-// normalises the opHandler triple.
-func marshalResponseStatic(v any) ([]byte, int, error) {
-	b, err := marshalResponse(v)
+	b, err := marshalResponse(map[string]string{"status": "deleted", "session": name})
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return nil, http.StatusInternalServerError, disposition{}, err
 	}
-	return b, http.StatusOK, nil
+	return b, http.StatusOK, disposition{}, nil
 }
 
 // adaptiveStatus maps adaptive-session errors to HTTP statuses.

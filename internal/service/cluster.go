@@ -161,10 +161,10 @@ func (s *Service) routePeer(r *http.Request, key Key) (name, baseURL string, ok 
 // failure — the window between a replica dying and the next health
 // check removing it from the ring — maps to 502 for that replica's
 // key range; every other range is unaffected.
-func (s *Service) forward(ctx context.Context, name, baseURL, path string, body []byte, d *disposition) ([]byte, int, error) {
+func (s *Service) forward(ctx context.Context, name, baseURL, path string, body []byte) ([]byte, int, disposition, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("cluster: building forward to %s: %w", name, err)
+		return nil, http.StatusInternalServerError, disposition{}, fmt.Errorf("cluster: building forward to %s: %w", name, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ForwardedHeader, s.clu.self)
@@ -180,20 +180,20 @@ func (s *Service) forward(ctx context.Context, name, baseURL, path string, body 
 	if err != nil {
 		hop.EndPeer("error", name, "")
 		s.metrics.ForwardErrors.Add(1)
-		return nil, http.StatusBadGateway, fmt.Errorf("cluster: forward to %s: %w", name, err)
+		return nil, http.StatusBadGateway, disposition{}, fmt.Errorf("cluster: forward to %s: %w", name, err)
 	}
 	defer resp.Body.Close()
 	relayed, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
 	if err != nil {
 		hop.EndPeer("error", name, "")
 		s.metrics.ForwardErrors.Add(1)
-		return nil, http.StatusBadGateway, fmt.Errorf("cluster: reading %s's response: %w", name, err)
+		return nil, http.StatusBadGateway, disposition{}, fmt.Errorf("cluster: reading %s's response: %w", name, err)
 	}
 	// The hop span stores the peer's Server-Timing verbatim: the remote
 	// half of the stitched trace, attributable without a second lookup.
 	hop.EndPeer("ok", name, resp.Header.Get("Server-Timing"))
 	s.metrics.Forwarded.Add(1)
-	d.out = outcome(resp.Header.Get(OutcomeHeader))
+	d := disposition{out: outcome(resp.Header.Get(OutcomeHeader))}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if sec, err := strconv.Atoi(ra); err == nil {
 			d.retryAfter = sec
@@ -201,7 +201,7 @@ func (s *Service) forward(ctx context.Context, name, baseURL, path string, body 
 	}
 	// writeBytes terminates every response with a newline; the entry
 	// replica will append its own, so strip the owner's.
-	return bytes.TrimSuffix(relayed, []byte("\n")), resp.StatusCode, nil
+	return bytes.TrimSuffix(relayed, []byte("\n")), resp.StatusCode, d, nil
 }
 
 // CheckPeerHealth probes every peer's /healthz once and, when the

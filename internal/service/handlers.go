@@ -136,9 +136,12 @@ func resolveConfig(platName string, costs *core.Costs, rates *core.Rates) (core.
 //	GET    /metrics            JSON counters and latency quantiles
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", s.instrument(epPlan, maxRequestBytes, s.handlePlan))
-	mux.HandleFunc("POST /v1/plan/exact", s.instrument(epPlanExact, maxRequestBytes, s.handlePlanExact))
-	mux.HandleFunc("POST /v1/plan/multilevel", s.instrument(epPlanMultilevel, maxRequestBytes, s.handlePlanMultilevel))
+	plan := func(mode Mode) opHandler {
+		return func(r *http.Request) ([]byte, int, disposition, error) { return s.handlePlan(r, mode) }
+	}
+	mux.HandleFunc("POST /v1/plan", s.instrument(epPlan, maxRequestBytes, plan(ModePlan)))
+	mux.HandleFunc("POST /v1/plan/exact", s.instrument(epPlanExact, maxRequestBytes, plan(ModePlanExact)))
+	mux.HandleFunc("POST /v1/plan/multilevel", s.instrument(epPlanMultilevel, maxRequestBytes, plan(ModePlanMultilevel)))
 	mux.HandleFunc("POST /v1/evaluate", s.instrument(epEvaluate, maxRequestBytes, s.handleEvaluate))
 	mux.HandleFunc("POST /v1/batch", s.instrument(epBatch, maxBatchRequestBytes, s.handleBatch))
 	mux.HandleFunc("POST /v1/observe", s.instrument(epObserve, maxRequestBytes, s.handleObserve))
@@ -180,8 +183,10 @@ type disposition struct {
 }
 
 // opHandler is one endpoint's body: it returns the response bytes or an
-// error with an HTTP status, and may annotate the response through d.
-type opHandler func(r *http.Request, d *disposition) ([]byte, int, error)
+// error with an HTTP status, and the response's annotations. Returning
+// the disposition, rather than writing it through a pointer, keeps
+// instrument's copy on the stack.
+type opHandler func(r *http.Request) ([]byte, int, disposition, error)
 
 // instrument wraps an endpoint with the in-flight gauge, the trace
 // sampling decision, the per-request deadline budget, the request body
@@ -197,7 +202,10 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 		// 500 until a handler outcome overwrites it, so a handler panic
 		// (recovered by net/http) still counts as a server error.
 		status := http.StatusInternalServerError
-		var d disposition
+		var (
+			body []byte
+			d    disposition
+		)
 		// Deferred so a handler panic cannot leak the in-flight gauge
 		// or skip the latency observation and trace retirement.
 		defer func() {
@@ -225,8 +233,7 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 			r = r.WithContext(ctx)
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-		body, st, err := h(r, &d)
-		status = st
+		body, status, d, err = h(r)
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			switch {
@@ -299,102 +306,90 @@ func requestBudget(r *http.Request, def time.Duration) (time.Duration, error) {
 	return min(d, maxRequestTimeout), nil
 }
 
-// degrade answers a plan endpoint's failed cold plan: with the
-// first-order fallback when degraded mode is on and err is a shed or
-// too-tight plan, else with err.
-func (s *Service) degrade(tr *obs.Trace, d *disposition, err error, fallback func() ([]byte, error)) ([]byte, int, error) {
-	if !s.cfg.Degraded || !(errors.Is(err, ErrShed) || errors.Is(err, ErrTooTight)) {
-		return nil, http.StatusBadRequest, err
-	}
-	cc := tr.Begin(obs.StageColdCompute)
-	body, derr := fallback()
-	if derr != nil {
-		cc.End("error")
-		return nil, http.StatusBadRequest, err
-	}
-	cc.End("degraded")
-	d.out = outcomeDegraded
-	s.metrics.Degraded.Add(1)
-	return body, http.StatusOK, nil
-}
-
-func (s *Service) handlePlan(r *http.Request, d *disposition) ([]byte, int, error) {
-	raw, kind, costs, rates, err := decodePlanRequest(r)
+// handlePlan serves all three plan routes in one order: decode, key,
+// one cache lookup, owning peer, miss path, degraded fallback. The
+// local cache answers regardless of ownership (it only holds keys this
+// replica computed, typically while it owned them), then a peer-owned
+// key forwards, and the miss path plans the rest locally without
+// looking the key up again.
+func (s *Service) handlePlan(r *http.Request, mode Mode) ([]byte, int, disposition, error) {
+	raw, q, err := decodePlanRequest(r, mode)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, disposition{}, err
 	}
-	// The local cache answers regardless of ownership (it only holds
-	// keys this replica computed, typically while it owned them), then
-	// a peer-owned key forwards, and the miss path plans the rest
-	// locally without looking the key up again.
-	key := EncodeKey(ModePlan, kind, costs, rates)
-	tm := obs.FromContext(r.Context()).Begin(obs.StageCacheLookup)
-	resp, ok := s.cache.get(key)
-	tm.End(hitMiss(ok))
-	if ok {
-		return resp, http.StatusOK, nil
-	}
-	if name, baseURL, ok := s.routePeer(r, key); ok {
-		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw, d)
-	}
-	body, err := s.planCold(r.Context(), key, kind, costs, rates)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return body, http.StatusOK, nil
-}
-
-func (s *Service) handlePlanExact(r *http.Request, d *disposition) ([]byte, int, error) {
-	raw, kind, costs, rates, err := decodePlanRequest(r)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	// Serving order, each step at most once: local cache, owning peer,
-	// local miss path.
-	key := EncodeKey(ModePlanExact, kind, costs, rates)
+	key := q.key()
 	tr := obs.FromContext(r.Context())
 	tm := tr.Begin(obs.StageCacheLookup)
 	resp, ok := s.cache.get(key)
 	tm.End(hitMiss(ok))
 	if ok {
-		return resp, http.StatusOK, nil
+		return resp, http.StatusOK, disposition{}, nil
 	}
 	if name, baseURL, ok := s.routePeer(r, key); ok {
-		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw, d)
+		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw)
 	}
-	body, err := s.planExactCold(r.Context(), key, kind, costs, rates)
+	body, err := s.planMiss(r.Context(), key, q)
 	if err != nil {
-		return s.degrade(tr, d, err, func() ([]byte, error) { return s.DegradedPlanExact(kind, costs, rates) })
+		return s.degrade(tr, &q, err)
 	}
-	return body, http.StatusOK, nil
+	return body, http.StatusOK, disposition{}, nil
 }
 
-func (s *Service) handleEvaluate(r *http.Request, d *disposition) ([]byte, int, error) {
+// degrade is the one fallback step of the plan routes. In degraded
+// mode it answers a shed or too-tight exact or multilevel plan with
+// the mode's first-order fallback, DegradedPlanExact or
+// DegradedPlanMultilevel; it answers every other failure with err. A
+// first-order plan is never gated, so it never sheds and never falls
+// back.
+func (s *Service) degrade(tr *obs.Trace, q *planRequest, err error) ([]byte, int, disposition, error) {
+	if !s.cfg.Degraded || !(errors.Is(err, ErrShed) || errors.Is(err, ErrTooTight)) {
+		return nil, http.StatusBadRequest, disposition{}, err
+	}
+	cc := tr.Begin(obs.StageColdCompute)
+	var (
+		body []byte
+		derr error
+	)
+	if q.mode == ModePlanMultilevel {
+		body, derr = s.DegradedPlanMultilevel(q.params)
+	} else {
+		body, derr = s.DegradedPlanExact(q.kind, q.costs, q.rates)
+	}
+	if derr != nil {
+		cc.End("error")
+		return nil, http.StatusBadRequest, disposition{}, err
+	}
+	cc.End("degraded")
+	s.metrics.Degraded.Add(1)
+	return body, http.StatusOK, disposition{out: outcomeDegraded}, nil
+}
+
+func (s *Service) handleEvaluate(r *http.Request) ([]byte, int, disposition, error) {
 	var req EvaluateRequest
 	if err := decodeBody(r, &req); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, disposition{}, err
 	}
 	if req.Pattern == nil {
-		return nil, http.StatusBadRequest, errors.New("missing pattern")
+		return nil, http.StatusBadRequest, disposition{}, errors.New("missing pattern")
 	}
 	costs, rates, err := resolveConfig(req.Platform, req.Costs, req.Rates)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, disposition{}, err
 	}
 	body, err := s.Evaluate(*req.Pattern, costs, rates)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, disposition{}, err
 	}
-	return body, http.StatusOK, nil
+	return body, http.StatusOK, disposition{}, nil
 }
 
-func (s *Service) handleBatch(r *http.Request, d *disposition) ([]byte, int, error) {
+func (s *Service) handleBatch(r *http.Request) ([]byte, int, disposition, error) {
 	var req BatchRequest
 	if err := decodeBody(r, &req); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, disposition{}, err
 	}
 	if len(req.Requests) > maxBatchItems {
-		return nil, http.StatusBadRequest,
+		return nil, http.StatusBadRequest, disposition{},
 			fmt.Errorf("batch of %d items exceeds the limit of %d", len(req.Requests), maxBatchItems)
 	}
 	// Fan the items over the bounded pool of internal/sched — the same
@@ -410,9 +405,9 @@ func (s *Service) handleBatch(r *http.Request, d *disposition) ([]byte, int, err
 		})
 	body, err := marshalResponse(BatchResponse{Responses: responses})
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return nil, http.StatusInternalServerError, disposition{}, err
 	}
-	return body, http.StatusOK, nil
+	return body, http.StatusOK, disposition{}, nil
 }
 
 // batchItem executes one batch operation, folding its error (if any)
@@ -454,21 +449,25 @@ func (s *Service) batchItem(ctx context.Context, item BatchItem) json.RawMessage
 	return body
 }
 
-// decodePlanRequest reads, decodes and resolves the shared plan request
-// body under the decode span. It also returns the raw body bytes, which
-// the cluster forwarding path replays to the owning peer unmodified.
-func decodePlanRequest(r *http.Request) (raw []byte, kind core.Kind, costs core.Costs, rates core.Rates, err error) {
+// decodePlanRequest reads, decodes and resolves a plan route's body
+// under the decode span, as the request of mode: a PlanRequest body for
+// the single-level modes, a MultilevelPlanRequest body for the
+// multilevel mode. It also returns the raw body bytes, which the
+// cluster forwarding path replays to the owning peer unmodified.
+func decodePlanRequest(r *http.Request, mode Mode) (raw []byte, q planRequest, err error) {
 	tm := obs.FromContext(r.Context()).Begin(obs.StageDecode)
 	defer func() { tm.End(errOutcome(err)) }()
 	raw, err = io.ReadAll(r.Body)
 	if err != nil {
-		return nil, 0, core.Costs{}, core.Rates{}, fmt.Errorf("bad request body: %w", err)
+		return nil, q, fmt.Errorf("bad request body: %w", err)
 	}
-	kind, costs, rates, err = parsePlanRequest(raw)
-	if err != nil {
-		return nil, 0, core.Costs{}, core.Rates{}, err
+	q.mode = mode
+	if mode == ModePlanMultilevel {
+		q.params, err = parseMultilevelRequest(raw)
+	} else {
+		q.kind, q.costs, q.rates, err = parsePlanRequest(raw)
 	}
-	return raw, kind, costs, rates, nil
+	return raw, q, err
 }
 
 // parsePlanRequest decodes and resolves a plan request body.

@@ -3,9 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
 
 	"respat/internal/multilevel"
 	"respat/internal/obs"
@@ -76,35 +73,7 @@ func (s *Service) PlanMultilevelCtx(ctx context.Context, p multilevel.Params) ([
 	if ok {
 		return resp, nil
 	}
-	return s.planMultilevelCold(ctx, key, p)
-}
-
-// planMultilevelCold is the miss path of PlanMultilevel, split out so
-// the hot path does not pay for the compute closure: the too-tight
-// check, then the gated search, coalesced on key.
-func (s *Service) planMultilevelCold(ctx context.Context, key Key, p multilevel.Params) ([]byte, error) {
-	if err := s.tooTight(ctx); err != nil {
-		return nil, err
-	}
-	return s.cache.getOrCompute(ctx, key, func(fctx context.Context) ([]byte, error) {
-		return s.gated(fctx, func(fctx context.Context) ([]byte, error) {
-			pl, err := multilevel.NewPlanner(p)
-			if err != nil {
-				return nil, err
-			}
-			plan, err := pl.PlanCtx(fctx)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResponse(MultilevelPlanResponse{
-				Levels:   p.L(),
-				Counts:   plan.Spec.Counts,
-				M:        plan.Spec.M,
-				W:        plan.Spec.W,
-				Overhead: plan.Overhead,
-			})
-		})
-	})
+	return s.planMiss(ctx, key, planRequest{mode: ModePlanMultilevel, params: p})
 }
 
 // DegradedPlanMultilevel is the graceful-degradation fallback of
@@ -132,37 +101,6 @@ func (s *Service) DegradedPlanMultilevel(p multilevel.Params) ([]byte, error) {
 		Degraded:      true,
 		DegradedDelta: exactH - plan.Overhead,
 	})
-}
-
-func (s *Service) handlePlanMultilevel(r *http.Request, d *disposition) ([]byte, int, error) {
-	tr := obs.FromContext(r.Context())
-	dec := tr.Begin(obs.StageDecode)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		dec.End("error")
-		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
-	}
-	params, err := parseMultilevelRequest(raw)
-	if err != nil {
-		dec.End("error")
-		return nil, http.StatusBadRequest, err
-	}
-	dec.End("ok")
-	key := EncodeMultilevelKey(params)
-	tm := tr.Begin(obs.StageCacheLookup)
-	resp, ok := s.cache.get(key)
-	tm.End(hitMiss(ok))
-	if ok {
-		return resp, http.StatusOK, nil
-	}
-	if name, baseURL, ok := s.routePeer(r, key); ok {
-		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw, d)
-	}
-	body, err := s.planMultilevelCold(r.Context(), key, params)
-	if err != nil {
-		return s.degrade(tr, d, err, func() ([]byte, error) { return s.DegradedPlanMultilevel(params) })
-	}
-	return body, http.StatusOK, nil
 }
 
 // parseMultilevelRequest decodes, resolves and validates a multilevel

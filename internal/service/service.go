@@ -11,6 +11,7 @@ import (
 	"respat/internal/adapt"
 	"respat/internal/analytic"
 	"respat/internal/core"
+	"respat/internal/multilevel"
 	"respat/internal/obs"
 	"respat/internal/optimize"
 )
@@ -187,7 +188,7 @@ func (s *Service) PlanCtx(ctx context.Context, kind core.Kind, costs core.Costs,
 	if ok {
 		return resp, nil
 	}
-	return s.planCold(ctx, key, kind, costs, rates)
+	return s.planMiss(ctx, key, planRequest{mode: ModePlan, kind: kind, costs: costs, rates: rates})
 }
 
 // hitMiss labels a cache probe's span outcome.
@@ -198,12 +199,96 @@ func hitMiss(ok bool) string {
 	return "miss"
 }
 
-// planCold is the miss path of Plan, split out so the hot path does not
-// pay for the compute closure. A caller that has looked key up already
-// calls it directly: it coalesces without a second lookup of its own.
-func (s *Service) planCold(ctx context.Context, key Key, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
-	return s.cache.getOrCompute(ctx, key, func(context.Context) ([]byte, error) {
-		plan, err := analytic.Optimal(kind, costs, rates)
+// planRequest is one plan request of any mode: the mode, and the
+// family, costs and rates of a single-level plan or the params of a
+// multilevel one.
+type planRequest struct {
+	mode   Mode
+	kind   core.Kind
+	costs  core.Costs
+	rates  core.Rates
+	params multilevel.Params
+}
+
+// key returns the request's canonical cache key.
+func (q *planRequest) key() Key {
+	if q.mode == ModePlanMultilevel {
+		return EncodeMultilevelKey(q.params)
+	}
+	return EncodeKey(q.mode, q.kind, q.costs, q.rates)
+}
+
+// planMiss is the one miss path of every plan mode, split out so the
+// hot path does not pay for the compute closure. A caller that has
+// looked key up already calls it directly: it coalesces on key without
+// a second lookup of its own. A first-order plan is microseconds of
+// closed-form arithmetic and computes ungated; an exact or multilevel
+// plan first passes the too-tight check, then the admission gate.
+func (s *Service) planMiss(ctx context.Context, key Key, q planRequest) ([]byte, error) {
+	if q.mode == ModePlan {
+		return s.cache.getOrCompute(ctx, key, q.compute)
+	}
+	if err := s.tooTight(ctx); err != nil {
+		return nil, err
+	}
+	return s.cache.getOrCompute(ctx, key, gatedPlan{s, q}.compute)
+}
+
+// gatedPlan is an exact or multilevel plan's computation: the
+// request's planner behind s's admission gate. Its method value, unlike
+// a closure over a planRequest, copies the request into the one
+// allocation the flight's compute function needs.
+type gatedPlan struct {
+	s *Service
+	q planRequest
+}
+
+func (g gatedPlan) compute(ctx context.Context) ([]byte, error) { return g.s.gated(ctx, g.q.compute) }
+
+// compute runs the request's planner and marshals its mode's response:
+// the Table 1 plan, the exact search on an evaluator of its own, or
+// the multilevel search on a planner of its own.
+func (q planRequest) compute(ctx context.Context) ([]byte, error) {
+	switch q.mode {
+	case ModePlanExact:
+		first, err := analytic.Optimal(q.kind, q.costs, q.rates)
+		if err != nil {
+			return nil, err
+		}
+		ev, err := analytic.NewEvaluator(q.costs, q.rates)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := optimize.ExactWithEvaluatorCtx(ctx, ev, first)
+		if err != nil {
+			return nil, err
+		}
+		return marshalResponse(PlanResponse{
+			Kind:     plan.Kind.String(),
+			Exact:    true,
+			N:        plan.N,
+			M:        plan.M,
+			W:        plan.W,
+			Overhead: plan.Overhead,
+		})
+	case ModePlanMultilevel:
+		pl, err := multilevel.NewPlanner(q.params)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := pl.PlanCtx(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return marshalResponse(MultilevelPlanResponse{
+			Levels:   q.params.L(),
+			Counts:   plan.Spec.Counts,
+			M:        plan.Spec.M,
+			W:        plan.Spec.W,
+			Overhead: plan.Overhead,
+		})
+	default:
+		plan, err := analytic.Optimal(q.kind, q.costs, q.rates)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +299,7 @@ func (s *Service) planCold(ctx context.Context, key Key, kind core.Kind, costs c
 			W:        plan.W,
 			Overhead: plan.Overhead,
 		})
-	})
+	}
 }
 
 // PlanExact returns the marshalled exact-model plan (renewal-equation
@@ -239,39 +324,7 @@ func (s *Service) PlanExactCtx(ctx context.Context, kind core.Kind, costs core.C
 	if ok {
 		return resp, nil
 	}
-	return s.planExactCold(ctx, key, kind, costs, rates)
-}
-
-// planExactCold is the miss path of PlanExact: the too-tight check,
-// then the gated exact search, coalesced on key.
-func (s *Service) planExactCold(ctx context.Context, key Key, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
-	if err := s.tooTight(ctx); err != nil {
-		return nil, err
-	}
-	return s.cache.getOrCompute(ctx, key, func(fctx context.Context) ([]byte, error) {
-		return s.gated(fctx, func(fctx context.Context) ([]byte, error) {
-			first, err := analytic.Optimal(kind, costs, rates)
-			if err != nil {
-				return nil, err
-			}
-			ev, err := analytic.NewEvaluator(costs, rates)
-			if err != nil {
-				return nil, err
-			}
-			plan, err := optimize.ExactWithEvaluatorCtx(fctx, ev, first)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResponse(PlanResponse{
-				Kind:     plan.Kind.String(),
-				Exact:    true,
-				N:        plan.N,
-				M:        plan.M,
-				W:        plan.W,
-				Overhead: plan.Overhead,
-			})
-		})
-	})
+	return s.planMiss(ctx, key, planRequest{mode: ModePlanExact, kind: kind, costs: costs, rates: rates})
 }
 
 // gated runs one cold-plan computation through the admission gate:
