@@ -402,7 +402,8 @@ func (d *digester) pattern(p core.Pattern) {
 }
 
 // digestAblation hashes the first-order against exact-model comparison
-// of every Table 2 platform and family.
+// of every Table 2 platform and family, with the exact plan's pattern
+// laid out at the platform's recall.
 func digestAblation(t *testing.T) string {
 	rows, err := harness.Ablation(platform.Table2(), core.Kinds(), 2)
 	if err != nil {
@@ -415,7 +416,15 @@ func digestAblation(t *testing.T) string {
 		d.put(r.Platform, c.Kind, f.Kind, f.N, f.M, f.RationalN, f.RationalM, f.W, f.Overhead)
 		d.pattern(f.Pattern)
 		d.put(e.Kind, e.N, e.M, e.W, e.Overhead)
-		d.pattern(e.Pattern)
+		plat, err := platform.ByName(r.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat, err := core.Layout(e.Kind, e.W, e.N, e.M, plat.Costs.Recall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.pattern(pat)
 		d.put(c.FirstOrderExactOverhead, c.Regret)
 	}
 	return d.sum()

@@ -90,10 +90,14 @@ func planShapeFor(cfg *Config, s planShape) (jobPlan, error) {
 		if err != nil {
 			return jobPlan{}, err
 		}
+		pattern, err := core.Layout(exact.Kind, exact.W, exact.N, exact.M, plat.Costs.Recall)
+		if err != nil {
+			return jobPlan{}, err
+		}
 		return jobPlan{
 			mode: s.mode, nodes: s.nodes,
 			w: exact.W, predicted: exact.Overhead, desc: exact.String(),
-			pattern: exact.Pattern, costs: plat.Costs, rates: plat.Rates,
+			pattern: pattern, costs: plat.Costs, rates: plat.Rates,
 		}, nil
 	case ModeTwoLevel, ModeMultilevel:
 		levels := 2

@@ -11,11 +11,11 @@ import (
 )
 
 // exactPlanAllocs budgets a cold exact plan's allocations, averaged
-// over BenchmarkExactPlanMix's seeded mix. A plan measures 14.5 allocs
-// on average: the evaluator, the search's leaf memo and the returned
-// pattern (a chunk slice per segment). The budget sits at about twice
-// that count; allocation counts do not depend on the machine.
-const exactPlanAllocs = 30
+// over BenchmarkExactPlanMix's seeded mix. A plan measures 3.5 allocs
+// on average: the evaluator and the search's leaf memo, a map that
+// grows with the leaves the search visits. The budget sits at about
+// twice that count; allocation counts do not depend on the machine.
+const exactPlanAllocs = 7
 
 // exactPlanMix returns BenchmarkExactPlanMix's configurations: 16
 // Table 2 platforms drawn at random with both error rates and the disk

@@ -22,8 +22,8 @@ type ExactPlan struct {
 	// W is the work length minimising the exact expected overhead.
 	W float64
 	// Overhead is the exact expected overhead E(P)/W - 1 at the optimum.
+	// A caller that needs the pattern lays it out with core.Layout.
 	Overhead float64
-	Pattern  core.Pattern
 }
 
 // String renders the plan compactly.
@@ -124,7 +124,7 @@ const maxNProbes = 43
 // exactSearch is exactFrom over a given leaf search, so tests can run
 // the same (n, m) walk with an oracle leaf.
 func exactSearch(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan, leaf leafSearch) (ExactPlan, error) {
-	k, c := first.Kind, ev.Costs()
+	k := first.Kind
 	maxN, maxM := 1, 1
 	if k.MultiSegment() {
 		maxN = min(3*first.N+4, analytic.MaxSplit)
@@ -195,11 +195,7 @@ func exactSearch(ctx context.Context, ev *analytic.Evaluator, first analytic.Pla
 	if err := ctx.Err(); err != nil {
 		return ExactPlan{}, err
 	}
-	pat, err := core.Layout(k, best.w, n, m, c.Recall)
-	if err != nil {
-		return ExactPlan{}, err
-	}
-	return ExactPlan{Kind: k, N: n, M: m, W: best.w, Overhead: best.h, Pattern: pat}, nil
+	return ExactPlan{Kind: k, N: n, M: m, W: best.w, Overhead: best.h}, nil
 }
 
 // Comparison quantifies the gap between the first-order plan and the
