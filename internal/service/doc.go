@@ -19,6 +19,16 @@
 // admission gate's ColdWorkers is the only limit on concurrent cold
 // plans.
 //
+// The three plan routes (/v1/plan, /v1/plan/exact, /v1/plan/multilevel)
+// are one pipeline, parameterised by Mode: decode, canonical key, one
+// cache lookup, owning peer, one miss path, and in degraded mode one
+// fallback step. On the miss path a first-order plan computes ungated,
+// an exact or multilevel plan passes the too-tight check and the
+// admission gate, and all three coalesce on their key. The modes
+// differ only in body shape, planner call and response type. The
+// exported Plan, PlanExact and PlanMultilevel methods look their key
+// up inline and share the miss path.
+//
 // The cache is a pure memo: a cached response is byte-identical to what
 // a cold computation would produce (asserted by tests; see DESIGN.md
 // §3). Batch requests fan out over the bounded worker discipline of

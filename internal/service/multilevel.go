@@ -58,10 +58,12 @@ func (s *Service) PlanMultilevel(p multilevel.Params) ([]byte, error) {
 }
 
 // PlanMultilevelCtx is PlanMultilevel under a request context. Cache
-// hits bypass the admission gate unconditionally; the cold multilevel
-// search (the most expensive computation the service runs) is admitted
-// through the bounded cold-plan gate and cancelled when every
-// interested request abandons.
+// hits bypass the admission gate unconditionally. A miss takes the
+// miss path of the plan routes: the cold multilevel search (the most
+// expensive computation the service runs) is admitted through the
+// bounded cold-plan gate and cancelled when every interested request
+// abandons. A shed or too-tight plan returns its error; only the HTTP
+// route falls back to DegradedPlanMultilevel.
 func (s *Service) PlanMultilevelCtx(ctx context.Context, p multilevel.Params) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -77,11 +79,12 @@ func (s *Service) PlanMultilevelCtx(ctx context.Context, p multilevel.Params) ([
 }
 
 // DegradedPlanMultilevel is the graceful-degradation fallback of
-// PlanMultilevel: the first-order seed plan (multilevel.FirstOrderPlan)
-// evaluated once under the exact model, so the response carries its
-// real predicted overhead plus the delta against the first-order
-// estimate. No search, no gate, deterministic and byte-stable across
-// repeats; never cached.
+// PlanMultilevel, which /v1/plan/multilevel serves in degraded mode
+// for a shed or too-tight plan: the first-order seed plan
+// (multilevel.FirstOrderPlan) evaluated once under the exact model, so
+// the response carries its real predicted overhead plus the delta
+// against the first-order estimate. No search, no gate, deterministic
+// and byte-stable across repeats; never cached.
 func (s *Service) DegradedPlanMultilevel(p multilevel.Params) ([]byte, error) {
 	plan, err := multilevel.FirstOrderPlan(p)
 	if err != nil {

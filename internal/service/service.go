@@ -176,7 +176,10 @@ func (s *Service) Plan(kind core.Kind, costs core.Costs, rates core.Rates) ([]by
 }
 
 // PlanCtx is Plan under a request context; a caller that abandons
-// (ctx done) stops waiting for a coalesced computation.
+// (ctx done) stops waiting for a coalesced computation. Like
+// PlanExactCtx and PlanMultilevelCtx, it looks its key up inline, so a
+// hit pays for no further call, and on a miss takes the miss path of
+// the plan routes: its bytes are those /v1/plan serves.
 func (s *Service) PlanCtx(ctx context.Context, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
 	if !kind.Valid() {
 		return nil, fmt.Errorf("service: invalid pattern kind %d", int(kind))
@@ -235,9 +238,10 @@ func (s *Service) planMiss(ctx context.Context, key Key, q planRequest) ([]byte,
 }
 
 // gatedPlan is an exact or multilevel plan's computation: the
-// request's planner behind s's admission gate. Its method value, unlike
-// a closure over a planRequest, copies the request into the one
-// allocation the flight's compute function needs.
+// request's planner behind s's admission gate. Its method value copies
+// the request into the flight's one compute allocation; a closure
+// would capture the request, too large for Go to capture by value,
+// through a second one.
 type gatedPlan struct {
 	s *Service
 	q planRequest
@@ -310,9 +314,12 @@ func (s *Service) PlanExact(kind core.Kind, costs core.Costs, rates core.Rates) 
 }
 
 // PlanExactCtx is PlanExact under a request context. Cache hits bypass
-// the admission gate unconditionally; a cold computation is admitted
-// through the bounded cold-plan gate (ErrShed when its queue is full)
-// and cancelled when every interested request abandons.
+// the admission gate unconditionally. A miss takes the miss path of
+// the plan routes: the cold computation is admitted through the
+// bounded cold-plan gate (ErrShed when its queue is full) and
+// cancelled when every interested request abandons. A shed or
+// too-tight plan returns its error; only the HTTP route falls back to
+// DegradedPlanExact.
 func (s *Service) PlanExactCtx(ctx context.Context, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
 	if !kind.Valid() {
 		return nil, fmt.Errorf("service: invalid pattern kind %d", int(kind))
@@ -389,10 +396,12 @@ func (s *Service) tooTight(ctx context.Context) error {
 	return nil
 }
 
-// DegradedPlanExact is the graceful-degradation fallback of PlanExact:
-// the first-order Table 1 plan (the exact search's seed), evaluated
-// once under the exact model so the response carries both its real
-// predicted overhead and the delta against the first-order estimate.
+// DegradedPlanExact is the graceful-degradation fallback of PlanExact,
+// which /v1/plan/exact serves in degraded mode for a shed or too-tight
+// plan: the first-order Table 1 plan (the exact search's seed),
+// evaluated once under the exact model so the response carries both
+// its real predicted overhead and the delta against the first-order
+// estimate.
 // Pure closed-form arithmetic plus one renewal evaluation — no search,
 // no gate, deterministic and byte-stable across repeats. Degraded
 // responses are never cached: a later healthy request for the same
