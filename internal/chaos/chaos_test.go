@@ -514,7 +514,7 @@ func TestDegradedTraceOutcomes(t *testing.T) {
 			h.ServeHTTP(rec, exactRequest(100+i))
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitSaturated(t, h)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, exactRequest(0))
