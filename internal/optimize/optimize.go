@@ -15,14 +15,15 @@ import (
 	"respat/internal/xmath"
 )
 
-// ExactPlan is the outcome of exact-model optimisation.
+// ExactPlan is the outcome of exact-model optimisation. It carries no
+// pattern: a caller that needs one lays it out with core.Layout at the
+// plan's family, W, n and m and the costs' recall.
 type ExactPlan struct {
 	Kind core.Kind
 	N, M int
 	// W is the work length minimising the exact expected overhead.
 	W float64
 	// Overhead is the exact expected overhead E(P)/W - 1 at the optimum.
-	// A caller that needs the pattern lays it out with core.Layout.
 	Overhead float64
 }
 
