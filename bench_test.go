@@ -340,7 +340,7 @@ func BenchmarkMultilevelEvaluator(b *testing.B) {
 
 // BenchmarkServiceMultilevelHot measures the multilevel endpoint's
 // cache-hit path — canonical level-vector key encoding plus the
-// sharded LRU lookup. The contract extends DESIGN.md §2.4 to the new
+// sharded cache lookup. The contract extends DESIGN.md §2.4 to the new
 // pattern family: 0 allocs/op (gated in CI by
 // TestMultilevelHotPathZeroAlloc).
 func BenchmarkServiceMultilevelHot(b *testing.B) {
@@ -503,7 +503,7 @@ func BenchmarkFleetSmall(b *testing.B) {
 }
 
 // BenchmarkServicePlanHot measures the planning service's cache-hit
-// path — canonical key encoding plus the sharded LRU lookup — for an
+// path — canonical key encoding plus the sharded cache lookup — for an
 // exact-model plan that is already cached, with tracing compiled in
 // and sampling enabled exactly as respatd runs it. Each iteration pays
 // the full per-request trace lifecycle (Start → traced lookup →
@@ -548,9 +548,8 @@ func BenchmarkServiceHTTPPlanHit(b *testing.B) {
 
 // httpPlanHitAllocs bounds the allocations of a cache hit through the
 // HTTP handler: the body limit's reader, the request body's buffer, the
-// decoded kind string or level slice, the Content-Type header value and
-// the response's trailing newline.
-const httpPlanHitAllocs = 5
+// decoded kind string or level slice and the Content-Type header value.
+const httpPlanHitAllocs = 4
 
 // TestHTTPPlanHitAllocs is the CI guard on a cache hit through the HTTP
 // handler: on each plan route it allocates at most httpPlanHitAllocs

@@ -1,7 +1,7 @@
 // Command respatd serves resilience-pattern planning over HTTP: the
 // Table 1 first-order planner, the exact-model planner, the multilevel
 // hierarchy planner and the exact expected-time evaluator, behind a
-// sharded LRU plan cache with request coalescing (see internal/service
+// sharded SIEVE plan cache with request coalescing (see internal/service
 // and DESIGN.md §2.4).
 //
 // Usage:

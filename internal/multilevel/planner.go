@@ -586,11 +586,11 @@ func optimizeW(ev *Evaluator, counts []int, m int) wEval {
 // over [W*/100, 100·W*] at a tolerance of 1e-4 of the first-order
 // guess. MinimizeGolden takes that tolerance as relative, so for
 // W* ≳ 10⁴ s the search stops before its first step and the screen is
-// the overhead at ~50·W*: screening is inert, and no survivor refines.
-// That is ROADMAP item 1's defect; a different screen search changes
-// which candidates refine, so it belongs to that change. Refined
-// candidates rerun through optimizeW at full precision, so screening
-// never touches the returned Plan's bits.
+// the overhead at ~50·W*, one exact probe: screening is inert, and no
+// survivor refines. That is ROADMAP item 1's defect; a different
+// screen search changes which candidates refine, so it belongs to that
+// change. Refined candidates rerun through optimizeW at full
+// precision, so screening never touches the returned Plan's bits.
 func screenW(ev *Evaluator, counts []int, m int) wEval {
 	p := ev.Params()
 	oef, orw := p.FirstOrder(counts, m)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func workerCounts() []int { return []int{0, 1, 2, 3, 16, runtime.GOMAXPROCS(0)} }
@@ -233,13 +234,14 @@ func TestRunCellsCtxNoGoroutineLeak(t *testing.T) {
 			return nil
 		})
 	}
-	// The waitgroup joins workers before return, but give the runtime a
-	// moment to retire exiting goroutines before comparing.
-	for tries := 0; tries < 100; tries++ {
-		if runtime.NumGoroutine() <= before {
-			return
+	// The waitgroup joins workers before return, but a worker may still
+	// be exiting after its Done; on a loaded machine that takes longer
+	// than a few yields, so poll against a wall-clock deadline.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d after 20 campaigns", before, runtime.NumGoroutine())
 		}
-		runtime.Gosched()
+		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("goroutines grew from %d to %d after 20 campaigns", before, runtime.NumGoroutine())
 }

@@ -1,38 +1,47 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
 	"respat/internal/obs"
 )
 
-// cache is the sharded LRU plan cache with singleflight request
-// coalescing. Values are fully marshalled JSON response bodies, so a
-// cache hit serves exactly the bytes a cold computation produced (the
-// cache is a pure memo; see DESIGN.md §3). Sharding splits the lock so
-// unrelated configurations do not contend; a shard's lock guards only
-// its LRU and in-flight map, never a computation.
+// cache is the sharded plan cache with SIEVE eviction and singleflight
+// request coalescing. Values are fully marshalled JSON response bodies,
+// so a cache hit serves exactly the bytes a cold computation produced
+// (the cache is a pure memo; see DESIGN.md §3). Sharding splits the
+// lock so unrelated configurations do not contend; a shard's lock
+// guards only its entries and in-flight map, never a computation.
 type cache struct {
 	shards []shard
 	mask   uint64 // len(shards) - 1; len is a power of two
 	m      *Metrics
 }
 
-// shard is one lock domain of the cache.
+// shard is one lock domain of the cache. Its entries form a FIFO queue
+// evicted by SIEVE (Zhang et al., NSDI 2024): a hit only marks its
+// entry visited, and eviction sweeps a hand toward the newest entry,
+// wrapping to the oldest, clearing marks until it finds an unmarked
+// entry.
 type shard struct {
 	mu       sync.Mutex
-	entries  map[Key]*list.Element // key -> element whose Value is *entry
-	lru      *list.List            // front = most recently used
-	capacity int                   // max entries; > 0
+	entries  map[Key]*entry
+	newest   *entry // front of the FIFO
+	oldest   *entry // back of the FIFO
+	hand     *entry // next entry the sweep examines; nil = oldest
+	capacity int    // max entries; > 0
 	inflight map[Key]*flight
 }
 
-// entry is one cached response.
+// entry is one cached response and its place in its shard's FIFO. It
+// carries its own links, so an insert allocates once.
 type entry struct {
-	key  Key
-	resp []byte
+	key     Key
+	resp    []byte
+	visited bool   // hit since the sweep last passed it
+	newer   *entry // toward the front; nil at the newest
+	older   *entry // toward the back; nil at the oldest
 }
 
 // flight is one in-progress computation that concurrent requests for
@@ -65,8 +74,7 @@ func newCache(shardCount, capacity int, m *Metrics) *cache {
 	}
 	c := &cache{shards: make([]shard, n), mask: uint64(n - 1), m: m}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*list.Element)
-		c.shards[i].lru = list.New()
+		c.shards[i].entries = make(map[Key]*entry)
 		c.shards[i].capacity = perShard
 		c.shards[i].inflight = make(map[Key]*flight)
 	}
@@ -91,14 +99,14 @@ func (c *cache) len() int {
 	return n
 }
 
-// get returns the cached response for key, refreshing its LRU position.
-// It is the allocation-free hot path: one map lookup plus a list splice.
+// get returns the cached response for key, marking it visited. It is
+// the allocation-free hot path: one map lookup and one store.
 func (c *cache) get(key Key) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		resp := el.Value.(*entry).resp
+	if e, ok := s.entries[key]; ok {
+		e.visited = true
+		resp := e.resp
 		s.mu.Unlock()
 		c.m.Hits.Add(1)
 		return resp, true
@@ -110,7 +118,7 @@ func (c *cache) get(key Key) ([]byte, bool) {
 // getOrCompute returns the cached response for key, coalescing
 // concurrent misses: among racing requests for the same key exactly one
 // starts compute (in a flight-owned goroutine); the rest wait for its
-// result. A successful result is inserted into the LRU before the
+// result. A successful result is inserted into the cache before the
 // waiters are released; errors — including cancellations — are never
 // cached. Every waiter waits under its own ctx: a request whose
 // deadline expires abandons the flight (returning ctx.Err()) without
@@ -121,9 +129,9 @@ func (c *cache) getOrCompute(ctx context.Context, key Key, compute func(context.
 	s := c.shard(key)
 	for {
 		s.mu.Lock()
-		if el, ok := s.entries[key]; ok {
-			s.lru.MoveToFront(el)
-			resp := el.Value.(*entry).resp
+		if e, ok := s.entries[key]; ok {
+			e.visited = true
+			resp := e.resp
 			s.mu.Unlock()
 			c.m.Hits.Add(1)
 			return resp, nil
@@ -195,25 +203,58 @@ func (f *flight) wait(ctx context.Context, s *shard) ([]byte, error) {
 	}
 }
 
-// insertLocked adds a response under s.mu, evicting least recently used
-// entries while the shard is over capacity, and reports how many were
-// evicted.
+// insertLocked adds a response under s.mu as the newest entry, first
+// evicting one entry by SIEVE if the shard is full, and reports how
+// many were evicted.
 func (s *shard) insertLocked(key Key, resp []byte) int {
-	if el, ok := s.entries[key]; ok {
+	if e, ok := s.entries[key]; ok {
 		// Unreachable today (inflight serialises inserts per key) but
-		// kept so a future writer cannot corrupt the LRU by double
+		// kept so a future writer cannot corrupt the queue by double
 		// insertion: refresh instead.
-		el.Value.(*entry).resp = resp
-		s.lru.MoveToFront(el)
+		e.resp, e.visited = resp, true
 		return 0
 	}
-	s.entries[key] = s.lru.PushFront(&entry{key: key, resp: resp})
 	var evicted int
-	for s.lru.Len() > s.capacity {
-		tail := s.lru.Back()
-		s.lru.Remove(tail)
-		delete(s.entries, tail.Value.(*entry).key)
+	if len(s.entries) >= s.capacity {
+		s.evictLocked()
 		evicted++
 	}
+	e := &entry{key: key, resp: resp, older: s.newest}
+	if s.newest != nil {
+		s.newest.newer = e
+	} else {
+		s.oldest = e
+	}
+	s.newest = e
+	s.entries[key] = e
 	return evicted
+}
+
+// evictLocked removes one entry under s.mu: the hand walks from where
+// it stopped toward the newest entry, wrapping to the oldest, clears
+// each visited mark it passes and evicts the first unmarked entry. The
+// hand then rests on the next newer entry.
+func (s *shard) evictLocked() {
+	e := s.hand
+	if e == nil {
+		e = s.oldest
+	}
+	for e.visited {
+		e.visited = false
+		if e = e.newer; e == nil {
+			e = s.oldest
+		}
+	}
+	s.hand = e.newer
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		s.newest = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		s.oldest = e.newer
+	}
+	delete(s.entries, e.key)
 }

@@ -2,9 +2,12 @@ package service
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,9 +119,10 @@ func TestScatteredKeysComputeOncePerKey(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: a full shard evicts its least recently used entry,
-// bounded capacity holds, and an evicted key is recomputed on return.
-func TestLRUEviction(t *testing.T) {
+// TestSieveEviction: a full shard evicts an entry no hit has marked
+// since the sweep last passed it, bounded capacity holds, and an
+// evicted key is recomputed on return.
+func TestSieveEviction(t *testing.T) {
 	var m Metrics
 	c := newCache(1, 4, &m) // one shard, capacity 4
 	var computes atomic.Int32
@@ -150,8 +154,9 @@ func TestLRUEviction(t *testing.T) {
 	if computes.Load() != before+1 {
 		t.Fatal("evicted key was not recomputed")
 	}
-	// Recency, not insertion order, decides the victim: touching key 7
-	// then inserting two fresh keys must keep 7 resident.
+	// A hit, not insertion order, decides the victim: touching key 7,
+	// now the oldest, then inserting two fresh keys must keep 7
+	// resident.
 	get(7)
 	get(100)
 	get(101)
@@ -159,6 +164,152 @@ func TestLRUEviction(t *testing.T) {
 	get(7)
 	if computes.Load() != before {
 		t.Fatal("recently used key was evicted")
+	}
+}
+
+// sieveModel is a slice-backed SIEVE over int keys: queue holds the
+// keys oldest first, visited their marks, and hand the index the next
+// sweep starts from.
+type sieveModel struct {
+	capacity int
+	queue    []int
+	visited  []bool
+	hand     int
+}
+
+// access requests k and reports whether it hit and the key it evicted
+// (-1 for none).
+func (m *sieveModel) access(k int) (hit bool, evicted int) {
+	if i := slices.Index(m.queue, k); i >= 0 {
+		m.visited[i] = true
+		return true, -1
+	}
+	evicted = -1
+	if len(m.queue) == m.capacity {
+		i := m.hand
+		for m.visited[i] {
+			m.visited[i] = false
+			i = (i + 1) % len(m.queue)
+		}
+		evicted = m.queue[i]
+		m.queue = slices.Delete(m.queue, i, i+1)
+		m.visited = slices.Delete(m.visited, i, i+1)
+		m.hand = i % max(len(m.queue), 1)
+	}
+	m.queue = append(m.queue, k)
+	m.visited = append(m.visited, false)
+	return false, evicted
+}
+
+// TestSieveMatchesModel replays seeded random access sequences on one
+// shard, through both the plain lookup and the coalescing path, and
+// requires the model's hit, eviction and queue (keys oldest first)
+// after every step.
+func TestSieveMatchesModel(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 24))
+		capacity := 1 + rng.IntN(8)
+		keys := capacity + 1 + rng.IntN(3*capacity)
+		index := make(map[Key]int, keys)
+		for k := 0; k < keys; k++ {
+			index[testKey(k)] = k
+		}
+		var m Metrics
+		c := newCache(1, capacity, &m)
+		model := &sieveModel{capacity: capacity}
+		resp := []byte(`{}`)
+		for step := 0; step < 2000; step++ {
+			// Skew the draw so some keys come back while still resident.
+			k := rng.IntN(1 + rng.IntN(keys))
+			hits, evictions := m.Hits.Load(), m.Evictions.Load()
+			if _, ok := c.get(testKey(k)); !ok || rng.IntN(2) == 0 {
+				if _, err := c.getOrCompute(context.Background(), testKey(k), func(context.Context) ([]byte, error) {
+					return resp, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantHit, evicted := model.access(k)
+			if hit := m.Hits.Load() > hits; hit != wantHit {
+				t.Fatalf("seed %d step %d key %d: hit %v, model %v", seed, step, k, hit, wantHit)
+			}
+			if ev, want := m.Evictions.Load()-evictions, int64(min(evicted+1, 1)); ev != want {
+				t.Fatalf("seed %d step %d key %d: %d evictions, model evicted key %d", seed, step, k, ev, evicted)
+			}
+			var queue []int
+			for e := c.shards[0].oldest; e != nil; e = e.newer {
+				queue = append(queue, index[e.key])
+			}
+			if !slices.Equal(queue, model.queue) {
+				t.Fatalf("seed %d step %d key %d: queue %v, model %v", seed, step, k, queue, model.queue)
+			}
+		}
+	}
+}
+
+// lruShard is one shard of the least-recently-used policy the cache
+// kept before SIEVE, as a model: front is the most recently used.
+type lruShard struct {
+	pos   map[int]*list.Element
+	order *list.List
+}
+
+// access requests k and reports whether it hit.
+func (s *lruShard) access(k, capacity int) bool {
+	if el, ok := s.pos[k]; ok {
+		s.order.MoveToFront(el)
+		return true
+	}
+	s.pos[k] = s.order.PushFront(k)
+	if s.order.Len() > capacity {
+		back := s.order.Back()
+		s.order.Remove(back)
+		delete(s.pos, back.Value.(int))
+	}
+	return false
+}
+
+// TestSieveMissesFewerThanLRU replays a seeded Zipf(1.1) sequence over
+// 100,000 keys, the benchmark's zipf-tail shape, through the service's
+// default cache (4,096 entries in 16 shards): after 20,000 warm-up
+// requests, SIEVE must miss fewer of the next 200,000 than LRU over the
+// same shards.
+func TestSieveMissesFewerThanLRU(t *testing.T) {
+	const (
+		shards, capacity = 16, 4096
+		keys             = 100_000
+		warmup, timed    = 20_000, 200_000
+	)
+	var m Metrics
+	c := newCache(shards, capacity, &m)
+	lru := make([]lruShard, shards)
+	for i := range lru {
+		lru[i] = lruShard{pos: make(map[int]*list.Element), order: list.New()}
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewPCG(1, 24)), 1.1, 1, keys-1)
+	resp := []byte(`{}`)
+	var sieveBase int64
+	var lruMisses int
+	for i := 0; i < warmup+timed; i++ {
+		if i == warmup {
+			sieveBase = m.Misses.Load()
+		}
+		k := int(zipf.Uint64())
+		key := testKey(k)
+		if _, err := c.getOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
+			return resp, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !lru[key.hash()&(shards-1)].access(k, capacity/shards) && i >= warmup {
+			lruMisses++
+		}
+	}
+	sieveMisses := m.Misses.Load() - sieveBase
+	t.Logf("misses over %d requests: SIEVE %d (%.1f%%), LRU %d (%.1f%%)",
+		timed, sieveMisses, 100*float64(sieveMisses)/timed, lruMisses, 100*float64(lruMisses)/timed)
+	if sieveMisses >= int64(lruMisses) {
+		t.Fatalf("SIEVE missed %d times, LRU %d", sieveMisses, lruMisses)
 	}
 }
 

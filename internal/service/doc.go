@@ -7,10 +7,11 @@
 //
 // Two mechanisms make the hot path cheap:
 //
-//   - a sharded LRU cache of fully marshalled responses, keyed by a
-//     canonical fixed-width binary encoding of (family, Costs, Rates)
-//     (see Key) — a hit is one map lookup plus an LRU splice, with no
-//     allocation and no float formatting;
+//   - a sharded cache of fully marshalled responses with SIEVE
+//     eviction, keyed by a canonical fixed-width binary encoding of
+//     (family, Costs, Rates) (see Key) — a hit is one map lookup plus
+//     setting the entry's visited bit, with no allocation and no float
+//     formatting;
 //   - singleflight request coalescing — concurrent misses on the same
 //     key run the computation once and share the result.
 //

@@ -540,9 +540,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBytes(w, status, b)
 }
 
+// newline ends every response body. It is a package-level slice because
+// a []byte("\n") literal escapes through Write and allocates each time.
+var newline = []byte{'\n'}
+
 func writeBytes(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-	w.Write([]byte("\n"))
+	w.Write(newline)
 }

@@ -12,14 +12,14 @@ import (
 // never takes a lock.
 type Metrics struct {
 	// Cache outcome counters. A request for a cacheable operation
-	// increments exactly one of the three: Hits (served from the LRU),
+	// increments exactly one of the three: Hits (served from the cache),
 	// Misses (this request ran the computation) or Coalesced (attached
 	// to another request's in-flight computation). Computations
 	// performed therefore equal Misses.
 	Hits      atomic.Int64
 	Misses    atomic.Int64
 	Coalesced atomic.Int64
-	// Evictions counts LRU entries displaced by inserts into full
+	// Evictions counts cache entries displaced by inserts into full
 	// shards.
 	Evictions atomic.Int64
 	// InFlight is the number of HTTP requests currently being served.

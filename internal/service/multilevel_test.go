@@ -259,7 +259,7 @@ func TestMultilevelMetricsLabelled(t *testing.T) {
 
 // TestMultilevelHotPathZeroAlloc is the CI gate preserving the PR 2
 // contract on the new endpoint: a multilevel plan cache hit — key
-// encoding plus the sharded LRU lookup — performs zero allocations.
+// encoding plus the sharded cache lookup — performs zero allocations.
 func TestMultilevelHotPathZeroAlloc(t *testing.T) {
 	hera, err := platform.ByName("Hera")
 	if err != nil {

@@ -43,7 +43,7 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	p.Counter("respat_cache_hits_total", "Requests served from the plan cache.", float64(m.Hits.Load()))
 	p.Counter("respat_cache_misses_total", "Requests that ran a cold computation.", float64(m.Misses.Load()))
 	p.Counter("respat_cache_coalesced_total", "Requests coalesced onto an in-flight computation.", float64(m.Coalesced.Load()))
-	p.Counter("respat_cache_evictions_total", "LRU entries displaced by inserts.", float64(m.Evictions.Load()))
+	p.Counter("respat_cache_evictions_total", "Cache entries displaced by inserts.", float64(m.Evictions.Load()))
 	p.Gauge("respat_cache_entries", "Plans currently cached.", float64(s.cache.len()))
 
 	// Admission / overload.

@@ -60,13 +60,19 @@ const invPhi = 0.6180339887498949 // (sqrt(5)-1)/2
 // MinimizeGolden minimises the unimodal function f on [a, b] by
 // golden-section search, stopping when the bracket is narrower than tol
 // (relative to the bracket magnitude, with an absolute floor).
-// It returns the abscissa and the value of the minimum.
+// It returns the abscissa and the value of the minimum: the bracket's
+// midpoint, so a bracket that already meets the tolerance (or holds a
+// NaN) costs f one probe.
 func MinimizeGolden(f func(float64) float64, a, b, tol float64) (x, fx float64) {
 	if b < a {
 		a, b = b, a
 	}
 	if tol <= 0 {
 		tol = 1e-10
+	}
+	if !(b-a > tol*(math.Abs(a)+math.Abs(b)+1)) {
+		x = (a + b) / 2
+		return x, f(x)
 	}
 	c := b - invPhi*(b-a)
 	d := a + invPhi*(b-a)

@@ -117,6 +117,120 @@ func TestMinimizeGoldenRandomQuadratics(t *testing.T) {
 	}
 }
 
+// goldenOracle is MinimizeGolden as it was before it tested its
+// stopping rule ahead of its interior probes: it always probes both
+// interior points first, so a bracket that already meets the tolerance
+// costs three probes where the midpoint alone is returned.
+func goldenOracle(f func(float64) float64, a, b, tol float64) (x, fx float64) {
+	if b < a {
+		a, b = b, a
+	}
+	if tol <= 0 {
+		tol = 1e-10
+	}
+	c := b - invPhi*(b-a)
+	d := a + invPhi*(b-a)
+	fc, fd := f(c), f(d)
+	for b-a > tol*(math.Abs(a)+math.Abs(b)+1) {
+		if fc < fd {
+			b, d, fd = d, c, fc
+			c = b - invPhi*(b-a)
+			fc = f(c)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + invPhi*(b-a)
+			fd = f(d)
+		}
+	}
+	x = (a + b) / 2
+	return x, f(x)
+}
+
+// goldenCase is one MinimizeGolden input.
+type goldenCase struct {
+	name string
+	f    func(float64) float64
+	a, b float64
+	tol  float64
+	met  bool // the bracket already meets the tolerance
+}
+
+// goldenCases returns seeded inputs on both sides of the stopping rule:
+// quadratics over random brackets at tolerances from the default to
+// wider than the bracket, the exact-overhead shape (e^{λ(W+C)} − 1)/(λW)
+// − 1 over screenW's [W*/100, 100·W*] at its tolerance W*·1e-4 for W*
+// from 10² to 10⁶ s (it stops at once from W* ≈ 10⁴ s on), NaN
+// brackets, tolerances and values, and reversed bounds.
+func goldenCases() []goldenCase {
+	rng := rand.New(rand.NewPCG(24, 1))
+	var cases []goldenCase
+	add := func(name string, f func(float64) float64, a, b, tol float64) {
+		lo, hi, rtol := math.Min(a, b), math.Max(a, b), tol
+		if rtol <= 0 {
+			rtol = 1e-10
+		}
+		met := !(hi-lo > rtol*(math.Abs(lo)+math.Abs(hi)+1))
+		cases = append(cases, goldenCase{name, f, a, b, tol, met})
+	}
+	for i := 0; i < 400; i++ {
+		k := math.Exp(rng.Float64()*4 - 2)
+		c0 := rng.Float64()*200 - 100
+		off := rng.Float64()*2 - 1
+		f := func(x float64) float64 { return k*(x-c0)*(x-c0) + off }
+		lo, hi := c0-math.Exp(rng.Float64()*8-4), c0+math.Exp(rng.Float64()*8-4)
+		tol := []float64{0, -1, 1e-12, 1e-6, 1e-3, 0.1, 1, 10, 1e3}[i%9]
+		name := fmt.Sprintf("%v(x-%v)²+%v", k, c0, off)
+		add(name, f, lo, hi, tol)
+		add(name+" reversed", f, hi, lo, tol)
+	}
+	for i := 0; i < 400; i++ {
+		ws := math.Pow(10, 2+4*float64(i)/399)
+		lw := math.Exp(rng.Float64()*math.Log(50)) / 100 // λ·W* in [0.01, 0.5]
+		lambda := lw / ws
+		ckpt := ws * lw / 2 // W* = √(2C/λ)
+		f := func(w float64) float64 { return math.Expm1(lambda*(w+ckpt))/(lambda*w) - 1 }
+		add(fmt.Sprintf("screen W*=%v λ=%v", ws, lambda), f, ws/100, ws*100, ws*1e-4)
+	}
+	nan := math.NaN()
+	sq := func(x float64) float64 { return (x - 1) * (x - 1) }
+	add("NaN low bound", sq, nan, 4, 1e-8)
+	add("NaN high bound", sq, -4, nan, 1e-8)
+	add("NaN tolerance", sq, -4, 4, nan)
+	add("NaN values", func(float64) float64 { return nan }, -4, 4, 1e-8)
+	add("NaN values, wide tolerance", func(float64) float64 { return nan }, -4, 4, 10)
+	add("empty bracket", sq, 3, 3, 1e-8)
+	return cases
+}
+
+// TestMinimizeGoldenOracleParity: MinimizeGolden returns the oracle's
+// (x, f(x)) bits on every case, probes f once when the bracket already
+// meets the tolerance, and otherwise probes it as often as the oracle.
+func TestMinimizeGoldenOracleParity(t *testing.T) {
+	var stopped, searched int
+	for _, c := range goldenCases() {
+		var got, want int
+		x, fx := MinimizeGolden(func(x float64) float64 { got++; return c.f(x) }, c.a, c.b, c.tol)
+		ox, ofx := goldenOracle(func(x float64) float64 { want++; return c.f(x) }, c.a, c.b, c.tol)
+		label := fmt.Sprintf("%s on [%v, %v] at tol %v", c.name, c.a, c.b, c.tol)
+		if math.Float64bits(x) != math.Float64bits(ox) || math.Float64bits(fx) != math.Float64bits(ofx) {
+			t.Fatalf("%s: (%v, %v), oracle (%v, %v)", label, x, fx, ox, ofx)
+		}
+		if c.met {
+			stopped++
+			want = 1
+		} else {
+			searched++
+		}
+		if got != want {
+			t.Fatalf("%s: %d probes, want %d", label, got, want)
+		}
+	}
+	if stopped == 0 || searched == 0 {
+		t.Fatalf("cases fall on one side of the stopping rule: %d stopped at once, %d searched", stopped, searched)
+	}
+	t.Logf("%d cases stopped at once, %d searched", stopped, searched)
+}
+
 func TestMinimizeConvexInt(t *testing.T) {
 	f := func(k int) float64 { d := float64(k) - 17.3; return d * d }
 	k, fk := MinimizeConvexInt(f, 1, 1000)

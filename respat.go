@@ -208,7 +208,7 @@ func NewAdaptiveController(s *AdaptiveSession) *AdaptiveController { return adap
 // servers (mount Service.Handler() under a route of choice).
 type (
 	// Service plans, evaluates and compares patterns behind a sharded
-	// LRU plan cache with request coalescing; safe for concurrent use.
+	// SIEVE plan cache with request coalescing; safe for concurrent use.
 	Service = service.Service
 	// ServiceConfig sizes the service (cache shards and capacity,
 	// batch-request parallelism). The zero value gets sane defaults.
