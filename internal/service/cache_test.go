@@ -177,21 +177,20 @@ type sieveModel struct {
 	hand     int
 }
 
-// access requests k and reports whether it hit and the key it evicted
-// (-1 for none).
-func (m *sieveModel) access(k int) (hit bool, evicted int) {
+// access requests k and reports whether it hit and whether it evicted
+// a key.
+func (m *sieveModel) access(k int) (hit, evicted bool) {
 	if i := slices.Index(m.queue, k); i >= 0 {
 		m.visited[i] = true
-		return true, -1
+		return true, false
 	}
-	evicted = -1
 	if len(m.queue) == m.capacity {
 		i := m.hand
 		for m.visited[i] {
 			m.visited[i] = false
 			i = (i + 1) % len(m.queue)
 		}
-		evicted = m.queue[i]
+		evicted = true
 		m.queue = slices.Delete(m.queue, i, i+1)
 		m.visited = slices.Delete(m.visited, i, i+1)
 		m.hand = i % max(len(m.queue), 1)
@@ -233,8 +232,8 @@ func TestSieveMatchesModel(t *testing.T) {
 			if hit := m.Hits.Load() > hits; hit != wantHit {
 				t.Fatalf("seed %d step %d key %d: hit %v, model %v", seed, step, k, hit, wantHit)
 			}
-			if ev, want := m.Evictions.Load()-evictions, int64(min(evicted+1, 1)); ev != want {
-				t.Fatalf("seed %d step %d key %d: %d evictions, model evicted key %d", seed, step, k, ev, evicted)
+			if ev := m.Evictions.Load() - evictions; (ev == 1) != evicted || ev > 1 {
+				t.Fatalf("seed %d step %d key %d: %d evictions, model evicted %v", seed, step, k, ev, evicted)
 			}
 			var queue []int
 			for e := c.shards[0].oldest; e != nil; e = e.newer {
