@@ -3,12 +3,15 @@ package respat_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"respat/internal/core"
 	"respat/internal/multilevel"
+	"respat/internal/platform"
 	"respat/internal/service"
 )
 
@@ -17,26 +20,24 @@ import (
 // each plan route served through Handler() answers 200, with no
 // outcome header, the bytes of the exported method plus the trailing
 // newline: /v1/plan and /v1/plan/exact for all six families, and
-// /v1/plan/multilevel at L=2 and L=3. A /v1/batch of plan and
-// plan/exact items answers the same bytes per item. Routes, batch and
-// methods each run on a service of their own, so every side plans
-// cold.
+// /v1/plan/multilevel at L=2 and L=3. A clustered pass sends every
+// such request to each of three replicas, so a peer-owned key answers
+// through its owner, with the same bytes. A /v1/batch of plan and
+// plan/exact items answers the same bytes per item. Routes, cluster,
+// batch and methods each run on services of their own, so every side
+// plans cold.
 func TestServedRoutesMatchExportedMethods(t *testing.T) {
 	methods := service.New(service.Config{})
 	routes := service.New(service.Config{}).Handler()
+	replicas, entries := newReplicaGroup(t, 3)
 	post := func(h http.Handler, path string, req any) []byte {
 		t.Helper()
-		raw, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+		rec := postJSON(t, h, path, req)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s %s: status %d: %s", path, raw, rec.Code, rec.Body)
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
 		}
 		if out := rec.Header().Get(service.OutcomeHeader); out != "" {
-			t.Fatalf("%s %s: outcome header %q", path, raw, out)
+			t.Fatalf("%s: outcome header %q", path, out)
 		}
 		return rec.Body.Bytes()
 	}
@@ -47,10 +48,18 @@ func TestServedRoutesMatchExportedMethods(t *testing.T) {
 		}
 		return b
 	}
-	same := func(what string, served, method []byte) {
+	// same requires the single replica and every entry replica of the
+	// cluster to serve the method's bytes.
+	same := func(what, path string, req any, method []byte) {
 		t.Helper()
-		if !bytes.Equal(served, append(method[:len(method):len(method)], '\n')) {
+		line := append(method[:len(method):len(method)], '\n')
+		if served := post(routes, path, req); !bytes.Equal(served, line) {
 			t.Errorf("%s: served %q, method %q", what, served, method)
+		}
+		for i, h := range entries {
+			if served := post(h, path, req); !bytes.Equal(served, line) {
+				t.Errorf("%s via r%d: served %q, method %q", what, i, served, method)
+			}
 		}
 	}
 
@@ -60,9 +69,9 @@ func TestServedRoutesMatchExportedMethods(t *testing.T) {
 		for _, k := range core.Kinds() {
 			req := service.PlanRequest{Kind: k.String(), Costs: &p.Costs, Rates: &p.Rates}
 			plan := want(methods.Plan(k, p.Costs, p.Rates))
-			same(p.Name+" "+k.String()+" /v1/plan", post(routes, "/v1/plan", req), plan)
+			same(p.Name+" "+k.String()+" /v1/plan", "/v1/plan", req, plan)
 			exact := want(methods.PlanExact(k, p.Costs, p.Rates))
-			same(p.Name+" "+k.String()+" /v1/plan/exact", post(routes, "/v1/plan/exact", req), exact)
+			same(p.Name+" "+k.String()+" /v1/plan/exact", "/v1/plan/exact", req, exact)
 			batch.Requests = append(batch.Requests,
 				service.BatchItem{Op: "plan", Kind: req.Kind, Costs: req.Costs, Rates: req.Rates},
 				service.BatchItem{Op: "plan/exact", Kind: req.Kind, Costs: req.Costs, Rates: req.Rates})
@@ -73,12 +82,20 @@ func TestServedRoutesMatchExportedMethods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served := post(routes, "/v1/plan/multilevel", service.MultilevelPlanRequest{Params: &params})
-			same(p.Name+" /v1/plan/multilevel", served, want(methods.PlanMultilevel(params)))
+			req := service.MultilevelPlanRequest{Params: &params}
+			same(p.Name+" /v1/plan/multilevel", "/v1/plan/multilevel", req, want(methods.PlanMultilevel(params)))
 		}
 		if t.Failed() {
 			t.Fatalf("configuration %d differs", i)
 		}
+	}
+	var forwarded, forwardErrors int64
+	for _, s := range replicas {
+		forwarded += s.Metrics().Forwarded.Load()
+		forwardErrors += s.Metrics().ForwardErrors.Load()
+	}
+	if forwarded == 0 || forwardErrors != 0 {
+		t.Fatalf("cluster forwarded %d requests with %d errors; the clustered pass must reach owners", forwarded, forwardErrors)
 	}
 
 	var resp service.BatchResponse
@@ -94,4 +111,141 @@ func TestServedRoutesMatchExportedMethods(t *testing.T) {
 			t.Errorf("batch item %d (%s): served %q, method %q", i, batch.Requests[i].Op, item, batchWant[i])
 		}
 	}
+}
+
+// TestServedNegativeZeroMatchesPositive requires a configuration with
+// a −0 field to serve the bytes of its +0 twin, status included, on
+// all three plan routes. The cache key normalises −0, so the twins
+// share one cache entry and one ring owner, and an owner reached by a
+// forward plans from the key's values. Each field but the recall is
+// zeroed in turn on each Table 2 platform: the six costs and two rates
+// of a single-level plan for all six families, and the per-level and
+// scalar fields of an L=2 multilevel plan. Twins that are invalid
+// compare error bodies. The twins run on services of their own, so
+// each plans cold.
+func TestServedNegativeZeroMatchesPositive(t *testing.T) {
+	pos := service.New(service.Config{}).Handler()
+	neg := service.New(service.Config{}).Handler()
+	negZero := math.Copysign(0, -1)
+	twins := func(what, path string, req func(zero float64) any) {
+		t.Helper()
+		a, b := postJSON(t, pos, path, req(0)), postJSON(t, neg, path, req(negZero))
+		if a.Code != b.Code || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+			t.Errorf("%s: +0 served %d %q, -0 served %d %q", what, a.Code, a.Body, b.Code, b.Body)
+		}
+	}
+	for _, p := range platform.Table2() {
+		fields := []struct {
+			name string
+			get  func(c *core.Costs, r *core.Rates) *float64
+		}{
+			{"DiskCkpt", func(c *core.Costs, r *core.Rates) *float64 { return &c.DiskCkpt }},
+			{"MemCkpt", func(c *core.Costs, r *core.Rates) *float64 { return &c.MemCkpt }},
+			{"DiskRec", func(c *core.Costs, r *core.Rates) *float64 { return &c.DiskRec }},
+			{"MemRec", func(c *core.Costs, r *core.Rates) *float64 { return &c.MemRec }},
+			{"GuarVer", func(c *core.Costs, r *core.Rates) *float64 { return &c.GuarVer }},
+			{"PartVer", func(c *core.Costs, r *core.Rates) *float64 { return &c.PartVer }},
+			{"FailStop", func(c *core.Costs, r *core.Rates) *float64 { return &r.FailStop }},
+			{"Silent", func(c *core.Costs, r *core.Rates) *float64 { return &r.Silent }},
+		}
+		for _, f := range fields {
+			for _, k := range core.Kinds() {
+				req := func(zero float64) any {
+					c, r := p.Costs, p.Rates
+					*f.get(&c, &r) = zero
+					return service.PlanRequest{Kind: k.String(), Costs: &c, Rates: &r}
+				}
+				for _, path := range []string{"/v1/plan", "/v1/plan/exact"} {
+					twins(fmt.Sprintf("%s %s %s=0 %s", p.Name, k, f.name, path), path, req)
+				}
+			}
+		}
+		base, err := multilevel.FromPlatform(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mlFields := []struct {
+			name string
+			get  func(p *multilevel.Params) *float64
+		}{
+			{"GuarVer", func(p *multilevel.Params) *float64 { return &p.GuarVer }},
+			{"PartVer", func(p *multilevel.Params) *float64 { return &p.PartVer }},
+			{"FailStop", func(p *multilevel.Params) *float64 { return &p.Rates.FailStop }},
+			{"Silent", func(p *multilevel.Params) *float64 { return &p.Rates.Silent }},
+		}
+		for l := range base.Levels {
+			mlFields = append(mlFields,
+				struct {
+					name string
+					get  func(p *multilevel.Params) *float64
+				}{fmt.Sprintf("Levels[%d].Ckpt", l), func(p *multilevel.Params) *float64 { return &p.Levels[l].Ckpt }},
+				struct {
+					name string
+					get  func(p *multilevel.Params) *float64
+				}{fmt.Sprintf("Levels[%d].Rec", l), func(p *multilevel.Params) *float64 { return &p.Levels[l].Rec }},
+				struct {
+					name string
+					get  func(p *multilevel.Params) *float64
+				}{fmt.Sprintf("Levels[%d].Share", l), func(p *multilevel.Params) *float64 { return &p.Levels[l].Share }})
+		}
+		for _, f := range mlFields {
+			req := func(zero float64) any {
+				q := base
+				q.Levels = append([]multilevel.Level(nil), base.Levels...)
+				*f.get(&q) = zero
+				return service.MultilevelPlanRequest{Params: &q}
+			}
+			twins(fmt.Sprintf("%s L=2 %s=0 /v1/plan/multilevel", p.Name, f.name), "/v1/plan/multilevel", req)
+		}
+	}
+}
+
+// postJSON posts req, marshalled, to h's path.
+func postJSON(t *testing.T, h http.Handler, path string, req any) *httptest.ResponseRecorder {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+	return rec
+}
+
+// replicaGroup is an in-process network of respatd replicas: a request
+// for host rN is served by replica N's handler, with no socket.
+type replicaGroup map[string]http.Handler
+
+func (g replicaGroup) RoundTrip(req *http.Request) (*http.Response, error) {
+	h, ok := g[req.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("no replica named %q", req.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// newReplicaGroup joins n fresh services, r0..r(n-1), into one cluster
+// over a replicaGroup, as respatd's defaults would, and returns them
+// with their handlers.
+func newReplicaGroup(tb testing.TB, n int) ([]*service.Service, []http.Handler) {
+	tb.Helper()
+	group := make(replicaGroup, n)
+	members := make([]service.Member, n)
+	for i := range members {
+		name := fmt.Sprintf("r%d", i)
+		members[i] = service.Member{Name: name, URL: "http://" + name}
+	}
+	services := make([]*service.Service, n)
+	handlers := make([]http.Handler, n)
+	for i, m := range members {
+		services[i] = service.New(service.Config{})
+		if err := services[i].EnableCluster(service.ClusterConfig{Self: m.Name, Members: members, Transport: group}); err != nil {
+			tb.Fatal(err)
+		}
+		handlers[i] = services[i].Handler()
+		group[m.Name] = handlers[i]
+	}
+	return services, handlers
 }
