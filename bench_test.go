@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"respat"
 	"respat/internal/analytic"
@@ -549,6 +550,8 @@ func BenchmarkServiceHTTPPlanHit(b *testing.B) {
 // httpPlanHitAllocs bounds the allocations of a cache hit through the
 // HTTP handler: the body limit's reader, the request body's buffer, the
 // decoded kind string or level slice and the Content-Type header value.
+// A hit arms no deadline timer, so the service's one-minute default
+// budget costs it nothing.
 const httpPlanHitAllocs = 4
 
 // TestHTTPPlanHitAllocs is the CI guard on a cache hit through the HTTP
@@ -573,11 +576,42 @@ type httpPlanHit struct {
 }
 
 // httpPlanHits returns one warmed hit per plan route, each replaying a
-// perfbench-shaped body: Hera's PDMV costs and rates on /v1/plan and
-// /v1/plan/exact, Hera's L=3 params on /v1/plan/multilevel. The tracer
-// samples as in BenchmarkServicePlanHot, so every replay takes the
-// unsampled branch.
+// perfbench-shaped body (planBodies) to a service configured as
+// respatd's defaults configure it: a one-minute request budget, and a
+// tracer sampling as in BenchmarkServicePlanHot, so every replay takes
+// the unsampled branch.
 func httpPlanHits(tb testing.TB) []httpPlanHit {
+	tb.Helper()
+	h := service.New(hitConfig()).Handler()
+	var hits []httpPlanHit
+	for _, c := range planBodies(tb) {
+		serve := replay(tb, h, c.path, c.body)
+		serve() // the cold plan; every later replay hits
+		hits = append(hits, httpPlanHit{c.name, serve})
+	}
+	return hits
+}
+
+// hitConfig is the service configuration of the HTTP hit benchmarks:
+// respatd's one-minute default budget, and a tracer that samples one
+// request in 2^20.
+func hitConfig() service.Config {
+	return service.Config{
+		DefaultTimeout: time.Minute,
+		Tracer:         obs.New(obs.Config{SampleEvery: 1 << 20}),
+	}
+}
+
+// planBody is one plan route's request body, marshalled.
+type planBody struct {
+	name, path string
+	body       []byte
+}
+
+// planBodies returns a perfbench-shaped body for each plan route:
+// Hera's PDMV costs and rates on /v1/plan and /v1/plan/exact, Hera's
+// L=3 params on /v1/plan/multilevel.
+func planBodies(tb testing.TB) []planBody {
 	tb.Helper()
 	hera, err := platform.ByName("Hera")
 	if err != nil {
@@ -587,12 +621,8 @@ func httpPlanHits(tb testing.TB) []httpPlanHit {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	svc := service.New(service.Config{
-		Tracer: obs.New(obs.Config{SampleEvery: 1 << 20}),
-	})
-	h := svc.Handler()
 	plan := service.PlanRequest{Kind: core.PDMV.String(), Costs: &hera.Costs, Rates: &hera.Rates}
-	var hits []httpPlanHit
+	var out []planBody
 	for _, c := range []struct {
 		name, path string
 		body       any
@@ -605,19 +635,87 @@ func httpPlanHits(tb testing.TB) []httpPlanHit {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		body := &replayBody{}
-		req := httptest.NewRequest(http.MethodPost, c.path, nil)
-		w := &discardWriter{header: http.Header{}}
-		serve := func() {
-			body.Reset(raw)
-			req.Body = body
-			h.ServeHTTP(w, req)
-			if w.status != http.StatusOK {
-				tb.Fatalf("%s: status %d", c.path, w.status)
+		out = append(out, planBody{c.name, c.path, raw})
+	}
+	return out
+}
+
+// replay returns a function that sends h one request, posting raw to
+// path, and requires a 200. Every call reuses one request and one
+// response writer, so it costs only what h does.
+func replay(tb testing.TB, h http.Handler, path string, raw []byte) func() {
+	body := &replayBody{}
+	req := httptest.NewRequest(http.MethodPost, path, nil)
+	w := &discardWriter{header: http.Header{}}
+	return func() {
+		body.Reset(raw)
+		req.Body = body
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			tb.Fatalf("%s: status %d", path, w.status)
+		}
+	}
+}
+
+// BenchmarkServiceForwardedHit measures a cache hit one peer hop away:
+// the rung between BenchmarkServiceHTTPPlanHit and the latency a
+// client observes. Two replicas join a cluster over an in-process
+// RoundTripper that serves a request by calling the owner's handler,
+// as perfbench's does. Each sub-benchmark replays one perfbench-shaped
+// body of its plan route to the replica that does not own its key, so
+// every iteration decodes the body, routes the key, forwards it and
+// hits the owner's cache.
+func BenchmarkServiceForwardedHit(b *testing.B) {
+	for _, c := range forwardedHits(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c.serve()
+			}
+		})
+	}
+}
+
+// forwardedHitAllocs bounds the allocations of a forwarded cache hit,
+// entry and owner together, the in-process transport's included.
+const forwardedHitAllocs = 32
+
+// TestForwardedHitAllocs is the CI guard on a cache hit one peer hop
+// away: on each plan route, a request entering the replica that does
+// not own its key allocates at most forwardedHitAllocs times.
+func TestForwardedHitAllocs(t *testing.T) {
+	for _, c := range forwardedHits(t) {
+		allocs := testing.AllocsPerRun(200, c.serve)
+		t.Logf("%s: %v allocs per forwarded hit", c.name, allocs)
+		if allocs > forwardedHitAllocs {
+			t.Errorf("%s: a forwarded cache hit allocates %v times, budget %d", c.name, allocs, forwardedHitAllocs)
+		}
+	}
+}
+
+// forwardedHits returns one warmed forwarded hit per plan route over a
+// two-replica cluster configured like httpPlanHits' service. Each body
+// is first sent to r0; the replica whose forward count then moves when
+// the body is sent again is the one that does not own the key, and
+// every replay enters there.
+func forwardedHits(tb testing.TB) []httpPlanHit {
+	tb.Helper()
+	replicas, handlers := newReplicaGroup(tb, 2, hitConfig)
+	var hits []httpPlanHit
+	for _, c := range planBodies(tb) {
+		replay(tb, handlers[0], c.path, c.body)() // the cold plan, on the owner
+		entry := -1
+		for i, h := range handlers {
+			before := replicas[i].Metrics().Forwarded.Load()
+			replay(tb, h, c.path, c.body)()
+			if replicas[i].Metrics().Forwarded.Load() > before {
+				entry = i
 			}
 		}
-		serve() // the cold plan; every later replay hits
-		hits = append(hits, httpPlanHit{c.name, serve})
+		if entry < 0 {
+			tb.Fatalf("%s: neither replica forwarded", c.path)
+		}
+		hits = append(hits, httpPlanHit{c.name, replay(tb, handlers[entry], c.path, c.body)})
 	}
 	return hits
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"respat/internal/adapt"
 	"respat/internal/core"
@@ -272,7 +273,7 @@ func (s *Service) adaptiveSession(req ObserveRequest) (*adapt.Session, error) {
 }
 
 // handleObserve is POST /v1/observe.
-func (s *Service) handleObserve(r *http.Request) ([]byte, int, disposition, error) {
+func (s *Service) handleObserve(r *http.Request, _ time.Time) ([]byte, int, disposition, error) {
 	var req ObserveRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, http.StatusBadRequest, disposition{}, err
@@ -285,7 +286,7 @@ func (s *Service) handleObserve(r *http.Request) ([]byte, int, disposition, erro
 }
 
 // handleAdaptive is GET /v1/adaptive?session=NAME.
-func (s *Service) handleAdaptive(r *http.Request) ([]byte, int, disposition, error) {
+func (s *Service) handleAdaptive(r *http.Request, _ time.Time) ([]byte, int, disposition, error) {
 	name := r.URL.Query().Get("session")
 	if name == "" {
 		return nil, http.StatusBadRequest, disposition{}, errors.New("missing session query parameter")
@@ -298,7 +299,7 @@ func (s *Service) handleAdaptive(r *http.Request) ([]byte, int, disposition, err
 }
 
 // handleAdaptiveDelete is DELETE /v1/adaptive?session=NAME.
-func (s *Service) handleAdaptiveDelete(r *http.Request) ([]byte, int, disposition, error) {
+func (s *Service) handleAdaptiveDelete(r *http.Request, _ time.Time) ([]byte, int, disposition, error) {
 	name := r.URL.Query().Get("session")
 	if name == "" {
 		return nil, http.StatusBadRequest, disposition{}, errors.New("missing session query parameter")

@@ -4,10 +4,10 @@ package service
 // respatd replicas partitions the cacheable plan key space. Every
 // replica answers any request; a request whose canonical cache key is
 // owned by a peer is forwarded there (one hop, loop-guarded by
-// ForwardedHeader) and the peer's response bytes are relayed
-// verbatim, so a plan is byte-identical no matter which replica a
-// client happens to hit while each key is computed and cached exactly
-// once cluster-wide.
+// ForwardedHeader) as its key, and the peer's response bytes are
+// relayed verbatim, so a plan is byte-identical no matter which
+// replica a client happens to hit while each key is decoded, computed
+// and cached exactly once cluster-wide.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,23 @@ import (
 // locally — never forwards again — which caps any request at one hop
 // even when two replicas momentarily disagree about the membership.
 const ForwardedHeader = "X-Respat-Forwarded"
+
+// peerBodyType is the Content-Type of a forwarded plan request, whose
+// body is the request's KeySize-byte canonical cache key. The owner
+// rebuilds the request from the key (decodePlanKey), so replicas of
+// one cluster must run the same build.
+const peerBodyType = "application/x-respat-key"
+
+// peerBodyTypes is the Content-Type value of every forward. The slice
+// is shared: a RoundTripper must not modify the request it sends.
+var peerBodyTypes = []string{peerBodyType}
+
+// planRoutes maps each plan mode to its route.
+var planRoutes = [...]string{
+	ModePlan:           "/v1/plan",
+	ModePlanExact:      "/v1/plan/exact",
+	ModePlanMultilevel: "/v1/plan/multilevel",
+}
 
 // Member names one replica of a respatd cluster and its base URL
 // (scheme://host:port, no trailing slash).
@@ -65,8 +83,11 @@ type ClusterConfig struct {
 // per-request owner lookup takes no lock.
 type clusterState struct {
 	self         string
+	selfValue    []string          // ForwardedHeader value of every forward; shared like peerBodyTypes
 	urls         map[string]string // member name -> base URL
-	client       *http.Client
+	peers        map[string]*peer  // peer name -> its plan routes
+	transport    http.RoundTripper // carries forwards
+	client       *http.Client      // carries health probes
 	probeTimeout time.Duration
 	vnodes       int
 	seed         uint64
@@ -75,6 +96,13 @@ type clusterState struct {
 
 	mu   sync.Mutex
 	down map[string]bool // peers failing their health probe
+}
+
+// peer is one other replica as a forward addresses it: its name and
+// the URL of each plan route on it, parsed once by EnableCluster.
+type peer struct {
+	name   string
+	routes [len(planRoutes)]*url.URL // indexed by Mode; nil for the retired mode
 }
 
 // EnableCluster joins the service to a replica group. Call it once,
@@ -89,6 +117,7 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 	}
 	names := make([]string, 0, len(cfg.Members))
 	urls := make(map[string]string, len(cfg.Members))
+	peers := make(map[string]*peer, len(cfg.Members))
 	selfSeen := false
 	for _, m := range cfg.Members {
 		if m.Name == "" {
@@ -97,13 +126,27 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 		if _, dup := urls[m.Name]; dup {
 			return fmt.Errorf("service: duplicate cluster member %q", m.Name)
 		}
-		if m.Name == cfg.Self {
-			selfSeen = true
-		} else if m.URL == "" {
-			return fmt.Errorf("service: cluster member %q needs a URL", m.Name)
-		}
 		urls[m.Name] = m.URL
 		names = append(names, m.Name)
+		if m.Name == cfg.Self {
+			selfSeen = true
+			continue
+		}
+		if m.URL == "" {
+			return fmt.Errorf("service: cluster member %q needs a URL", m.Name)
+		}
+		p := &peer{name: m.Name}
+		for mode, route := range planRoutes {
+			if route == "" {
+				continue
+			}
+			u, err := url.Parse(m.URL + route)
+			if err != nil {
+				return fmt.Errorf("service: cluster member %q: %w", m.Name, err)
+			}
+			p.routes[mode] = u
+		}
+		peers[m.Name] = p
 	}
 	if !selfSeen {
 		return fmt.Errorf("service: self %q is not a cluster member", cfg.Self)
@@ -125,7 +168,10 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 	}
 	c := &clusterState{
 		self:         cfg.Self,
+		selfValue:    []string{cfg.Self},
 		urls:         urls,
+		peers:        peers,
+		transport:    transport,
 		client:       &http.Client{Transport: transport},
 		probeTimeout: probeTimeout,
 		vnodes:       cfg.VNodes,
@@ -142,67 +188,115 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 // guard), and the key owned by a peer under the current ring view.
 // Peers the health checker marked down have already left the ring, so
 // their former key ranges route to the survivors.
-func (s *Service) routePeer(r *http.Request, key Key) (name, baseURL string, ok bool) {
+func (s *Service) routePeer(r *http.Request, key Key) (*peer, bool) {
 	c := s.clu
-	if c == nil || r.Header.Get(ForwardedHeader) != "" {
-		return "", "", false
+	if c == nil || header(r.Header, ForwardedHeader) != "" {
+		return nil, false
 	}
 	owner := c.ring.Load().Route(key[:])
 	if owner == "" || owner == c.self {
-		return "", "", false
+		return nil, false
 	}
-	return owner, c.urls[owner], true
+	return c.peers[owner], true
 }
 
-// forward proxies one plan request to the owning peer and relays its
-// response verbatim: the exact body bytes (so a forwarded answer is
-// byte-identical to one served by the owner directly), the status,
-// the overload outcome label and any Retry-After advice. A transport
-// failure — the window between a replica dying and the next health
-// check removing it from the ring — maps to 502 for that replica's
-// key range; every other range is unaffected.
-func (s *Service) forward(ctx context.Context, name, baseURL, path string, body []byte) ([]byte, int, disposition, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, http.StatusInternalServerError, disposition{}, fmt.Errorf("cluster: building forward to %s: %w", name, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, s.clu.self)
+// forward sends one plan request, as its key, to the owning peer and
+// relays the response verbatim: the exact body bytes (so a forwarded
+// answer is byte-identical to one served by the owner directly), the
+// status, the overload outcome label and any Retry-After advice. The
+// request goes straight to the cluster's RoundTripper: a one-hop relay
+// needs none of http.Client's redirect and header-copy machinery, and
+// the route's URL was parsed once. A transport failure — the window
+// between a replica dying and the next health check removing it from
+// the ring — maps to 502 for that replica's key range; every other
+// range is unaffected.
+func (s *Service) forward(ctx context.Context, p *peer, key Key) ([]byte, int, disposition, error) {
+	c := s.clu
+	hdr := http.Header{"Content-Type": peerBodyTypes, ForwardedHeader: c.selfValue}
 	// A sampled request ships its trace ID with the hop; the peer's
 	// tracer records its half of the trace under the same forced ID, so
 	// /debug/traces on both replicas join on one ID.
 	tr := obs.FromContext(ctx)
 	if id := tr.ID(); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
+		hdr[obs.TraceHeader] = []string{id}
+	}
+	u := p.routes[key[0]] // a key's first byte is its mode
+	body := &keyBody{key: key}
+	tmpl := http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        hdr,
+		Body:          body,
+		GetBody:       body.rewind,
+		ContentLength: KeySize,
+		Host:          u.Host,
 	}
 	hop := tr.Begin(obs.StagePeerForward)
-	resp, err := s.clu.client.Do(req)
+	resp, err := c.transport.RoundTrip(tmpl.WithContext(ctx))
 	if err != nil {
-		hop.EndPeer("error", name, "")
-		s.metrics.ForwardErrors.Add(1)
-		return nil, http.StatusBadGateway, disposition{}, fmt.Errorf("cluster: forward to %s: %w", name, err)
+		return s.forwardFailed(ctx, hop, p.name, fmt.Errorf("cluster: forward to %s: %w", p.name, err))
 	}
 	defer resp.Body.Close()
-	relayed, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-	if err != nil {
-		hop.EndPeer("error", name, "")
-		s.metrics.ForwardErrors.Add(1)
-		return nil, http.StatusBadGateway, disposition{}, fmt.Errorf("cluster: reading %s's response: %w", name, err)
+	// One byte past the limit tells a full relay from a cut one.
+	relayed, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes+1))
+	switch {
+	case err != nil:
+		return s.forwardFailed(ctx, hop, p.name, fmt.Errorf("cluster: reading %s's response: %w", p.name, err))
+	case len(relayed) > maxRequestBytes:
+		return s.forwardFailed(ctx, hop, p.name, fmt.Errorf("cluster: %s's response exceeds %d bytes", p.name, maxRequestBytes))
 	}
 	// The hop span stores the peer's Server-Timing verbatim: the remote
 	// half of the stitched trace, attributable without a second lookup.
-	hop.EndPeer("ok", name, resp.Header.Get("Server-Timing"))
+	hop.EndPeer("ok", p.name, header(resp.Header, "Server-Timing"))
 	s.metrics.Forwarded.Add(1)
-	d := disposition{out: outcome(resp.Header.Get(OutcomeHeader))}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
+	d := disposition{out: outcome(header(resp.Header, OutcomeHeader))}
+	if ra := header(resp.Header, "Retry-After"); ra != "" {
 		if sec, err := strconv.Atoi(ra); err == nil {
 			d.retryAfter = sec
 		}
 	}
 	// writeBytes terminates every response with a newline; the entry
 	// replica will append its own, so strip the owner's.
-	return bytes.TrimSuffix(relayed, []byte("\n")), resp.StatusCode, d, nil
+	return bytes.TrimSuffix(relayed, newline), resp.StatusCode, d, nil
 }
+
+// forwardFailed ends a failed hop. A hop cut short by the request's own
+// deadline or cancellation answers with that context error, which
+// instrument maps to 503 and counts in deadlineExceeded, however the
+// transport reported it. Any other failure is the peer's: a 502,
+// counted in forwardErrors.
+func (s *Service) forwardFailed(ctx context.Context, hop obs.Timing, name string, err error) ([]byte, int, disposition, error) {
+	hop.EndPeer("error", name, "")
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, http.StatusServiceUnavailable, disposition{}, fmt.Errorf("cluster: forward to %s: %w", name, cerr)
+	}
+	s.metrics.ForwardErrors.Add(1)
+	return nil, http.StatusBadGateway, disposition{}, err
+}
+
+// keyBody is a forward's body: the request's key, read once.
+type keyBody struct {
+	key Key
+	off int
+}
+
+func (b *keyBody) Read(p []byte) (int, error) {
+	if b.off == len(b.key) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.key[b.off:])
+	b.off += n
+	return n, nil
+}
+
+func (b *keyBody) Close() error { return nil }
+
+// rewind is the forward's GetBody, so the transport can resend a
+// request whose reused connection closed before it was written.
+func (b *keyBody) rewind() (io.ReadCloser, error) { return &keyBody{key: b.key}, nil }
 
 // CheckPeerHealth probes every peer's /healthz once and, when the
 // healthy set changed, rebuilds the ring over the surviving members —

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -380,5 +382,173 @@ func TestEnableClusterValidation(t *testing.T) {
 	}
 	if err := s.EnableCluster(ClusterConfig{Self: "a", Members: good}); err == nil {
 		t.Fatal("second EnableCluster accepted")
+	}
+}
+
+// peerFunc stands in for the owning peer of a two-replica cluster: it
+// answers every forward.
+type peerFunc func(*http.Request) (*http.Response, error)
+
+func (f peerFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// newEntry builds replica r0 of a two-replica cluster whose peer, r1 at
+// peerURL, is reached through transport.
+func newEntry(t *testing.T, transport http.RoundTripper, peerURL string) *Service {
+	t.Helper()
+	s := New(Config{})
+	if err := s.EnableCluster(ClusterConfig{
+		Self:      "r0",
+		Members:   []Member{{Name: "r0"}, {Name: "r1", URL: peerURL}},
+		Transport: transport,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// peerOwned returns the first request of clusterRequests, as a path and
+// a JSON body, whose key entry forwards.
+func peerOwned(t *testing.T, entry *Service) (path, body string) {
+	t.Helper()
+	for _, rq := range clusterRequests() {
+		mode := ModePlan
+		for m, route := range planRoutes {
+			if route == rq.path {
+				mode = Mode(m)
+			}
+		}
+		q, err := decodePlanRequest(httptest.NewRequest(http.MethodPost, rq.path, strings.NewReader(rq.body)), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner := entry.owner(q.key()); owner != entry.clu.self {
+			return rq.path, rq.body
+		}
+	}
+	t.Fatal("the peer owns no request of the spread")
+	return "", ""
+}
+
+// relay answers a forward with status 200 and body.
+func relay(body io.Reader) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(body)}, nil
+}
+
+// TestForwardRelayLimit: a relay of maxRequestBytes is served, and one
+// byte more is a 502 counted in forwardErrors. Reading only up to the
+// limit would cut the longer relay short and serve its prefix with the
+// owner's status.
+func TestForwardRelayLimit(t *testing.T) {
+	for _, n := range []int{maxRequestBytes, maxRequestBytes + 1} {
+		entry := newEntry(t, peerFunc(func(*http.Request) (*http.Response, error) {
+			return relay(bytes.NewReader(bytes.Repeat([]byte{' '}, n)))
+		}), "http://r1")
+		path, body := peerOwned(t, entry)
+		rec := do(entry.Handler(), http.MethodPost, path, body)
+		m := entry.Metrics()
+		if n <= maxRequestBytes {
+			if rec.Code != http.StatusOK || rec.Body.Len() != n+1 || m.ForwardErrors.Load() != 0 {
+				t.Errorf("relay of %d bytes: status %d, %d bytes served, %d forward errors; want 200, %d, 0",
+					n, rec.Code, rec.Body.Len(), m.ForwardErrors.Load(), n+1)
+			}
+			continue
+		}
+		if rec.Code != http.StatusBadGateway || m.ForwardErrors.Load() != 1 || m.Forwarded.Load() != 0 {
+			t.Errorf("relay of %d bytes: status %d, %d forward errors, %d forwarded; want 502, 1, 0",
+				n, rec.Code, m.ForwardErrors.Load(), m.Forwarded.Load())
+		}
+	}
+}
+
+// brokenBody yields a few bytes, then fails the read.
+type brokenBody struct{ sent bool }
+
+func (b *brokenBody) Read(p []byte) (int, error) {
+	if !b.sent {
+		b.sent = true
+		return copy(p, `{"kind":`), nil
+	}
+	return 0, errors.New("connection reset by peer")
+}
+
+// TestForwardRelayFailsMidBody: a relay that fails after its headers
+// and part of its body answers 502, counted in forwardErrors.
+func TestForwardRelayFailsMidBody(t *testing.T) {
+	entry := newEntry(t, peerFunc(func(*http.Request) (*http.Response, error) {
+		return relay(&brokenBody{})
+	}), "http://r1")
+	path, body := peerOwned(t, entry)
+	rec := do(entry.Handler(), http.MethodPost, path, body)
+	if m := entry.Metrics(); rec.Code != http.StatusBadGateway || m.ForwardErrors.Load() != 1 {
+		t.Fatalf("status %d with %d forward errors, want 502 with 1: %s", rec.Code, m.ForwardErrors.Load(), rec.Body)
+	}
+}
+
+// stalledBody blocks until its request's context is done, then fails
+// with an error of its own.
+type stalledBody struct{ ctx context.Context }
+
+func (b stalledBody) Read([]byte) (int, error) {
+	<-b.ctx.Done()
+	return 0, errors.New("peer went quiet")
+}
+
+// TestForwardOutlivesBudget: a hop still running when the request's
+// budget runs out answers 503 deadline-exceeded and counts only in
+// deadlineExceeded, not in forwardErrors, whether the transport or the
+// body read was waiting, and although neither reports a context error.
+func TestForwardOutlivesBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		peer peerFunc
+	}{
+		{"transport", func(req *http.Request) (*http.Response, error) {
+			<-req.Context().Done()
+			return nil, errors.New("peer went quiet")
+		}},
+		{"body", func(req *http.Request) (*http.Response, error) {
+			return relay(stalledBody{req.Context()})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkHopDeadline(t, newEntry(t, tc.peer, "http://r1"))
+		})
+	}
+}
+
+// TestForwardOutlivesBudgetLoopback is TestForwardOutlivesBudget over a
+// real http.Transport and a loopback peer that never answers. A
+// RoundTrip error is not wrapped in *url.Error as Client.Do's are, so
+// the mapping to 503 is checked on the transport's own errors too.
+func TestForwardOutlivesBudgetLoopback(t *testing.T) {
+	release := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer peer.Close()
+	defer close(release)
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	checkHopDeadline(t, newEntry(t, transport, peer.URL))
+}
+
+// checkHopDeadline sends entry a peer-owned request with a 20 ms budget
+// and requires the 503 of a hop that outlived it.
+func checkHopDeadline(t *testing.T, entry *Service) {
+	t.Helper()
+	path, body := peerOwned(t, entry)
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set(TimeoutHeader, "20ms")
+	rec := httptest.NewRecorder()
+	entry.Handler().ServeHTTP(rec, req)
+	m := entry.Metrics()
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get(OutcomeHeader) != string(outcomeDeadline) {
+		t.Fatalf("status %d, outcome %q; want 503 %s: %s", rec.Code, rec.Header().Get(OutcomeHeader), outcomeDeadline, rec.Body)
+	}
+	if m.DeadlineExceeded.Load() != 1 || m.ForwardErrors.Load() != 0 {
+		t.Fatalf("deadlineExceeded %d, forwardErrors %d; want 1 and 0", m.DeadlineExceeded.Load(), m.ForwardErrors.Load())
 	}
 }

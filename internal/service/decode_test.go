@@ -39,7 +39,7 @@ func FuzzPlanRequestDecode(f *testing.F) {
 // seeded mutations of its seed corpus, so every `go test` explores
 // beyond the committed seeds without the fuzzing engine.
 func TestPlanRequestDecodeMutations(t *testing.T) {
-	seeds := fuzzSeeds(t)
+	seeds := fuzzSeeds(t, "FuzzPlanRequestDecode")
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 50000; i++ {
 		raw := mutate(rng, seeds)
@@ -247,10 +247,10 @@ func hasDuplicateNames(raw []byte) bool {
 	}
 }
 
-// fuzzSeeds reads the seed corpus of FuzzPlanRequestDecode: files in the
-// "go test fuzz v1" format, each holding one []byte value.
-func fuzzSeeds(t *testing.T) [][]byte {
-	dir := filepath.Join("testdata", "fuzz", "FuzzPlanRequestDecode")
+// fuzzSeeds reads the seed corpus of the fuzz target named target:
+// files in the "go test fuzz v1" format, each holding one []byte value.
+func fuzzSeeds(t testing.TB, target string) [][]byte {
+	dir := filepath.Join("testdata", "fuzz", target)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -136,12 +136,15 @@ func resolveConfig(platName string, costs *core.Costs, rates *core.Rates) (core.
 //	GET    /metrics            JSON counters and latency quantiles
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	plan := func(mode Mode) opHandler {
-		return func(r *http.Request) ([]byte, int, disposition, error) { return s.handlePlan(r, mode) }
+	plan := func(ep endpointID, mode Mode) {
+		mux.HandleFunc("POST "+planRoutes[mode], s.instrument(ep, maxRequestBytes,
+			func(r *http.Request, deadline time.Time) ([]byte, int, disposition, error) {
+				return s.handlePlan(r, mode, deadline)
+			}))
 	}
-	mux.HandleFunc("POST /v1/plan", s.instrument(epPlan, maxRequestBytes, plan(ModePlan)))
-	mux.HandleFunc("POST /v1/plan/exact", s.instrument(epPlanExact, maxRequestBytes, plan(ModePlanExact)))
-	mux.HandleFunc("POST /v1/plan/multilevel", s.instrument(epPlanMultilevel, maxRequestBytes, plan(ModePlanMultilevel)))
+	plan(epPlan, ModePlan)
+	plan(epPlanExact, ModePlanExact)
+	plan(epPlanMultilevel, ModePlanMultilevel)
 	mux.HandleFunc("POST /v1/evaluate", s.instrument(epEvaluate, maxRequestBytes, s.handleEvaluate))
 	mux.HandleFunc("POST /v1/batch", s.instrument(epBatch, maxBatchRequestBytes, s.handleBatch))
 	mux.HandleFunc("POST /v1/observe", s.instrument(epObserve, maxRequestBytes, s.handleObserve))
@@ -185,19 +188,22 @@ type disposition struct {
 // opHandler is one endpoint's body: it returns the response bytes or an
 // error with an HTTP status, and the response's annotations. Returning
 // the disposition, rather than writing it through a pointer, keeps
-// instrument's copy on the stack.
-type opHandler func(r *http.Request) ([]byte, int, disposition, error)
+// instrument's copy on the stack. deadline is the instant the
+// request's budget runs out (zero: unbounded); a handler arms it on
+// its context before anything that can wait, and only then, so a
+// request that never waits, such as a cache hit, arms no timer.
+type opHandler func(r *http.Request, deadline time.Time) ([]byte, int, disposition, error)
 
 // instrument wraps an endpoint with the in-flight gauge, the trace
-// sampling decision, the per-request deadline budget, the request body
-// limit, latency recording, overload classification (shed → 429 +
+// sampling decision, the per-request deadline budget (computed here,
+// armed by the handler), the request body limit, latency recording, overload classification (shed → 429 +
 // Retry-After, expired budget → 503) and the error envelope. The
 // unsampled path adds one atomic add over the untraced build: Start
 // returns nil and every later trace call is a nil-guarded no-op.
 func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.InFlight.Add(1)
-		tr := s.tracer.Start(ep.String(), r.Header.Get(obs.TraceHeader), r.Header.Get(ForwardedHeader))
+		tr := s.tracer.Start(ep.String(), header(r.Header, obs.TraceHeader), header(r.Header, ForwardedHeader))
 		start := time.Now()
 		// 500 until a handler outcome overwrites it, so a handler panic
 		// (recovered by net/http) still counts as a server error.
@@ -220,20 +226,15 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 			writeJSON(w, status, errorBody{Error: err.Error(), TraceID: tr.ID()})
 			return
 		}
-		ctx := r.Context()
+		var deadline time.Time
 		if budget > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, budget)
-			defer cancel()
+			deadline = start.Add(budget)
 		}
 		if tr != nil {
-			ctx = obs.NewContext(ctx, tr)
-		}
-		if ctx != r.Context() {
-			r = r.WithContext(ctx)
+			r = r.WithContext(obs.NewContext(r.Context(), tr))
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-		body, status, d, err = h(r)
+		body, status, d, err = h(r, deadline)
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			switch {
@@ -244,7 +245,7 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 				// derived from the observed cold-plan latencies.
 				status = http.StatusTooManyRequests
 				d.out = outcomeShed
-				w.Header().Set("Retry-After", strconv.Itoa(s.gate.retryAfter()))
+				w.Header()["Retry-After"] = []string{strconv.Itoa(s.gate.retryAfter())}
 			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled), errors.Is(err, ErrTooTight):
 				status = http.StatusServiceUnavailable
 				d.out = outcomeDeadline
@@ -257,7 +258,7 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 			return
 		}
 		if d.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(d.retryAfter))
+			w.Header()["Retry-After"] = []string{strconv.Itoa(d.retryAfter)}
 		}
 		setOutcome(w, d.out)
 		setTraceHeaders(w, tr)
@@ -267,10 +268,30 @@ func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.Ha
 	}
 }
 
+// withDeadline arms a request's deadline on ctx; a zero deadline
+// leaves ctx unbounded.
+func withDeadline(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, deadline)
+}
+
+// header returns the first value of h under name, as h.Get does, but
+// by map index: every header name this package reads or writes is a
+// constant already in canonical form (TestHeaderNamesCanonical), so
+// canonicalising it on every request is wasted work.
+func header(h http.Header, name string) string {
+	if v := h[name]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // setOutcome stamps the overload-disposition header when one applies.
 func setOutcome(w http.ResponseWriter, out outcome) {
 	if out != "" {
-		w.Header().Set(OutcomeHeader, string(out))
+		w.Header()[OutcomeHeader] = []string{string(out)}
 	}
 }
 
@@ -284,15 +305,16 @@ func setTraceHeaders(w http.ResponseWriter, tr *obs.Trace) {
 	if tr == nil {
 		return
 	}
-	w.Header().Set(obs.TraceHeader, tr.ID())
-	w.Header().Set("Server-Timing", tr.ServerTiming())
+	h := w.Header()
+	h[obs.TraceHeader] = []string{tr.ID()}
+	h["Server-Timing"] = []string{tr.ServerTiming()}
 }
 
 // requestBudget resolves a request's deadline budget: the
 // TimeoutHeader duration when present (clamped to maxRequestTimeout),
 // else the service default; 0 means unbounded.
 func requestBudget(r *http.Request, def time.Duration) (time.Duration, error) {
-	hdr := r.Header.Get(TimeoutHeader)
+	hdr := header(r.Header, TimeoutHeader)
 	if hdr == "" {
 		return def, nil
 	}
@@ -311,9 +333,10 @@ func requestBudget(r *http.Request, def time.Duration) (time.Duration, error) {
 // local cache answers regardless of ownership (it only holds keys this
 // replica computed, typically while it owned them), then a peer-owned
 // key forwards, and the miss path plans the rest locally without
-// looking the key up again.
-func (s *Service) handlePlan(r *http.Request, mode Mode) ([]byte, int, disposition, error) {
-	raw, q, err := decodePlanRequest(r, mode)
+// looking the key up again. A hit cannot wait, so only a forward or a
+// miss arms the request's deadline.
+func (s *Service) handlePlan(r *http.Request, mode Mode, deadline time.Time) ([]byte, int, disposition, error) {
+	q, err := decodePlanRequest(r, mode)
 	if err != nil {
 		return nil, http.StatusBadRequest, disposition{}, err
 	}
@@ -325,10 +348,19 @@ func (s *Service) handlePlan(r *http.Request, mode Mode) ([]byte, int, dispositi
 	if ok {
 		return resp, http.StatusOK, disposition{}, nil
 	}
-	if name, baseURL, ok := s.routePeer(r, key); ok {
-		return s.forward(r.Context(), name, baseURL, r.URL.Path, raw)
+	ctx, cancel := withDeadline(r.Context(), deadline)
+	defer cancel()
+	if p, ok := s.routePeer(r, key); ok {
+		return s.forward(ctx, p, key)
 	}
-	body, err := s.planMiss(r.Context(), key, q)
+	// Plan from the key's values, as an owner reached by a forward
+	// does: −0 reads as +0, so no answer, not even an error naming a
+	// zero, depends on the replica a request entered. The key came
+	// from a decoded request, so it decodes.
+	if q, err = decodePlanKey(key[:], mode); err != nil {
+		return nil, http.StatusBadRequest, disposition{}, err
+	}
+	body, err := s.planMiss(ctx, key, q)
 	if err != nil {
 		return s.degrade(tr, &q, err)
 	}
@@ -364,7 +396,9 @@ func (s *Service) degrade(tr *obs.Trace, q *planRequest, err error) ([]byte, int
 	return body, http.StatusOK, disposition{out: outcomeDegraded}, nil
 }
 
-func (s *Service) handleEvaluate(r *http.Request) ([]byte, int, disposition, error) {
+// handleEvaluate computes inline and never waits, so it arms no
+// deadline.
+func (s *Service) handleEvaluate(r *http.Request, _ time.Time) ([]byte, int, disposition, error) {
 	var req EvaluateRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, http.StatusBadRequest, disposition{}, err
@@ -383,7 +417,7 @@ func (s *Service) handleEvaluate(r *http.Request) ([]byte, int, disposition, err
 	return body, http.StatusOK, disposition{}, nil
 }
 
-func (s *Service) handleBatch(r *http.Request) ([]byte, int, disposition, error) {
+func (s *Service) handleBatch(r *http.Request, deadline time.Time) ([]byte, int, disposition, error) {
 	var req BatchRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, http.StatusBadRequest, disposition{}, err
@@ -398,7 +432,8 @@ func (s *Service) handleBatch(r *http.Request) ([]byte, int, disposition, error)
 	// Item errors become per-item {"error": ...} entries, so the cell
 	// function itself never fails. The request context flows into every
 	// item, so an expired batch budget stops the remaining cold plans.
-	ctx := r.Context()
+	ctx, cancel := withDeadline(r.Context(), deadline)
+	defer cancel()
 	responses, _ := sched.Map(req.Requests, s.cfg.BatchWorkers,
 		func(i int, item BatchItem) (json.RawMessage, error) {
 			return s.batchItem(ctx, item), nil
@@ -450,24 +485,27 @@ func (s *Service) batchItem(ctx context.Context, item BatchItem) json.RawMessage
 }
 
 // decodePlanRequest reads, decodes and resolves a plan route's body
-// under the decode span, as the request of mode: a PlanRequest body for
-// the single-level modes, a MultilevelPlanRequest body for the
-// multilevel mode. It also returns the raw body bytes, which the
-// cluster forwarding path replays to the owning peer unmodified.
-func decodePlanRequest(r *http.Request, mode Mode) (raw []byte, q planRequest, err error) {
+// under the decode span, as the request of mode: a peer-forwarded key
+// (Content-Type peerBodyType) for any mode, else a PlanRequest body
+// for the single-level modes and a MultilevelPlanRequest body for the
+// multilevel mode.
+func decodePlanRequest(r *http.Request, mode Mode) (q planRequest, err error) {
 	tm := obs.FromContext(r.Context()).Begin(obs.StageDecode)
 	defer func() { tm.End(errOutcome(err)) }()
-	raw, err = io.ReadAll(r.Body)
+	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, q, fmt.Errorf("bad request body: %w", err)
+		return q, fmt.Errorf("bad request body: %w", err)
 	}
 	q.mode = mode
-	if mode == ModePlanMultilevel {
+	switch {
+	case header(r.Header, "Content-Type") == peerBodyType:
+		return decodePlanKey(raw, mode)
+	case mode == ModePlanMultilevel:
 		q.params, err = parseMultilevelRequest(raw)
-	} else {
+	default:
 		q.kind, q.costs, q.rates, err = parsePlanRequest(raw)
 	}
-	return raw, q, err
+	return q, err
 }
 
 // parsePlanRequest decodes and resolves a plan request body.
@@ -545,7 +583,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 var newline = []byte{'\n'}
 
 func writeBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = []string{"application/json"}
 	w.WriteHeader(status)
 	w.Write(body)
 	w.Write(newline)

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
 	"strings"
 	"testing"
 
 	"respat/internal/analytic"
 	"respat/internal/core"
+	"respat/internal/obs"
 	"respat/internal/platform"
 )
 
@@ -279,5 +281,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if ep.Latency.Count != 3 || ep.Latency.P50 <= 0 || ep.Latency.P99 < ep.Latency.P50 {
 		t.Errorf("implausible latency quantiles: %+v", ep.Latency)
+	}
+}
+
+// TestHeaderNamesCanonical: the service reads and writes headers by map
+// index under these names, which finds a header only if its name is
+// already in the canonical form net/http stores it under.
+func TestHeaderNamesCanonical(t *testing.T) {
+	for _, name := range []string{
+		ForwardedHeader, OutcomeHeader, TimeoutHeader, obs.TraceHeader,
+		"Content-Type", "Retry-After", "Server-Timing",
+	} {
+		if c := textproto.CanonicalMIMEHeaderKey(name); c != name {
+			t.Errorf("header name %q is not canonical; net/http stores it as %q", name, c)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"respat/internal/core"
@@ -119,6 +120,98 @@ func EncodeMultilevelKey(p multilevel.Params) Key {
 		k[off] = 1
 	}
 	return k
+}
+
+// negativeZero is the bit pattern of −0, which no key holds.
+const negativeZero = 1 << 63
+
+// decodePlanKey is the strict inverse of EncodeKey and
+// EncodeMultilevelKey: it rebuilds the request of mode whose key is
+// raw, the body of a peer-forwarded request. It accepts exactly the
+// byte strings the encoders produce for mode, so every key it accepts
+// re-encodes to itself, and rejects any other: a wrong length, another
+// mode's byte, a family byte that names no family, a depth outside
+// 1..MaxLevels, a non-zero byte past the payload, a flag byte other
+// than 0 or 1, or a −0 field. It validates values where the JSON
+// decoders do: a multilevel request's params here, a single-level
+// request's costs and rates when it is planned.
+func decodePlanKey(raw []byte, mode Mode) (planRequest, error) {
+	q := planRequest{mode: mode}
+	if len(raw) != KeySize {
+		return q, fmt.Errorf("bad key: %d bytes, want %d", len(raw), KeySize)
+	}
+	if Mode(raw[0]) != mode {
+		return q, fmt.Errorf("bad key: mode byte %d, want %d (%v)", raw[0], byte(mode), mode)
+	}
+	d := keyDecoder{off: 2}
+	if mode != ModePlanMultilevel {
+		q.kind = core.Kind(raw[1])
+		if !q.kind.Valid() {
+			return q, fmt.Errorf("bad key: family byte %d", raw[1])
+		}
+		for _, f := range [singleLevelFloats]*float64{
+			&q.costs.DiskCkpt, &q.costs.MemCkpt, &q.costs.DiskRec, &q.costs.MemRec,
+			&q.costs.GuarVer, &q.costs.PartVer, &q.costs.Recall,
+			&q.rates.FailStop, &q.rates.Silent,
+		} {
+			*f = d.float(raw)
+		}
+		d.padding(raw, KeySize)
+		return q, d.err
+	}
+	depth := int(raw[1])
+	if depth < 1 || depth > multilevel.MaxLevels {
+		return q, fmt.Errorf("bad key: depth %d, need 1..%d", depth, multilevel.MaxLevels)
+	}
+	p := &q.params
+	p.Levels = make([]multilevel.Level, depth)
+	for i := range p.Levels {
+		l := &p.Levels[i]
+		l.Ckpt, l.Rec, l.Share = d.float(raw), d.float(raw), d.float(raw)
+	}
+	d.padding(raw, 2+24*multilevel.MaxLevels)
+	for _, f := range [...]*float64{&p.GuarVer, &p.PartVer, &p.Recall, &p.Rates.FailStop, &p.Rates.Silent} {
+		*f = d.float(raw)
+	}
+	switch flag := raw[KeySize-1]; {
+	case d.err != nil:
+		return q, d.err
+	case flag > 1:
+		return q, fmt.Errorf("bad key: flag byte %d", flag)
+	default:
+		p.InteriorGuaranteed = flag == 1
+	}
+	return q, p.Validate()
+}
+
+// keyDecoder reads a key's fixed-width fields in order, keeping the
+// first error. It does not hold the key: an error built from a struct
+// holding it would make every caller's key escape to the heap.
+type keyDecoder struct {
+	off int
+	err error
+}
+
+// float reads the next field of raw, rejecting the −0 bit pattern,
+// which putFloat never writes.
+func (d *keyDecoder) float(raw []byte) float64 {
+	bits := binary.BigEndian.Uint64(raw[d.off:])
+	if bits == negativeZero && d.err == nil {
+		d.err = fmt.Errorf("bad key: -0 at byte %d", d.off)
+	}
+	d.off += 8
+	return math.Float64frombits(bits)
+}
+
+// padding requires the bytes of raw up to end to be zero and moves
+// past them.
+func (d *keyDecoder) padding(raw []byte, end int) {
+	for i := d.off; i < end && d.err == nil; i++ {
+		if raw[i] != 0 {
+			d.err = fmt.Errorf("bad key: non-zero padding at byte %d", i)
+		}
+	}
+	d.off = end
 }
 
 // hash returns the FNV-1a 64-bit hash of the key bytes, used to select

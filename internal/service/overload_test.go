@@ -107,23 +107,47 @@ func TestGateEstimateFollowsRecentPlans(t *testing.T) {
 }
 
 // TestGetOrComputeTimerDeadline: a waiter whose budget expires
-// mid-computation abandons the flight promptly instead of riding it
-// to completion.
+// mid-computation abandons the flight instead of riding it to
+// completion. The compute blocks until the test releases it, which the
+// test does only after getOrCompute has returned, so the check is
+// causal, not a wall-clock bound: the waiter came back while the
+// flight still ran, and, as the last waiter out, cancelled the
+// flight's context. Released, the flight finishes and caches its
+// result. A waiter that rode the flight would hold getOrCompute until
+// the compute's one-minute fallback, then return its result instead
+// of DeadlineExceeded.
 func TestGetOrComputeTimerDeadline(t *testing.T) {
 	var m Metrics
 	c := newCache(2, 16, &m)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	start := time.Now()
+	release := make(chan struct{})
+	finished := make(chan error, 1) // the flight context's error once the compute ends
 	_, err := c.getOrCompute(ctx, testKey(7), func(fctx context.Context) ([]byte, error) {
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-release:
+		case <-time.After(time.Minute):
+		}
+		finished <- fctx.Err()
 		return []byte("{}"), nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
-		t.Fatalf("waiter did not abandon promptly (%v)", elapsed)
+	select {
+	case <-finished:
+		t.Fatal("the waiter returned after the flight finished")
+	default:
+	}
+	close(release)
+	if ferr := <-finished; !errors.Is(ferr, context.Canceled) {
+		t.Fatalf("the abandoned flight's context: %v, want Canceled", ferr)
+	}
+	resp, err := c.getOrCompute(context.Background(), testKey(7), func(context.Context) ([]byte, error) {
+		return nil, errors.New("recomputed: the released flight did not cache its result")
+	})
+	if err != nil || string(resp) != "{}" {
+		t.Fatalf("after the flight finished: %q, %v; want the cached {}", resp, err)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 func TestServedRoutesMatchExportedMethods(t *testing.T) {
 	methods := service.New(service.Config{})
 	routes := service.New(service.Config{}).Handler()
-	replicas, entries := newReplicaGroup(t, 3)
+	replicas, entries := newReplicaGroup(t, 3, func() service.Config { return service.Config{} })
 	post := func(h http.Handler, path string, req any) []byte {
 		t.Helper()
 		rec := postJSON(t, h, path, req)
@@ -116,13 +116,16 @@ func TestServedRoutesMatchExportedMethods(t *testing.T) {
 // TestServedNegativeZeroMatchesPositive requires a configuration with
 // a −0 field to serve the bytes of its +0 twin, status included, on
 // all three plan routes. The cache key normalises −0, so the twins
-// share one cache entry and one ring owner, and an owner reached by a
-// forward plans from the key's values. Each field but the recall is
-// zeroed in turn on each Table 2 platform: the six costs and two rates
-// of a single-level plan for all six families, and the per-level and
-// scalar fields of an L=2 multilevel plan. Twins that are invalid
-// compare error bodies. The twins run on services of their own, so
-// each plans cold.
+// share one cache entry and one ring owner, and every replica plans
+// from the key's values, as an owner reached by a forward must. Each
+// field is zeroed in turn on each Table 2 platform: the seven costs
+// and two rates of a single-level plan for all six families, and the
+// per-level and scalar fields of an L=2 multilevel plan. Twins that
+// are invalid, such as a zero single-level recall, compare error
+// bodies. The multilevel recall is left out: multilevel params are
+// validated before their key is built, so a zero recall fails on the
+// entry replica, the same from every entry, quoting the body's sign.
+// The twins run on services of their own, so each plans cold.
 func TestServedNegativeZeroMatchesPositive(t *testing.T) {
 	pos := service.New(service.Config{}).Handler()
 	neg := service.New(service.Config{}).Handler()
@@ -145,6 +148,7 @@ func TestServedNegativeZeroMatchesPositive(t *testing.T) {
 			{"MemRec", func(c *core.Costs, r *core.Rates) *float64 { return &c.MemRec }},
 			{"GuarVer", func(c *core.Costs, r *core.Rates) *float64 { return &c.GuarVer }},
 			{"PartVer", func(c *core.Costs, r *core.Rates) *float64 { return &c.PartVer }},
+			{"Recall", func(c *core.Costs, r *core.Rates) *float64 { return &c.Recall }},
 			{"FailStop", func(c *core.Costs, r *core.Rates) *float64 { return &r.FailStop }},
 			{"Silent", func(c *core.Costs, r *core.Rates) *float64 { return &r.Silent }},
 		}
@@ -226,10 +230,10 @@ func (g replicaGroup) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// newReplicaGroup joins n fresh services, r0..r(n-1), into one cluster
-// over a replicaGroup, as respatd's defaults would, and returns them
-// with their handlers.
-func newReplicaGroup(tb testing.TB, n int) ([]*service.Service, []http.Handler) {
+// newReplicaGroup joins n fresh services, r0..r(n-1), each built from
+// a config of its own, into one cluster over a replicaGroup with
+// respatd's default ring, and returns them with their handlers.
+func newReplicaGroup(tb testing.TB, n int, config func() service.Config) ([]*service.Service, []http.Handler) {
 	tb.Helper()
 	group := make(replicaGroup, n)
 	members := make([]service.Member, n)
@@ -240,7 +244,7 @@ func newReplicaGroup(tb testing.TB, n int) ([]*service.Service, []http.Handler) 
 	services := make([]*service.Service, n)
 	handlers := make([]http.Handler, n)
 	for i, m := range members {
-		services[i] = service.New(service.Config{})
+		services[i] = service.New(config())
 		if err := services[i].EnableCluster(service.ClusterConfig{Self: m.Name, Members: members, Transport: group}); err != nil {
 			tb.Fatal(err)
 		}
