@@ -370,6 +370,7 @@ func TestEnableClusterValidation(t *testing.T) {
 		{"empty member name", ClusterConfig{Self: "a", Members: []Member{{Name: "a"}, {URL: "http://x"}}}},
 		{"duplicate member", ClusterConfig{Self: "a", Members: []Member{{Name: "a"}, {Name: "a"}}}},
 		{"peer without URL", ClusterConfig{Self: "a", Members: []Member{{Name: "a"}, {Name: "b"}}}},
+		{"unparsable peer URL", ClusterConfig{Self: "a", Members: []Member{{Name: "a"}, {Name: "b", URL: "http://[::1"}}}},
 	}
 	for _, tc := range cases {
 		if err := New(Config{}).EnableCluster(tc.cfg); err == nil {
@@ -429,16 +430,37 @@ func peerOwned(t *testing.T, entry *Service) (path, body string) {
 	return "", ""
 }
 
+// TestForwardingFaults maps each way a peer hop can fail to its
+// documented answer and counter: a relay the entry cannot read whole is
+// a 502 counted in forwardErrors, and a hop that outlives the request's
+// budget is a 503 counted only in deadlineExceeded. Each case runs over
+// an in-process transport; the truncation and deadline cases run once
+// more over a real http.Transport and a loopback peer.
+func TestForwardingFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"relay-limit", forwardRelayLimit},
+		{"mid-body", forwardRelayFailsMidBody},
+		{"truncated-loopback", forwardTruncatedRelayLoopback},
+		{"deadline", forwardOutlivesBudget},
+		{"deadline-loopback", forwardOutlivesBudgetLoopback},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
 // relay answers a forward with status 200 and body.
 func relay(body io.Reader) (*http.Response, error) {
 	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(body)}, nil
 }
 
-// TestForwardRelayLimit: a relay of maxRequestBytes is served, and one
-// byte more is a 502 counted in forwardErrors. Reading only up to the
-// limit would cut the longer relay short and serve its prefix with the
+// forwardRelayLimit: a relay of maxRequestBytes is served, and one byte
+// more is a 502 counted in forwardErrors. Reading only up to the limit
+// would cut the longer relay short and serve its prefix with the
 // owner's status.
-func TestForwardRelayLimit(t *testing.T) {
+func forwardRelayLimit(t *testing.T) {
 	for _, n := range []int{maxRequestBytes, maxRequestBytes + 1} {
 		entry := newEntry(t, peerFunc(func(*http.Request) (*http.Response, error) {
 			return relay(bytes.NewReader(bytes.Repeat([]byte{' '}, n)))
@@ -471,12 +493,31 @@ func (b *brokenBody) Read(p []byte) (int, error) {
 	return 0, errors.New("connection reset by peer")
 }
 
-// TestForwardRelayFailsMidBody: a relay that fails after its headers
-// and part of its body answers 502, counted in forwardErrors.
-func TestForwardRelayFailsMidBody(t *testing.T) {
+// forwardRelayFailsMidBody: a relay that fails after its headers and
+// part of its body answers 502, counted in forwardErrors.
+func forwardRelayFailsMidBody(t *testing.T) {
 	entry := newEntry(t, peerFunc(func(*http.Request) (*http.Response, error) {
 		return relay(&brokenBody{})
 	}), "http://r1")
+	path, body := peerOwned(t, entry)
+	rec := do(entry.Handler(), http.MethodPost, path, body)
+	if m := entry.Metrics(); rec.Code != http.StatusBadGateway || m.ForwardErrors.Load() != 1 {
+		t.Fatalf("status %d with %d forward errors, want 502 with 1: %s", rec.Code, m.ForwardErrors.Load(), rec.Body)
+	}
+}
+
+// forwardTruncatedRelayLoopback: over a real http.Transport, a
+// loopback peer that declares a longer body than it sends, then hangs
+// up, is a 502 counted in forwardErrors, not a relayed prefix.
+func forwardTruncatedRelayLoopback(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		io.WriteString(w, `{"kind":`)
+	}))
+	defer peer.Close()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	entry := newEntry(t, transport, peer.URL)
 	path, body := peerOwned(t, entry)
 	rec := do(entry.Handler(), http.MethodPost, path, body)
 	if m := entry.Metrics(); rec.Code != http.StatusBadGateway || m.ForwardErrors.Load() != 1 {
@@ -493,11 +534,11 @@ func (b stalledBody) Read([]byte) (int, error) {
 	return 0, errors.New("peer went quiet")
 }
 
-// TestForwardOutlivesBudget: a hop still running when the request's
-// budget runs out answers 503 deadline-exceeded and counts only in
+// forwardOutlivesBudget: a hop still running when the request's budget
+// runs out answers 503 deadline-exceeded and counts only in
 // deadlineExceeded, not in forwardErrors, whether the transport or the
 // body read was waiting, and although neither reports a context error.
-func TestForwardOutlivesBudget(t *testing.T) {
+func forwardOutlivesBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		peer peerFunc
@@ -516,11 +557,11 @@ func TestForwardOutlivesBudget(t *testing.T) {
 	}
 }
 
-// TestForwardOutlivesBudgetLoopback is TestForwardOutlivesBudget over a
-// real http.Transport and a loopback peer that never answers. A
-// RoundTrip error is not wrapped in *url.Error as Client.Do's are, so
-// the mapping to 503 is checked on the transport's own errors too.
-func TestForwardOutlivesBudgetLoopback(t *testing.T) {
+// forwardOutlivesBudgetLoopback is forwardOutlivesBudget over a real
+// http.Transport and a loopback peer that never answers. A RoundTrip
+// error is not wrapped in *url.Error as Client.Do's are, so the mapping
+// to 503 is checked on the transport's own errors too.
+func forwardOutlivesBudgetLoopback(t *testing.T) {
 	release := make(chan struct{})
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {

@@ -12,11 +12,12 @@ import (
 	"respat/internal/multilevel"
 )
 
-// The three cacheable plan endpoints decode their bodies with the two
-// typed decoders below rather than encoding/json: one pass over the
+// The three cacheable plan endpoints decode their JSON bodies with the
+// two typed decoders below rather than encoding/json: one pass over the
 // bytes, no reflection, straight into the values the handlers use. On
-// a cache hit, decoding is most of the request's cost, and a forwarded
-// request pays it twice, on the entry replica and again on the owner.
+// a cache hit, decoding is most of the request's cost. A forwarded
+// request pays it once, on the entry replica, which sends the owner
+// the request's canonical key instead of its JSON (decodePlanKey).
 //
 // The decoders accept what decodeJSON accepts and produce bit-identical
 // values (FuzzPlanRequestDecode holds them to encoding/json), under

@@ -196,10 +196,11 @@ type opHandler func(r *http.Request, deadline time.Time) ([]byte, int, dispositi
 
 // instrument wraps an endpoint with the in-flight gauge, the trace
 // sampling decision, the per-request deadline budget (computed here,
-// armed by the handler), the request body limit, latency recording, overload classification (shed → 429 +
-// Retry-After, expired budget → 503) and the error envelope. The
-// unsampled path adds one atomic add over the untraced build: Start
-// returns nil and every later trace call is a nil-guarded no-op.
+// armed by the handler), the request body limit, latency recording,
+// overload classification (shed → 429 + Retry-After, expired budget →
+// 503) and the error envelope. The unsampled path adds one atomic add
+// over the untraced build: Start returns nil and every later trace
+// call is a nil-guarded no-op.
 func (s *Service) instrument(ep endpointID, maxBytes int64, h opHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.InFlight.Add(1)
@@ -355,8 +356,7 @@ func (s *Service) handlePlan(r *http.Request, mode Mode, deadline time.Time) ([]
 	}
 	// Plan from the key's values, as an owner reached by a forward
 	// does: −0 reads as +0, so no answer, not even an error naming a
-	// zero, depends on the replica a request entered. The key came
-	// from a decoded request, so it decodes.
+	// zero, depends on the replica a request entered.
 	if q, err = decodePlanKey(key[:], mode); err != nil {
 		return nil, http.StatusBadRequest, disposition{}, err
 	}
