@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"respat/internal/core"
 	"respat/internal/faults"
@@ -27,51 +25,48 @@ type Verifier interface {
 	Check(app Application) (clean bool, err error)
 }
 
-// Level identifies a checkpoint storage level.
-type Level int
-
-// The two checkpoint levels of the protocol.
+// The checkpoint levels of the single-level protocol. Storage levels
+// count from 1, cheapest first: Memory and Disk here, 1..L for a
+// multilevel hierarchy.
 const (
-	Memory Level = iota
-	Disk
+	Memory = 1
+	Disk   = 2
 )
 
-// Storage persists checkpoints at the two levels.
+// Storage persists checkpoints by level.
 type Storage interface {
-	Save(level Level, data []byte) error
-	Load(level Level) ([]byte, error)
+	Save(level int, data []byte) error
+	Load(level int) ([]byte, error)
 }
 
-// MemStorage keeps both levels in process memory. It is the fastest
-// backend and the right one for simulated-disk experiments.
+// MemStorage keeps every level in process memory; its zero value is
+// ready to use. It is the fastest backend and the right one for
+// simulated-disk experiments.
 type MemStorage struct {
-	mem  []byte
-	disk []byte
+	snaps [][]byte // snaps[level-1]
 }
 
 // Save stores a copy of data at the given level. An empty snapshot is
 // a valid checkpoint (stateless applications), hence the non-nil copy.
-func (s *MemStorage) Save(level Level, data []byte) error {
+func (s *MemStorage) Save(level int, data []byte) error {
+	if level < 1 {
+		return fmt.Errorf("engine: storage level %d, need >= 1", level)
+	}
+	if level > len(s.snaps) {
+		s.snaps = append(s.snaps, make([][]byte, level-len(s.snaps))...)
+	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	if level == Memory {
-		s.mem = cp
-	} else {
-		s.disk = cp
-	}
+	s.snaps[level-1] = cp
 	return nil
 }
 
 // Load returns a copy of the checkpoint at the given level.
-func (s *MemStorage) Load(level Level) ([]byte, error) {
-	src := s.mem
-	if level == Disk {
-		src = s.disk
-	}
-	if src == nil {
+func (s *MemStorage) Load(level int) ([]byte, error) {
+	if level < 1 || level > len(s.snaps) || s.snaps[level-1] == nil {
 		return nil, fmt.Errorf("engine: no checkpoint at level %d", level)
 	}
-	return append([]byte(nil), src...), nil
+	return append([]byte(nil), s.snaps[level-1]...), nil
 }
 
 // Config assembles an engine run.
@@ -81,7 +76,8 @@ type Config struct {
 	Costs   core.Costs
 	// Patterns is the number of pattern instances to execute.
 	Patterns int
-	// Storage backs the two checkpoint levels; nil selects MemStorage.
+	// Storage backs the Memory and Disk checkpoint levels; nil selects
+	// a MemStorage.
 	Storage Storage
 	// FailStop and Silent supply error arrivals on exposure clocks
 	// (see faults.Clock); nil means no errors of that type.
@@ -164,29 +160,9 @@ func (c Counters) Verifs() int64 { return c.PartVerifs + c.GuarVerifs }
 
 // Report summarises an engine run.
 type Report struct {
-	// Time is the total virtual wall-clock in seconds.
-	Time float64
-	// Work is the useful work completed: the sum of the executed
-	// instances' pattern lengths W (instances may differ in length
-	// after a Boundary swap).
-	Work float64
-	// Overhead is (Time - Work) / Work.
-	Overhead float64
+	Outcome
 	// Counters are the run's event counters.
 	Counters
-	// PlanSwaps counts the pattern swaps performed by the Boundary
-	// hook.
-	PlanSwaps int64
-	// FailStopExposure and SilentExposure are the total exposure
-	// seconds accumulated on the two error clocks — the denominators an
-	// observer needs to estimate arrival rates from the event counters
-	// (events per exposure second, not per wall-clock second).
-	FailStopExposure float64
-	SilentExposure   float64
-	// FinalTainted reports whether the final state carries an
-	// undetected corruption (only possible with an imperfect
-	// user-supplied guaranteed verifier).
-	FinalTainted bool
 }
 
 // Run executes pattern instances until the stopping rule is met —
@@ -195,15 +171,8 @@ type Report struct {
 // execution would produce, provided the guaranteed verifier catches
 // every corruption (the oracle always does).
 func Run(cfg Config) (Report, error) {
-	if cfg.App == nil {
-		return Report{}, errors.New("engine: nil App")
-	}
-	if cfg.Patterns <= 0 && cfg.TargetWork <= 0 {
-		return Report{}, fmt.Errorf("engine: need Patterns > 0 or TargetWork > 0 (got %d, %v)",
-			cfg.Patterns, cfg.TargetWork)
-	}
-	if math.IsNaN(cfg.TargetWork) || math.IsInf(cfg.TargetWork, 0) {
-		return Report{}, fmt.Errorf("engine: TargetWork = %v, need finite", cfg.TargetWork)
+	if err := CheckRun(cfg.App, cfg.Patterns, cfg.TargetWork); err != nil {
+		return Report{}, fmt.Errorf("engine: %w", err)
 	}
 	e, err := NewExecutor(cfg)
 	if err != nil {
@@ -213,32 +182,20 @@ func Run(cfg Config) (Report, error) {
 	return e.Run(cfg.Patterns)
 }
 
-// Executor runs the Section 2 protocol for one configuration. It is
-// built once (NewExecutor), re-armed per run with new arrival sources
-// (Reset) and run (Run). With no App it is the Monte-Carlo simulator
-// (internal/sim): no Snapshot, Restore or Storage calls, and nil
-// verifiers are the oracles. An Executor is not safe for concurrent
-// use.
+// Executor runs the Section 2 protocol for one configuration on the
+// shared Runtime: a fail-stop error restarts the pattern from the disk
+// checkpoint, and a detected silent error restarts the enclosing
+// segment from its memory checkpoint. It is built once (NewExecutor),
+// re-armed per run with new arrival sources (Reset) and run (Run).
+// With no App it is the Monte-Carlo simulator (internal/sim). An
+// Executor is not safe for concurrent use.
 type Executor struct {
-	// Hot protocol state first.
-	fail, silent faults.Clock
-	now          float64
-	sched        []core.Action
-	segStart     []int // schedule index of each segment's first action
-	// Ground-truth corruption tracking. The executor injects the
-	// corruptions, so it knows which snapshots are tainted; protocol
-	// decisions still come only from the verifiers.
-	corrupted   bool
-	memTainted  bool
-	diskTainted bool
-	cnt         Counters
-	rec         func(Event) // timeline recorder (Record), or nil
-	curSeg      int         // segment of the action in flight, for rec
-	patIdx      int         // pattern instance in flight, for rec
-	err         error       // first application, storage or verifier error
-	pat         core.Pattern
-	swaps       int64
-	cfg         Config
+	Runtime
+	sched    []core.Action
+	segStart []int // schedule index of each segment's first action
+	cnt      Counters
+	pat      core.Pattern
+	cfg      Config
 }
 
 // NewExecutor validates the costs and the pattern and flattens the
@@ -253,13 +210,10 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	if err := cfg.Pattern.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Detect == nil {
-		cfg.Detect = faults.NewBernoulli(0x5eed, 0xdee7)
+	e := &Executor{
+		Runtime: NewRuntime(Disk, cfg.App, cfg.Corrupt, cfg.Storage, cfg.Detect, cfg.TargetWork),
+		cfg:     cfg,
 	}
-	if cfg.App != nil && cfg.Storage == nil {
-		cfg.Storage = &MemStorage{}
-	}
-	e := &Executor{cfg: cfg}
 	e.setPattern(cfg.Pattern)
 	return e, nil
 }
@@ -270,103 +224,52 @@ func NewExecutor(cfg Config) (*Executor, error) {
 // previous run's Boundary hook is swapped back out. Without such a
 // swap it does not allocate.
 func (e *Executor) Reset(failStop, silent faults.Source) {
-	if failStop == nil {
-		failStop = faults.Never{}
-	}
-	if silent == nil {
-		silent = faults.Never{}
-	}
-	e.fail = faults.NewClock(failStop)
-	e.silent = faults.NewClock(silent)
-	e.now = 0
-	e.corrupted, e.memTainted, e.diskTainted = false, false, false
-	e.cnt = Counters{}
-	e.curSeg, e.patIdx = 0, 0
-	e.err = nil
 	if e.swaps != 0 {
 		e.setPattern(e.cfg.Pattern)
-		e.swaps = 0
 	}
+	e.Runtime.Reset(failStop, silent)
+	e.cnt = Counters{}
 }
-
-// Record installs a recorder that receives every timeline event of the
-// following runs; nil removes it.
-func (e *Executor) Record(rec func(Event)) { e.rec = rec }
 
 // Run executes pattern instances from the state Reset left until the
 // stopping rule is met — patterns instances (when positive) and the
 // configured TargetWork (when positive) — and returns the report. Call
 // Reset before every Run.
 func (e *Executor) Run(patterns int) (Report, error) {
-	if e.cfg.App != nil {
-		e.initialCheckpoint()
+	out, err := e.Loop(patterns, e.runPattern, e.boundary)
+	if err != nil {
+		return Report{}, err
 	}
-	var work float64
-	for done := 0; e.err == nil && e.more(patterns, done, work); done++ {
-		e.patIdx = done
-		e.runPattern()
-		if e.err != nil {
-			break
-		}
-		work += e.pat.W
-		e.emit(EvPatternDone, core.OpDisk)
-		if e.cfg.Boundary != nil {
-			e.boundary(patterns, done+1, work)
-		}
-	}
-	if e.err != nil {
-		return Report{}, e.err
-	}
-	rep := e.report(work)
-	rep.Overhead = (rep.Time - rep.Work) / rep.Work
-	rep.FinalTainted = e.corrupted
-	return rep, nil
-}
-
-// more is the stopping rule: run until the instance count (when set)
-// and the work target (when set) are both met.
-func (e *Executor) more(patterns, done int, work float64) bool {
-	if patterns > 0 && done < patterns {
-		return true
-	}
-	return e.cfg.TargetWork > 0 && work < e.cfg.TargetWork
+	return e.report(out), nil
 }
 
 // boundary calls the Boundary hook after done instances and installs
-// the pattern it returns.
-func (e *Executor) boundary(patterns, done int, work float64) {
-	next, err := e.cfg.Boundary(done, e.report(work))
-	if err != nil {
-		e.err = err
-		return
+// the pattern it returns when another instance will run.
+func (e *Executor) boundary(done int, work float64, more bool) (bool, error) {
+	if e.cfg.Boundary == nil {
+		return false, nil
 	}
-	if next == nil {
-		return
+	next, err := e.cfg.Boundary(done, e.report(e.Progress(work)))
+	if err != nil || next == nil {
+		return false, err
 	}
-	if err := next.Validate(); err != nil {
-		// Surface a broken swap pattern no matter where the run ends —
-		// the final boundary must not mask a controller bug that every
-		// earlier boundary would abort on.
-		e.err = err
-		return
-	}
-	if !e.more(patterns, done, work) {
-		// The stopping rule fires before another pattern runs: a swap
-		// decided at the final boundary would never execute, so don't
-		// install or count it (the observation was still fed above).
-		return
+	// Surface a broken swap pattern no matter where the run ends — the
+	// final boundary must not mask a controller bug that every earlier
+	// boundary would abort on. A swap decided at the final boundary
+	// would never execute, so it is neither installed nor counted (the
+	// observation was still fed above).
+	if err := next.Validate(); err != nil || !more {
+		return false, err
 	}
 	e.setPattern(*next)
-	e.swaps++
+	return true, nil
 }
 
-// report snapshots the running report: total time, work, counters and
-// exposure clocks, so Boundary observers see a consistent state.
-func (e *Executor) report(work float64) Report {
-	return Report{
-		Time: e.now, Work: work, Counters: e.cnt, PlanSwaps: e.swaps,
-		FailStopExposure: e.fail.Exposure(), SilentExposure: e.silent.Exposure(),
-	}
+// report completes an outcome with the run's event counters.
+func (e *Executor) report(out Outcome) Report {
+	cnt := e.cnt
+	cnt.FailStop, cnt.Silent = e.Arrivals()
+	return Report{Outcome: out, Counters: cnt}
 }
 
 // setPattern installs p's flattened schedule; the next runPattern
@@ -384,25 +287,19 @@ func (e *Executor) setPattern(p core.Pattern) {
 	}
 }
 
-// emit records a timeline event when a recorder is installed.
-func (e *Executor) emit(k EventKind, op core.Op) {
-	if e.rec != nil {
-		e.rec(Event{Time: e.now, Kind: k, Op: op, Segment: e.curSeg, Pattern: e.patIdx})
-	}
-}
-
 // runPattern executes one pattern instance to completion, restarting
 // from the disk checkpoint on fail-stop errors and from the enclosing
-// segment's memory checkpoint on detected silent errors.
-func (e *Executor) runPattern() {
+// segment's memory checkpoint on detected silent errors, and returns
+// the instance's work.
+func (e *Executor) runPattern() float64 {
 	c := &e.cfg.Costs
 	i := 0
 	for i < len(e.sched) {
 		a := &e.sched[i]
-		e.curSeg = a.Segment
+		e.segment = a.Segment
 		switch a.Op {
 		case core.OpChunk:
-			if !e.chunk(a.Work) {
+			if !e.Chunk(a.Work) {
 				e.diskRecovery()
 				i = 0
 				continue
@@ -416,13 +313,7 @@ func (e *Executor) runPattern() {
 			}
 			e.cnt.PartVerifs++
 			e.emit(EvOpDone, core.OpPartVer)
-			var alarm bool
-			if e.cfg.Partial == nil {
-				alarm = e.corrupted && e.cfg.Detect.Hit(c.Recall)
-			} else {
-				alarm = e.check(e.cfg.Partial)
-			}
-			if alarm {
+			if e.Verify(e.cfg.Partial, c.Recall) {
 				e.cnt.DetectByPart++
 				i = e.alarm(core.OpPartVer, a.Segment)
 				continue
@@ -435,11 +326,7 @@ func (e *Executor) runPattern() {
 			}
 			e.cnt.GuarVerifs++
 			e.emit(EvOpDone, core.OpGuarVer)
-			alarm := e.corrupted
-			if e.cfg.Guaranteed != nil {
-				alarm = e.check(e.cfg.Guaranteed)
-			}
-			if alarm {
+			if e.Verify(e.cfg.Guaranteed, 1) {
 				e.cnt.DetectByGuar++
 				i = e.alarm(core.OpGuarVer, a.Segment)
 				continue
@@ -450,10 +337,7 @@ func (e *Executor) runPattern() {
 				i = 0
 				continue
 			}
-			if e.cfg.App != nil {
-				e.saveMemory()
-			}
-			e.memTainted = e.corrupted
+			e.Checkpoint(Memory)
 			e.cnt.MemCkpts++
 			e.emit(EvOpDone, core.OpMemCkpt)
 		case core.OpDisk:
@@ -462,57 +346,17 @@ func (e *Executor) runPattern() {
 				i = 0
 				continue
 			}
-			if e.cfg.App != nil {
-				e.saveDisk()
+			// The disk checkpoint copies the memory checkpoint just taken.
+			if e.app != nil {
+				e.save(Disk, e.load(Memory))
 			}
-			e.diskTainted = e.memTainted
+			e.tainted[Disk-1] = e.tainted[Memory-1]
 			e.cnt.DiskCkpts++
 			e.emit(EvOpDone, core.OpDisk)
 		}
 		i++
 	}
-}
-
-// chunk executes w seconds of computation, exposed to both error
-// processes. A silent error corrupts the state and computing goes on;
-// a fail-stop error interrupts the chunk (chunk reports false), and
-// its partial progress dies with the memory, so the application never
-// performs it.
-func (e *Executor) chunk(w float64) bool {
-	remaining := w
-	for remaining > 0 {
-		fdt, fHit := e.fail.Within(remaining)
-		sdt, sHit := e.silent.Within(remaining)
-		if sHit && (!fHit || sdt <= fdt) {
-			if e.cfg.App != nil {
-				e.corrupt(sdt)
-			}
-			e.silent.Consume()
-			e.fail.Advance(sdt)
-			e.now += sdt
-			remaining -= sdt
-			e.corrupted = true
-			e.cnt.Silent++
-			e.emit(EvSilent, core.OpChunk)
-			continue
-		}
-		if fHit {
-			e.fail.Consume()
-			e.silent.Advance(fdt)
-			e.now += fdt
-			e.cnt.FailStop++
-			e.emit(EvFailStop, core.OpChunk)
-			return false
-		}
-		if e.cfg.App != nil {
-			e.advance(remaining)
-		}
-		e.fail.Advance(remaining)
-		e.silent.Advance(remaining)
-		e.now += remaining
-		remaining = 0
-	}
-	return true
+	return e.pat.W
 }
 
 // op spends cost seconds on a verification, checkpoint or recovery.
@@ -529,7 +373,7 @@ func (e *Executor) op(cost float64) bool {
 	if fdt, hit := e.fail.Within(cost); hit {
 		e.fail.Consume()
 		e.now += fdt
-		e.cnt.FailStop++
+		e.failStops++
 		e.emit(EvFailStop, core.OpChunk)
 		return false
 	}
@@ -565,13 +409,10 @@ func (e *Executor) diskRecovery() {
 	}
 	e.cnt.DiskRecs++
 	e.emit(EvDiskRec, core.OpChunk)
-	if e.corrupted && !e.diskTainted {
+	if e.corrupted && !e.tainted[Disk-1] {
 		e.cnt.SilentMasked++
 	}
-	e.corrupted, e.memTainted = e.diskTainted, e.diskTainted
-	if e.cfg.App != nil {
-		e.restore(Disk)
-	}
+	e.Rollback(Disk)
 }
 
 // memRecovery restores the segment's memory checkpoint after a
@@ -585,95 +426,8 @@ func (e *Executor) memRecovery() bool {
 	}
 	e.cnt.MemRecs++
 	e.emit(EvMemRec, core.OpChunk)
-	e.corrupted = e.memTainted
-	if e.cfg.App != nil {
-		e.restore(Memory)
-	}
+	e.Rollback(Memory)
 	return true
-}
-
-// The application-facing helpers below record the first error in
-// e.err and do nothing once it is set: the instance in flight then
-// completes as a run with no application would, and Run returns the
-// error at its end.
-
-// initialCheckpoint persists the pristine initial state at both levels
-// (the "initial data" the first pattern recovers to, Section 2.2).
-func (e *Executor) initialCheckpoint() {
-	snap, err := e.cfg.App.Snapshot()
-	if err == nil {
-		err = e.cfg.Storage.Save(Memory, snap)
-	}
-	if err == nil {
-		err = e.cfg.Storage.Save(Disk, snap)
-	}
-	e.err = err
-}
-
-// advance performs w seconds of computation on the application.
-func (e *Executor) advance(w float64) {
-	if e.err == nil {
-		e.err = e.cfg.App.Advance(w)
-	}
-}
-
-// corrupt performs the w seconds of computation preceding a silent
-// error, then applies the corruption.
-func (e *Executor) corrupt(w float64) {
-	e.advance(w)
-	if e.err == nil && e.cfg.Corrupt != nil {
-		e.err = e.cfg.Corrupt(e.cfg.App)
-	}
-}
-
-// check runs a user verifier and reports an alarm.
-func (e *Executor) check(v Verifier) bool {
-	if e.err != nil {
-		return false
-	}
-	clean, err := v.Check(e.cfg.App)
-	e.err = err
-	return err == nil && !clean
-}
-
-// saveMemory snapshots the application to the memory level.
-func (e *Executor) saveMemory() {
-	if e.err != nil {
-		return
-	}
-	snap, err := e.cfg.App.Snapshot()
-	if err == nil {
-		err = e.cfg.Storage.Save(Memory, snap)
-	}
-	e.err = err
-}
-
-// saveDisk copies the (just-taken) memory checkpoint to disk.
-func (e *Executor) saveDisk() {
-	if e.err != nil {
-		return
-	}
-	snap, err := e.cfg.Storage.Load(Memory)
-	if err == nil {
-		err = e.cfg.Storage.Save(Disk, snap)
-	}
-	e.err = err
-}
-
-// restore reloads the application from the checkpoint at level; after
-// a disk read it also re-establishes the memory copy.
-func (e *Executor) restore(level Level) {
-	if e.err != nil {
-		return
-	}
-	snap, err := e.cfg.Storage.Load(level)
-	if err == nil {
-		err = e.cfg.App.Restore(snap)
-	}
-	if err == nil && level == Disk {
-		err = e.cfg.Storage.Save(Memory, snap)
-	}
-	e.err = err
 }
 
 // WorkFunc adapts a plain function to the Application interface with

@@ -18,7 +18,7 @@ type failingStorage struct {
 
 var errStorage = errors.New("storage broke")
 
-func (s *failingStorage) Save(level Level, data []byte) error {
+func (s *failingStorage) Save(level int, data []byte) error {
 	if s.saveBudget == 0 {
 		return errStorage
 	}
@@ -26,7 +26,7 @@ func (s *failingStorage) Save(level Level, data []byte) error {
 	return s.MemStorage.Save(level, data)
 }
 
-func (s *failingStorage) Load(level Level) ([]byte, error) {
+func (s *failingStorage) Load(level int) ([]byte, error) {
 	if s.loadBudget == 0 {
 		return nil, errStorage
 	}

@@ -14,8 +14,8 @@
 //  2. Simulate — each job's protected execution (fault injection on
 //     the exposure clocks of internal/sim, whole patterns as the unit
 //     of protected work) runs as one cell of a sched.RunCellsCtx
-//     fan-out: each worker keeps warm JobSim/MLJobSim executors per
-//     plan and every cell writes only its own slot. A job's duration
+//     fan-out: each worker keeps warm JobSim executors per plan and
+//     every cell writes only its own slot. A job's duration
 //     is a pure function of (campaign seed, job index, plan), so the
 //     fan-out width cannot change any output bit.
 //  3. Dispatch — a sequential discrete-event loop replays open-loop
@@ -352,18 +352,18 @@ func workersOr(workers, n int) int {
 	return workers
 }
 
-// simCtx is one worker's warm executor set: lazily one JobSim or
-// MLJobSim per plan index. Executors are caches in the RunCellsCtx
-// sense — their reuse history cannot influence a job's output, which
-// depends only on (plan, job seed, pattern count).
+// simCtx is one worker's warm executor set: lazily one single-level or
+// multilevel JobSim per plan index. Executors are caches in the
+// RunCellsCtx sense — their reuse history cannot influence a job's
+// output, which depends only on (plan, job seed, pattern count).
 type simCtx struct {
 	plans []jobPlan
-	pat   map[int]*sim.JobSim
-	ml    map[int]*sim.MLJobSim
+	pat   map[int]*sim.JobSim[sim.Counters]
+	ml    map[int]*sim.JobSim[sim.MultilevelCounters]
 }
 
 func newSimCtx(plans []jobPlan) *simCtx {
-	return &simCtx{plans: plans, pat: map[int]*sim.JobSim{}, ml: map[int]*sim.MLJobSim{}}
+	return &simCtx{plans: plans, pat: map[int]*sim.JobSim[sim.Counters]{}, ml: map[int]*sim.JobSim[sim.MultilevelCounters]{}}
 }
 
 // simulate runs one job's protected execution and maps its counters to

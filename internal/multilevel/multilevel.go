@@ -24,14 +24,14 @@ import (
 	"math"
 
 	"respat/internal/core"
+	"respat/internal/engine"
 	"respat/internal/platform"
 )
 
-// MaxLevels caps the checkpoint hierarchy depth. Four levels cover the
-// realistic storage stacks (memory / node-local / burst-buffer /
-// parallel file system) and give the service layer a fixed-width
-// canonical cache key.
-const MaxLevels = 4
+// MaxLevels caps the checkpoint hierarchy depth at the levels the
+// runtime tracks; the fixed depth also gives the service layer a
+// fixed-width canonical cache key.
+const MaxLevels = engine.MaxLevels
 
 // Level describes one checkpoint level of the hierarchy.
 type Level struct {

@@ -1,10 +1,11 @@
 // Package obs is respatd's zero-dependency observability substrate:
 // per-request tracing with named stages, a seeded 1-in-N sampler, a
 // fixed ring of recent traces (served as JSON at /debug/traces), a
-// slow-request log, fixed-bucket latency histograms, a hand-rolled
-// Prometheus text-exposition writer and a promtool-style lint of that
-// output. It depends on nothing outside the standard library and owns
-// no HTTP routes — internal/service and cmd/respatd wire it in.
+// slow-request log, fixed-bucket latency histograms and a hand-rolled
+// Prometheus text-exposition writer, whose output the tests check with
+// the promtool-style linter in internal/promlint. It depends on nothing
+// outside the standard library and owns no HTTP routes —
+// internal/service and cmd/respatd wire it in.
 //
 // Hot-path contract (DESIGN.md §2.10): every entry point is safe on a
 // nil *Tracer and a nil *Trace, and the unsampled path allocates
@@ -98,6 +99,10 @@ type Record struct {
 	Spans   []Span `json:"spans"`
 }
 
+// maxSpans caps the spans recorded per trace; later spans are dropped
+// and counted in the trace's drop counter.
+const maxSpans = 32
+
 // Config sizes a Tracer. The zero value disables sampling but still
 // honours forced (forwarded) trace IDs.
 type Config struct {
@@ -115,9 +120,6 @@ type Config struct {
 	// Seed keys the sampling draw; two tracers with equal Seed and
 	// request sequence sample identically (default 1).
 	Seed uint64
-	// MaxSpans caps spans recorded per trace (default 32); later
-	// spans are dropped and counted in the trace's drop counter.
-	MaxSpans int
 	// Log receives slow-request lines (nil = log.Default()).
 	Log *log.Logger
 }
@@ -129,7 +131,6 @@ type Config struct {
 type Tracer struct {
 	sampleEvery uint64
 	seed        uint64
-	maxSpans    int
 	slowNS      int64
 	log         *log.Logger
 
@@ -150,9 +151,6 @@ func New(cfg Config) *Tracer {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 256
 	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 32
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -162,7 +160,6 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		sampleEvery: uint64(max(cfg.SampleEvery, 0)),
 		seed:        cfg.Seed,
-		maxSpans:    cfg.MaxSpans,
 		slowNS:      cfg.SlowThreshold.Nanoseconds(),
 		log:         cfg.Log,
 		ring:        make([]Record, cfg.Ring),
@@ -195,7 +192,7 @@ func (t *Tracer) Start(endpoint, forcedID, forwardedFrom string) *Trace {
 		endpoint:      endpoint,
 		forwardedFrom: forwardedFrom,
 		start:         time.Now(),
-		spans:         make([]Span, 0, t.maxSpans),
+		spans:         make([]Span, 0, maxSpans),
 	}
 }
 

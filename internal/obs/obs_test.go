@@ -181,14 +181,14 @@ func TestLateSpansDroppedAfterFinish(t *testing.T) {
 }
 
 func TestMaxSpansCap(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, MaxSpans: 3})
+	tr := New(Config{SampleEvery: 1})
 	h := tr.Start("plan", "", "")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+7; i++ {
 		h.Begin(StageCacheLookup).End("hit")
 	}
 	h.Finish(200, "")
-	if recs := tr.Traces(); len(recs[0].Spans) != 3 {
-		t.Fatalf("span cap not enforced: %d spans", len(recs[0].Spans))
+	if recs := tr.Traces(); len(recs[0].Spans) != maxSpans {
+		t.Fatalf("span cap not enforced: %d spans, want %d", len(recs[0].Spans), maxSpans)
 	}
 }
 

@@ -74,23 +74,23 @@ type ClusterConfig struct {
 	// Transport carries peer forwards and health probes (default
 	// http.DefaultTransport). Tests inject an in-process transport.
 	Transport http.RoundTripper
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
 }
+
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
 
 // clusterState is the service's view of the replica group. The ring
 // pointer is swapped atomically on membership change so the
 // per-request owner lookup takes no lock.
 type clusterState struct {
-	self         string
-	selfValue    []string          // ForwardedHeader value of every forward; shared like peerBodyTypes
-	urls         map[string]string // member name -> base URL
-	peers        map[string]*peer  // peer name -> its plan routes
-	transport    http.RoundTripper // carries forwards
-	client       *http.Client      // carries health probes
-	probeTimeout time.Duration
-	vnodes       int
-	seed         uint64
+	self      string
+	selfValue []string          // ForwardedHeader value of every forward; shared like peerBodyTypes
+	urls      map[string]string // member name -> base URL
+	peers     map[string]*peer  // peer name -> its plan routes
+	transport http.RoundTripper // carries forwards
+	client    *http.Client      // carries health probes
+	vnodes    int
+	seed      uint64
 
 	ring atomic.Pointer[cluster.Ring]
 
@@ -162,21 +162,16 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 	if transport == nil {
 		transport = http.DefaultTransport
 	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = 2 * time.Second
-	}
 	c := &clusterState{
-		self:         cfg.Self,
-		selfValue:    []string{cfg.Self},
-		urls:         urls,
-		peers:        peers,
-		transport:    transport,
-		client:       &http.Client{Transport: transport},
-		probeTimeout: probeTimeout,
-		vnodes:       cfg.VNodes,
-		seed:         cfg.Seed,
-		down:         make(map[string]bool),
+		self:      cfg.Self,
+		selfValue: []string{cfg.Self},
+		urls:      urls,
+		peers:     peers,
+		transport: transport,
+		client:    &http.Client{Transport: transport},
+		vnodes:    cfg.VNodes,
+		seed:      cfg.Seed,
+		down:      make(map[string]bool),
 	}
 	c.ring.Store(ring)
 	s.clu = c
@@ -346,7 +341,7 @@ func (s *Service) CheckPeerHealth(ctx context.Context) map[string]bool {
 
 // probe checks one peer's liveness endpoint.
 func (c *clusterState) probe(ctx context.Context, baseURL string) bool {
-	pctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, baseURL+"/healthz", nil)
 	if err != nil {

@@ -88,12 +88,11 @@ func newTestCluster(t *testing.T, n int, cfg Config) ([]*Service, []http.Handler
 	for i := range services {
 		services[i] = New(cfg)
 		if err := services[i].EnableCluster(ClusterConfig{
-			Self:         members[i].Name,
-			Members:      members,
-			VNodes:       64,
-			Seed:         9,
-			Transport:    net,
-			ProbeTimeout: time.Second,
+			Self:      members[i].Name,
+			Members:   members,
+			VNodes:    64,
+			Seed:      9,
+			Transport: net,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -394,8 +394,8 @@ func TestConcurrentTracesAndScrapes(t *testing.T) {
 // TestTracedHotPathZeroAlloc is the CI gate on the tracing overhead
 // contract: with the tracer compiled in and sampling enabled, an
 // unsampled cache hit — the overwhelmingly common request — still
-// allocates nothing. (BenchmarkServicePlanHot measures the same path;
-// scripts/bench.sh gates its allocs/op.)
+// allocates nothing. It runs the loop of BenchmarkServicePlanHot,
+// whose allocs/op it therefore holds at 0.
 func TestTracedHotPathZeroAlloc(t *testing.T) {
 	hera, err := platform.ByName("Hera")
 	if err != nil {

@@ -92,8 +92,8 @@ func RunMultilevel(cfg MultilevelConfig) (MultilevelResult, error) {
 	}
 	res := MultilevelResult{Runs: cfg.Runs, Patterns: cfg.Patterns, PatternWork: cfg.Spec.W}
 	var err error
-	res.Overhead, res.WallTime, res.Total, err = campaign(cfg.Runs, cfg.Workers,
-		cfg.Spec.W*float64(cfg.Patterns), func() (runner[MultilevelCounters], error) { return newMultilevelRuns(&cfg) })
+	res.Overhead, res.WallTime, res.Total, err = campaign(cfg.Runs, cfg.Workers, cfg.Seed, cfg.Patterns,
+		cfg.Spec.W, func() (runner[MultilevelCounters], error) { return newMultilevelRuns(cfg) })
 	return res, err
 }
 
@@ -101,18 +101,15 @@ func RunMultilevel(cfg MultilevelConfig) (MultilevelResult, error) {
 // executor with no application, plus its exponential sources, detection
 // and level-draw streams, all reseeded in place per run.
 type multilevelRuns struct {
-	cfg                                     *MultilevelConfig
 	ex                                      *multilevel.Executor
 	failPCG, silentPCG, detectPCG, levelPCG rand.PCG
 	failExp, silentExp                      faults.Exponential
 	detect, level                           faults.Bernoulli
 }
 
-// newMultilevelRuns builds a runner for a validated configuration; cfg
-// is read at every run, so MLJobSim can vary Seed and Patterns between
-// runs.
-func newMultilevelRuns(cfg *MultilevelConfig) (*multilevelRuns, error) {
-	r := &multilevelRuns{cfg: cfg}
+// newMultilevelRuns builds a runner for a validated configuration.
+func newMultilevelRuns(cfg MultilevelConfig) (*multilevelRuns, error) {
+	r := &multilevelRuns{}
 	r.failExp = faults.Exponential{Lambda: cfg.Params.Rates.FailStop, Rng: rand.New(&r.failPCG)}
 	r.silentExp = faults.Exponential{Lambda: cfg.Params.Rates.Silent, Rng: rand.New(&r.silentPCG)}
 	r.detect.Rng = rand.New(&r.detectPCG)
@@ -124,14 +121,14 @@ func newMultilevelRuns(cfg *MultilevelConfig) (*multilevelRuns, error) {
 	return r, err
 }
 
-// run simulates one run; every stream depends only on (cfg.Seed, run).
-func (r *multilevelRuns) run(run int) (MultilevelCounters, float64) {
+// run simulates one run; every stream depends only on (seed, run).
+func (r *multilevelRuns) run(seed uint64, run, patterns int) (MultilevelCounters, float64) {
 	base := uint64(run) * numMLStreams
-	r.failPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamFail))
-	r.silentPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamSilent))
-	r.detectPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamDetect))
-	r.levelPCG.Seed(faults.SplitSeed(r.cfg.Seed, base+mlStreamLevel))
+	r.failPCG.Seed(faults.SplitSeed(seed, base+mlStreamFail))
+	r.silentPCG.Seed(faults.SplitSeed(seed, base+mlStreamSilent))
+	r.detectPCG.Seed(faults.SplitSeed(seed, base+mlStreamDetect))
+	r.levelPCG.Seed(faults.SplitSeed(seed, base+mlStreamLevel))
 	r.ex.Reset(&r.failExp, &r.silentExp)
-	rep, _ := r.ex.Run(r.cfg.Patterns) // no application, so no error
+	rep, _ := r.ex.Run(patterns) // no application, so no error
 	return rep.Counters, rep.Time
 }

@@ -154,27 +154,28 @@ func Run(cfg Config) (Result, error) {
 	}
 	res := Result{Runs: cfg.Runs, Patterns: cfg.Patterns, PatternWork: cfg.Pattern.W}
 	var err error
-	res.Overhead, res.WallTime, res.Total, err = campaign(cfg.Runs, cfg.Workers,
-		cfg.Pattern.W*float64(cfg.Patterns), func() (runner[Counters], error) { return newPatternRuns(&cfg) })
+	res.Overhead, res.WallTime, res.Total, err = campaign(cfg.Runs, cfg.Workers, cfg.Seed, cfg.Patterns,
+		cfg.Pattern.W, func() (runner[Counters], error) { return newPatternRuns(cfg) })
 	return res, err
 }
 
 // runner is one worker's reusable executor: run simulates run number
-// `run` of the campaign and returns its counters and elapsed virtual
-// seconds.
+// `run` of a campaign seeded by seed, patterns instances long, and
+// returns its counters and elapsed virtual seconds.
 type runner[C any] interface {
-	run(run int) (C, float64)
+	run(seed uint64, run, patterns int) (C, float64)
 }
 
 // campaign simulates runs over workers goroutines (0 means GOMAXPROCS),
 // each with its own runner from newRunner, and returns the per-run
-// overheads relative to work and wall times, reduced in run order, and
-// the summed counters. Runners are built before any run starts, so a
-// construction error aborts the campaign.
+// overheads relative to the useful work (patterns instances of w
+// seconds) and wall times, reduced in run order, and the summed
+// counters. Runners are built before any run starts, so a construction
+// error aborts the campaign.
 func campaign[C any, PC interface {
 	*C
 	Add(C)
-}](runs, workers int, work float64, newRunner func() (runner[C], error)) (overhead, wall stats.Sample, total C, err error) {
+}](runs, workers int, seed uint64, patterns int, w float64, newRunner func() (runner[C], error)) (overhead, wall stats.Sample, total C, err error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -187,12 +188,13 @@ func campaign[C any, PC interface {
 			return overhead, wall, total, err
 		}
 	}
+	work := w * float64(patterns)
 	overheads := make([]float64, runs)
 	walls := make([]float64, runs)
 	totals := make([]C, workers)
 	simulate := func(w int) {
 		for run := w; run < runs; run += workers {
-			cnt, elapsed := runners[w].run(run)
+			cnt, elapsed := runners[w].run(seed, run, patterns)
 			overheads[run] = (elapsed - work) / work
 			walls[run] = elapsed
 			PC(&totals[w]).Add(cnt)
@@ -229,17 +231,16 @@ func campaign[C any, PC interface {
 // with no application, plus the default exponential sources and the
 // detection stream, all reseeded in place per run.
 type patternRuns struct {
-	cfg                           *Config
 	ex                            *engine.Executor
+	failSource, silentSource      func(run int) faults.Source
 	failPCG, silentPCG, detectPCG rand.PCG
 	failExp, silentExp            faults.Exponential
 	detect                        faults.Bernoulli
 }
 
-// newPatternRuns builds a runner for a validated configuration; cfg is
-// read at every run, so JobSim can vary Seed and Patterns between runs.
-func newPatternRuns(cfg *Config) (*patternRuns, error) {
-	r := &patternRuns{cfg: cfg}
+// newPatternRuns builds a runner for a validated configuration.
+func newPatternRuns(cfg Config) (*patternRuns, error) {
+	r := &patternRuns{failSource: cfg.FailSource, silentSource: cfg.SilentSource}
 	if cfg.FailSource == nil {
 		r.failExp = faults.Exponential{Lambda: cfg.Rates.FailStop, Rng: rand.New(&r.failPCG)}
 	}
@@ -255,26 +256,25 @@ func newPatternRuns(cfg *Config) (*patternRuns, error) {
 }
 
 // run simulates one run. Every random stream depends only on
-// (cfg.Seed, run), never on scheduling, so results are bit-identical
+// (seed, run), never on scheduling, so results are bit-identical
 // across worker counts; reseeding the generators in place is
 // state-equivalent to constructing fresh ones with the same seeds.
-func (r *patternRuns) run(run int) (Counters, float64) {
-	seed := r.cfg.Seed
+func (r *patternRuns) run(seed uint64, run, patterns int) (Counters, float64) {
 	var fail, silent faults.Source
-	if r.cfg.FailSource != nil {
-		fail = r.cfg.FailSource(run)
+	if r.failSource != nil {
+		fail = r.failSource(run)
 	} else {
 		r.failPCG.Seed(faults.SplitSeed(seed, uint64(run)*numStreams+streamFail))
 		fail = &r.failExp
 	}
-	if r.cfg.SilentSource != nil {
-		silent = r.cfg.SilentSource(run)
+	if r.silentSource != nil {
+		silent = r.silentSource(run)
 	} else {
 		r.silentPCG.Seed(faults.SplitSeed(seed, uint64(run)*numStreams+streamSilent))
 		silent = &r.silentExp
 	}
 	r.detectPCG.Seed(faults.SplitSeed(seed, uint64(run)*numStreams+streamDetect))
 	r.ex.Reset(fail, silent)
-	rep, _ := r.ex.Run(r.cfg.Patterns) // no application, so no error
+	rep, _ := r.ex.Run(patterns) // no application, so no error
 	return rep.Counters, rep.Time
 }

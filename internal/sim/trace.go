@@ -19,13 +19,13 @@ func TraceOne(cfg Config, run int) ([]Event, Counters, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, Counters{}, err
 	}
-	r, err := newPatternRuns(&cfg)
+	r, err := newPatternRuns(cfg)
 	if err != nil {
 		return nil, Counters{}, err
 	}
 	var events []Event
 	r.ex.Record(func(e Event) { events = append(events, e) })
-	cnt, _ := r.run(run)
+	cnt, _ := r.run(cfg.Seed, run, cfg.Patterns)
 	return events, cnt, nil
 }
 

@@ -161,7 +161,8 @@ type (
 	EngineConfig = engine.Config
 	// EngineReport summarises an engine run.
 	EngineReport = engine.Report
-	// Storage persists two-level checkpoints.
+	// Storage persists checkpoints by level, counting from 1: 1
+	// (memory) and 2 (disk) for Protect, 1..L for ProtectMultilevel.
 	Storage = engine.Storage
 )
 
