@@ -34,6 +34,41 @@ import (
 	"respat/internal/twolevel"
 )
 
+// ceilings is the mean time per op each of seven benchmarks may take.
+// Each calls holdCeiling after its loop, which checks only runs of at
+// least ceilingMinN iterations: CI's `go test -run '^$' -bench .
+// -benchtime 20x .` enforces every ceiling, while a 1x run and `go
+// test ./...` enforce none. The mean of one iteration carries
+// goroutine start-up and first-call noise as large as the ceilings.
+var ceilings = map[string]time.Duration{
+	"BenchmarkMultilevelPlan":  5 * time.Millisecond,
+	"BenchmarkSimulatePattern": 30 * time.Microsecond,
+	"BenchmarkFleetSmall":      25 * time.Millisecond,
+	"BenchmarkServicePlanHot":  2500 * time.Nanosecond, // the admission gate stays off the hit path
+	"BenchmarkRingRoute":       1000 * time.Nanosecond, // the owner lookup stays off the hot path
+	"BenchmarkTraceRecord":     10 * time.Microsecond,  // the sampled-trace overhead
+	"BenchmarkPromScrape":      2 * time.Millisecond,   // the exposition render
+}
+
+// ceilingMinN is the fewest iterations whose mean holdCeiling checks.
+const ceilingMinN = 20
+
+// holdCeiling fails b when its mean time per op so far exceeds its
+// entry in ceilings, once b.N reaches ceilingMinN.
+func holdCeiling(b *testing.B) {
+	b.Helper()
+	limit, ok := ceilings[b.Name()]
+	if !ok {
+		b.Fatalf("%s has no entry in ceilings", b.Name())
+	}
+	if b.N < ceilingMinN {
+		return
+	}
+	if mean := b.Elapsed() / time.Duration(b.N); mean > limit {
+		b.Errorf("%v per op over %d iterations, ceiling %v", mean, b.N, limit)
+	}
+}
+
 // benchOpts is deliberately small; shapes remain stable because the
 // seed is fixed. Campaign cells fan over all cores with one simulation
 // goroutine per cell; results are bit-identical for any worker split.
@@ -309,6 +344,7 @@ func BenchmarkMultilevelPlan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	holdCeiling(b)
 	b.ReportMetric(100*plan.Overhead, "H*-%")
 	b.ReportMetric(float64(plan.Spec.Counts[0]), "n1*")
 }
@@ -448,6 +484,7 @@ func BenchmarkSimulatePattern(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	holdCeiling(b)
 }
 
 // BenchmarkSimulateMultilevel runs a multilevel Monte-Carlo campaign
@@ -483,24 +520,51 @@ func BenchmarkSimulateMultilevel(b *testing.B) {
 // BenchmarkFleetSmall runs a whole 500-job fleet campaign per
 // iteration — plan, parallel per-job fault injection, FIFO/backfill
 // dispatch, reduction (DESIGN.md §2.7) — and reports the cluster
-// utilization as the headline metric. scripts/bench.sh gates its
-// per-op budget so the fleet path cannot silently regress.
+// utilization as the headline metric. Its time is held by ceilings and
+// its allocations by TestFleetSmallAllocs, so the fleet path cannot
+// silently regress.
 func BenchmarkFleetSmall(b *testing.B) {
 	hera := mustPlatform(b, "Hera")
 	var util float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := respat.SimulateFleet(respat.FleetConfig{
-			Platform: hera, Nodes: 64, Family: core.PDMV,
-			NumJobs: 500, Rate: 1.0 / 7200, JobWork: 86400, WorkSpread: 4,
-			Backfill: true, Seed: uint64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		util = res.Utilization
+		util = fleetSmall(b, hera, uint64(i+1))
 	}
+	holdCeiling(b)
 	b.ReportMetric(100*util, "%util")
+}
+
+// fleetSmallAllocs bounds the allocations of one BenchmarkFleetSmall
+// campaign (~4,530 measured).
+const fleetSmallAllocs = 10000
+
+// TestFleetSmallAllocs is the CI guard on BenchmarkFleetSmall's
+// allocations: one 500-job campaign allocates at most fleetSmallAllocs
+// times.
+func TestFleetSmallAllocs(t *testing.T) {
+	hera, err := platform.ByName("Hera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() { fleetSmall(t, hera, 1) })
+	t.Logf("%v allocs per campaign", allocs)
+	if allocs > fleetSmallAllocs {
+		t.Errorf("a 500-job fleet campaign allocates %v times, budget %d", allocs, fleetSmallAllocs)
+	}
+}
+
+// fleetSmall runs BenchmarkFleetSmall's campaign at seed and returns
+// the cluster utilization.
+func fleetSmall(tb testing.TB, hera platform.Platform, seed uint64) float64 {
+	res, err := respat.SimulateFleet(respat.FleetConfig{
+		Platform: hera, Nodes: 64, Family: core.PDMV,
+		NumJobs: 500, Rate: 1.0 / 7200, JobWork: 86400, WorkSpread: 4,
+		Backfill: true, Seed: seed,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Utilization
 }
 
 // BenchmarkServicePlanHot measures the planning service's cache-hit
@@ -529,6 +593,7 @@ func BenchmarkServicePlanHot(b *testing.B) {
 		}
 		tr.Finish(200, "hit")
 	}
+	holdCeiling(b)
 }
 
 // BenchmarkServiceHTTPPlanHit measures a cache hit through the HTTP
@@ -742,8 +807,8 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // BenchmarkTraceRecord measures the sampled path: one full trace
 // lifecycle with three recorded spans, a ring push and the Server-
 // Timing render skipped (that happens per response, measured by the
-// service benches). scripts/bench.sh holds it under an absolute
-// budget, bounding the cost of -trace-sample 1 debugging sessions.
+// service benches). Its ceiling bounds the cost of -trace-sample 1
+// debugging sessions.
 func BenchmarkTraceRecord(b *testing.B) {
 	tracer := obs.New(obs.Config{SampleEvery: 1, Ring: 256})
 	b.ReportAllocs()
@@ -758,12 +823,13 @@ func BenchmarkTraceRecord(b *testing.B) {
 		tm.End("")
 		tr.Finish(200, "")
 	}
+	holdCeiling(b)
 }
 
 // BenchmarkPromScrape renders the full Prometheus exposition — every
 // counter, gauge and histogram family the service owns — against a
-// tracer-enabled service. scripts/bench.sh budgets it so the scrape
-// path stays cheap enough for aggressive scrape intervals.
+// tracer-enabled service. Its ceiling keeps the scrape path cheap
+// enough for aggressive scrape intervals.
 func BenchmarkPromScrape(b *testing.B) {
 	hera := mustPlatform(b, "Hera")
 	svc := service.New(service.Config{
@@ -781,6 +847,7 @@ func BenchmarkPromScrape(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	holdCeiling(b)
 }
 
 // BenchmarkServicePlanCold measures the cold exact-plan path: every
@@ -863,8 +930,7 @@ func BenchmarkServiceFirstOrderCold(b *testing.B) {
 // clustered request pays before the cache probe: hash the canonical
 // 139-byte key and binary-search the virtual-node table of a 16-replica
 // ring. The contract (DESIGN.md §2.9) is 0 allocs/op, held in CI by
-// TestRingRouteZeroAlloc on this loop; scripts/bench.sh budgets its
-// time.
+// TestRingRouteZeroAlloc on this loop; ceilings holds its time.
 func BenchmarkRingRoute(b *testing.B) {
 	members := make([]string, 16)
 	for i := range members {
@@ -888,6 +954,7 @@ func BenchmarkRingRoute(b *testing.B) {
 		k := keys[i%len(keys)]
 		sink = ring.Route(k[:])
 	}
+	holdCeiling(b)
 	_ = sink
 }
 

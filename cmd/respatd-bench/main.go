@@ -1,23 +1,21 @@
 // Command respatd-bench is the SLO-validating load generator for
 // respatd. It synthesizes a seeded key space of planning requests,
-// drives the daemon in closed-loop (fixed client concurrency, each
-// client issuing the next request as soon as the last returns) or
+// drives the daemon at -url in closed-loop (fixed client concurrency,
+// each client issuing the next request as soon as the last returns) or
 // open-loop (Poisson arrivals at a target rate, an inflight cap
 // standing in for client-side timeouts) mode, and reports sustained
 // QPS, p50/p90/p99 latency and error rate against target SLOs as a
-// machine-readable JSON document (consumed by scripts/bench.sh).
+// machine-readable JSON document.
 //
 // Usage:
 //
 //	respatd-bench -url http://localhost:8080 -mode closed -clients 32 -requests 20000
 //	respatd-bench -url http://localhost:8080 -mode open -rate 500 -duration 30s \
 //	    -slo-p99 50ms -slo-error-rate 0.001 -slo-min-qps 400
-//	respatd-bench -inprocess -requests 5000        # hermetic; used by CI
 //
 // The exit status is 1 when any configured SLO is violated, so the
-// command doubles as a CI gate. -inprocess drives an in-process
-// service handler instead of a network target: same code path minus
-// the kernel, deterministic enough to gate at a fixed seed.
+// command doubles as a CI gate: TestClosedLoopSLO runs a fixed-seed
+// campaign against respatd's handler on a loopback socket.
 package main
 
 import (
@@ -27,7 +25,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
@@ -39,7 +36,6 @@ import (
 
 	"respat/internal/core"
 	"respat/internal/faults"
-	"respat/internal/obs"
 	"respat/internal/platform"
 	"respat/internal/service"
 	"respat/internal/stats"
@@ -48,7 +44,6 @@ import (
 func main() {
 	var (
 		url       = flag.String("url", "", "respatd base URL (e.g. http://localhost:8080)")
-		inprocess = flag.Bool("inprocess", false, "drive an in-process service instead of -url")
 		mode      = flag.String("mode", "closed", "load mode: closed | open")
 		clients   = flag.Int("clients", 16, "closed-loop client count / open-loop inflight cap")
 		requests  = flag.Int64("requests", 10000, "closed-loop total request count")
@@ -66,7 +61,6 @@ func main() {
 	flag.Parse()
 	cfg := benchConfig{
 		target:    *url,
-		inprocess: *inprocess,
 		mode:      *mode,
 		clients:   *clients,
 		requests:  *requests,
@@ -97,8 +91,6 @@ func main() {
 
 type benchConfig struct {
 	target    string
-	inprocess bool
-	handler   http.Handler // in-process target override (tests)
 	mode      string
 	clients   int
 	requests  int64
@@ -250,16 +242,6 @@ func picker(dist string, n int, r *rand.Rand) (func() int, error) {
 	}
 }
 
-// handlerTransport serves requests directly from an in-process
-// handler: the hermetic -inprocess mode.
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, req)
-	return rec.Result(), nil
-}
-
 // collector accumulates per-request observations. One mutex is fine:
 // the critical section is tens of nanoseconds against requests that
 // take microseconds at best.
@@ -348,32 +330,25 @@ func parseServerTiming(h string) []stageTiming {
 
 // run executes one load-generation campaign and builds the report.
 func run(cfg benchConfig) (Report, error) {
-	target := cfg.target
-	client := &http.Client{Timeout: cfg.timeout}
-	if cfg.inprocess || cfg.handler != nil {
-		h := cfg.handler
-		if h == nil {
-			// Provision the embedded service's cold-plan gate to the
-			// drive concurrency, so the hermetic mode measures the
-			// serving path rather than deliberate admission shedding
-			// (use -url against a real daemon to measure that). Sample
-			// every request so each response carries Server-Timing and
-			// the report's stage attribution covers the whole run.
-			h = service.New(service.Config{
-				ColdWorkers: cfg.clients,
-				ColdQueue:   8 * cfg.clients,
-				Tracer:      obs.New(obs.Config{SampleEvery: 1, Seed: cfg.seed}),
-			}).Handler()
-		}
-		client.Transport = handlerTransport{h: h}
-		target = "http://respatd"
-	} else if target == "" {
-		return Report{}, fmt.Errorf("need -url or -inprocess")
+	if cfg.target == "" {
+		return Report{}, fmt.Errorf("need -url")
 	}
-	target = strings.TrimSuffix(target, "/")
+	target := strings.TrimSuffix(cfg.target, "/")
 	if cfg.clients <= 0 {
 		return Report{}, fmt.Errorf("clients = %d, need > 0", cfg.clients)
 	}
+	// One connection per client, kept idle between its requests, so
+	// the campaign times requests rather than TCP handshakes
+	// (http.DefaultTransport keeps 2 idle connections per host). At
+	// most cfg.clients requests are in flight at once, so the cap
+	// holds the pool at one connection per client. The connections
+	// close before run returns.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = cfg.clients
+	transport.MaxIdleConnsPerHost = cfg.clients
+	transport.MaxConnsPerHost = cfg.clients
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Timeout: cfg.timeout, Transport: transport}
 	items, err := synthesize(cfg)
 	if err != nil {
 		return Report{}, err

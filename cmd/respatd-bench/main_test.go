@@ -1,21 +1,25 @@
 package main
 
 import (
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"respat/internal/obs"
 	"respat/internal/service"
 )
 
-// benchTestConfig is the fixed-seed hermetic campaign CI gates on.
+// benchTestConfig is the fixed-seed campaign CI gates on.
 func benchTestConfig() benchConfig {
 	return benchConfig{
-		inprocess: true,
 		mode:      "closed",
 		clients:   8,
-		requests:  400,
-		configs:   24,
+		requests:  2000,
+		configs:   64,
 		endpoints: []string{"plan", "plan/exact"},
 		dist:      "uniform",
 		seed:      42,
@@ -26,21 +30,49 @@ func benchTestConfig() benchConfig {
 	}
 }
 
-// TestClosedLoopSLO is the CI SLO assertion: at a fixed seed, the
-// in-process closed loop completes every request without a single
-// error and the report passes its SLO check.
+// serve starts respatd's handler on a loopback socket for cfg's
+// campaign and points cfg at it. The cold-plan gate is sized to the
+// drive concurrency, so the campaign measures the serving path rather
+// than admission shedding, and every request is sampled, so each
+// response carries Server-Timing. It returns a count of the TCP
+// connections the server has accepted.
+func serve(t *testing.T, cfg *benchConfig) *atomic.Int64 {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(service.New(service.Config{
+		ColdWorkers: cfg.clients,
+		ColdQueue:   8 * cfg.clients,
+		Tracer:      obs.New(obs.Config{SampleEvery: 1, Seed: cfg.seed}),
+	}).Handler())
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	cfg.target = srv.URL
+	return &conns
+}
+
+// TestClosedLoopSLO is the CI SLO assertion: at a fixed seed, a closed
+// loop over a loopback socket completes every request without a single
+// error, every response carries Server-Timing, the report passes its
+// SLO check, and each client keeps one connection.
 func TestClosedLoopSLO(t *testing.T) {
-	rep, err := run(benchTestConfig())
+	cfg := benchTestConfig()
+	conns := serve(t, &cfg)
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests != 400 {
-		t.Fatalf("completed %d requests, want 400", rep.Requests)
+	if rep.Requests != cfg.requests {
+		t.Fatalf("completed %d requests, want %d", rep.Requests, cfg.requests)
 	}
 	if rep.Errors != 0 || rep.ErrorRate != 0 {
 		t.Fatalf("%d errors (rate %v): %v", rep.Errors, rep.ErrorRate, rep.Status)
 	}
-	if rep.Status["200"] != 400 {
+	if rep.Status["200"] != cfg.requests {
 		t.Fatalf("status spread %v, want all 200", rep.Status)
 	}
 	if rep.SLO == nil || !rep.SLO.Pass {
@@ -49,14 +81,17 @@ func TestClosedLoopSLO(t *testing.T) {
 	if rep.QPS <= 0 || rep.P99Ms <= 0 || rep.P99Ms < rep.P50Ms {
 		t.Fatalf("implausible latency report: qps=%v p50=%v p99=%v", rep.QPS, rep.P50Ms, rep.P99Ms)
 	}
-	// The hermetic service samples every request, so the stage
-	// attribution must cover the whole campaign.
+	if n := conns.Load(); n > int64(cfg.clients) {
+		t.Fatalf("%d clients opened %d TCP connections", cfg.clients, n)
+	}
+	// The server samples every request, so the stage attribution must
+	// cover the whole campaign.
 	app, ok := rep.ServerTiming["app"]
 	if !ok {
 		t.Fatalf("no app entry in server-timing attribution: %v", rep.ServerTiming)
 	}
-	if app.Count != 400 {
-		t.Fatalf("app timing covered %d of 400 requests", app.Count)
+	if app.Count != cfg.requests {
+		t.Fatalf("app timing covered %d of %d requests", app.Count, cfg.requests)
 	}
 	if app.MeanMs < 0 || app.TotalMs < app.MeanMs && app.Count > 1 {
 		t.Fatalf("implausible app timing: %+v", app)
@@ -132,6 +167,7 @@ func TestOpenLoop(t *testing.T) {
 	cfg.rate = 4000
 	cfg.duration = 150 * time.Millisecond
 	cfg.clients = 4
+	serve(t, &cfg)
 	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,21 +203,17 @@ func TestZipfPicker(t *testing.T) {
 	}
 }
 
-// TestClientPoolNoLeak asserts the client pools wind down completely
-// after both loop modes (run with -race in CI).
+// TestClientPoolNoLeak asserts the client pools and their connections
+// wind down completely after both loop modes (run with -race in CI).
 func TestClientPoolNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	h := service.New(service.Config{}).Handler()
-
 	closed := benchTestConfig()
-	closed.handler = h
-	closed.inprocess = false
+	serve(t, &closed)
+	baseline := runtime.NumGoroutine()
+
 	if _, err := run(closed); err != nil {
 		t.Fatal(err)
 	}
-	open := benchTestConfig()
-	open.handler = h
-	open.inprocess = false
+	open := closed
 	open.mode = "open"
 	open.rate = 2000
 	open.duration = 100 * time.Millisecond

@@ -42,8 +42,9 @@
 // daemon to a consistent-hash replica group — each cacheable plan key
 // is owned by one replica, peer-owned requests forward one hop, and a
 // background health checker (-health-interval) drops dead peers from
-// the ring deterministically. -ring-vnodes and -ring-seed must agree
-// across replicas.
+// the ring deterministically. Every replica places the same virtual
+// nodes, so replicas that agree on the live member set agree on every
+// key's owner.
 package main
 
 import (
@@ -104,8 +105,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 
 	fs.StringVar(&o.cluster.self, "self", "", "this replica's name in -peers (empty = standalone)")
 	fs.StringVar(&o.cluster.peers, "peers", "", "replica set as name=url,name=url,... (must include -self)")
-	fs.IntVar(&o.cluster.vnodes, "ring-vnodes", 0, "virtual nodes per replica (0 = default; must agree across replicas)")
-	fs.Uint64Var(&o.cluster.seed, "ring-seed", 1, "consistent-hash placement seed (must agree across replicas)")
 	fs.DurationVar(&o.cluster.healthInterval, "health-interval", 5*time.Second, "peer health-check period (0 = no background checks)")
 
 	var trace obs.Config
@@ -129,8 +128,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 type clusterFlags struct {
 	self           string
 	peers          string
-	vnodes         int
-	seed           uint64
 	healthInterval time.Duration
 }
 
@@ -195,8 +192,6 @@ func start(addr, debugAddr string, cfg service.Config, cluster clusterFlags, log
 		if err := svc.EnableCluster(service.ClusterConfig{
 			Self:    cluster.self,
 			Members: members,
-			VNodes:  cluster.vnodes,
-			Seed:    cluster.seed,
 		}); err != nil {
 			return nil, nil, nil, err
 		}
@@ -216,8 +211,8 @@ func start(addr, debugAddr string, cfg service.Config, cluster clusterFlags, log
 				}
 			}()
 		}
-		logger.Printf("cluster: self=%s members=%d vnodes=%d seed=%d health-interval=%v",
-			cluster.self, len(members), cluster.vnodes, cluster.seed, cluster.healthInterval)
+		logger.Printf("cluster: self=%s members=%d health-interval=%v",
+			cluster.self, len(members), cluster.healthInterval)
 	}
 	if debugAddr != "" {
 		stopDebug, err := serveDebug(debugAddr, svc, logger)

@@ -3,7 +3,7 @@
 // files that actually exist. External (http, https, mailto) links are
 // not fetched — the check must stay deterministic and offline — and
 // pure in-page anchors are skipped. The repo-wide test in this package
-// is what the CI docs job runs, so a doc that links to a moved or
+// runs with every `go test ./...`, so a doc that links to a moved or
 // deleted file fails the build instead of rotting silently.
 package docscheck
 

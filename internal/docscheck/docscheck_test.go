@@ -99,7 +99,7 @@ func TestCheckLinksSkipsGitDir(t *testing.T) {
 	}
 }
 
-// TestRepoMarkdownLinks is the repo-wide gate the CI docs job runs:
+// TestRepoMarkdownLinks is the repo-wide gate CI's test step runs:
 // every relative link in every tracked markdown file must resolve.
 func TestRepoMarkdownLinks(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))

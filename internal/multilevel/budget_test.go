@@ -25,9 +25,9 @@ import (
 // loudly if the cold path regresses; the allocation budgets sit at
 // about twice the current counts, and the probe budgets bound exact
 // counts, so they catch a seed, bound or leaf regression on any
-// machine. The bench gate in scripts/bench.sh holds
-// BenchmarkMultilevelPlan to a tighter latency target (5 ms) and a
-// looser allocation one (1,000 allocs).
+// machine. The root package's benchmark ceilings hold
+// BenchmarkMultilevelPlan, the same L=3 Optimize call, to a tighter
+// latency target (5 ms, the mean of 20 or more runs).
 var planBudgets = []struct {
 	levels        int
 	seedProbes    int
@@ -42,7 +42,7 @@ var planBudgets = []struct {
 
 // TestMultilevelPlanBudget is the CI guard on the cold-plan overhaul:
 // a cold multilevel plan must stay within the seed-probe, bound-probe,
-// leaf-probe, latency and allocation budgets between bench snapshots.
+// leaf-probe, latency and allocation budgets.
 func TestMultilevelPlanBudget(t *testing.T) {
 	pl, err := platform.ByName("Hera")
 	if err != nil {

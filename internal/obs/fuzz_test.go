@@ -34,12 +34,12 @@ func FuzzTraceHeader(f *testing.F) {
 // accepts what it writes for any sample value (NaN, ±Inf, -0, very
 // large) and any valid UTF-8 label value or help text (quotes,
 // backslashes, newlines, non-ASCII), and for histograms filled through
-// Observe (0 to 10^12 ns) and Halve. The help text is non-empty: the
-// linter requires every family to document itself, and every family
-// the service writes has a constant, non-empty help.
+// Observe (0 to 10^12 ns) and Halve. The linter requires every family
+// to document itself, so an empty help text must be refused: Err
+// reports it and nothing is written.
 func FuzzPromWriter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, value float64, label, help string, ns uint64, halves uint8) {
-		if !utf8.ValidString(label) || !utf8.ValidString(help) || help == "" {
+		if !utf8.ValidString(label) || !utf8.ValidString(help) {
 			return
 		}
 		var h Histogram
@@ -58,6 +58,15 @@ func FuzzPromWriter(f *testing.F) {
 		p.Sample("respat_fuzz_labelled", []Label{{"k", label + "'"}}, -value)
 		p.Family("respat_fuzz_seconds", help, "histogram")
 		p.Hist("respat_fuzz_seconds", []Label{{"k", label}}, h.Snapshot())
+		if help == "" {
+			if p.Err() == nil || b.Len() != 0 {
+				t.Fatalf("empty help: err %v, wrote %q", p.Err(), b.String())
+			}
+			return
+		}
+		if err := p.Err(); err != nil {
+			t.Fatalf("help %q: %v", help, err)
+		}
 		if errs := promlint.Lint([]byte(b.String())); errs != nil {
 			t.Fatalf("value %v, label %q, help %q: exposition does not lint: %v\n%s", value, label, help, errs, b.String())
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -16,7 +17,8 @@ type Label struct{ Key, Value string }
 // 0.0.4) by hand — no client library. The caller emits one Family
 // header per metric name followed by that family's samples; emission
 // order is code order, which is what makes the output stable enough
-// to golden-test. Write errors are sticky and surfaced by Err.
+// to golden-test. Errors are sticky and surfaced by Err: after a write
+// error or a family without help text, nothing more is written.
 type PromWriter struct {
 	w   io.Writer
 	buf []byte
@@ -28,7 +30,8 @@ func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, buf: make([]byte, 0, 256)}
 }
 
-// Err returns the first write error.
+// Err returns the first error: a write error, or a family given no
+// help text.
 func (p *PromWriter) Err() error { return p.err }
 
 // flush writes the line buffer.
@@ -42,8 +45,15 @@ func (p *PromWriter) flush() {
 }
 
 // Family emits the # HELP and # TYPE header of one metric family.
-// typ is "counter", "gauge" or "histogram".
+// typ is "counter", "gauge" or "histogram". The exposition format
+// requires every family to document itself, so an empty help is an
+// error: Family records it for Err and writes nothing, neither this
+// family nor any after it.
 func (p *PromWriter) Family(name, help, typ string) {
+	if help == "" && p.err == nil {
+		p.err = fmt.Errorf("obs: metric family %s has no help text", name)
+		return
+	}
 	p.buf = append(p.buf, "# HELP "...)
 	p.buf = append(p.buf, name...)
 	p.buf = append(p.buf, ' ')

@@ -57,18 +57,16 @@ type Member struct {
 }
 
 // ClusterConfig wires a Service into a consistent-hash replica group.
-// Self, the member set, VNodes and Seed must agree across replicas —
-// the ring is a pure function of (Seed, VNodes, members), so agreeing
-// replicas route every key identically.
+// The member set and Seed must agree across replicas — the ring is a
+// pure function of (Seed, members), each member placing
+// cluster.DefaultVNodes virtual nodes, so agreeing replicas route
+// every key identically.
 type ClusterConfig struct {
 	// Self is this replica's name; it must appear in Members (its URL
 	// entry is unused).
 	Self string
 	// Members is the full replica set, including self.
 	Members []Member
-	// VNodes is the virtual-node count per member (default
-	// cluster.DefaultVNodes).
-	VNodes int
 	// Seed drives virtual-node placement (default 1).
 	Seed uint64
 	// Transport carries peer forwards and health probes (default
@@ -89,7 +87,6 @@ type clusterState struct {
 	peers     map[string]*peer  // peer name -> its plan routes
 	transport http.RoundTripper // carries forwards
 	client    *http.Client      // carries health probes
-	vnodes    int
 	seed      uint64
 
 	ring atomic.Pointer[cluster.Ring]
@@ -154,7 +151,7 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	ring, err := cluster.New(cfg.Seed, cfg.VNodes, names)
+	ring, err := cluster.New(cfg.Seed, cluster.DefaultVNodes, names)
 	if err != nil {
 		return err
 	}
@@ -169,7 +166,6 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 		peers:     peers,
 		transport: transport,
 		client:    &http.Client{Transport: transport},
-		vnodes:    cfg.VNodes,
 		seed:      cfg.Seed,
 		down:      make(map[string]bool),
 	}
@@ -332,7 +328,7 @@ func (s *Service) CheckPeerHealth(ctx context.Context) map[string]bool {
 			}
 		}
 		// Self is always a member, so the rebuild cannot fail.
-		if ring, err := cluster.New(c.seed, c.vnodes, members); err == nil {
+		if ring, err := cluster.New(c.seed, cluster.DefaultVNodes, members); err == nil {
 			c.ring.Store(ring)
 		}
 	}

@@ -90,7 +90,6 @@ func newTestCluster(t *testing.T, n int, cfg Config) ([]*Service, []http.Handler
 		if err := services[i].EnableCluster(ClusterConfig{
 			Self:      members[i].Name,
 			Members:   members,
-			VNodes:    64,
 			Seed:      9,
 			Transport: net,
 		}); err != nil {

@@ -239,7 +239,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 		services[i] = tracedService(Config{})
 		if err := services[i].EnableCluster(ClusterConfig{
 			Self: members[i].Name, Members: members,
-			VNodes: 64, Seed: 9, Transport: net,
+			Seed: 9, Transport: net,
 		}); err != nil {
 			t.Fatal(err)
 		}
